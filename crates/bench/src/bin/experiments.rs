@@ -8,21 +8,19 @@
 //! # fleet batch sweeps (--algorithms swaps in the distributed-algorithm matrix)
 //! … -- batch --workers 4 --seeds 16 --metrics-out metrics.json
 //! … -- batch --algorithms --workers 4 --seeds 8 --metrics-out algo.json
-//! … -- sweep --workers 2 --seeds 16 --out sweep.json
 //!
 //! # the gateway (stigmergyd)
 //! … -- serve --addr 127.0.0.1:7841 --capacity 8
 //! … -- submit --addr 127.0.0.1:7841 --workers 4 --seeds 16 --metrics-out m.json
 //! … -- submit --algorithms --addr 127.0.0.1:7841 --workers 4 --metrics-out a.json
 //! … -- cancel --addr 127.0.0.1:7841 --job 3
-//! … -- gateway-bench --jobs 4 --workers 4 --out BENCH_gateway.json
 //! ```
 
 use std::io::Write;
 use std::process::ExitCode;
 use std::sync::atomic::Ordering;
 use std::time::Duration;
-use stigmergy_bench::{experiments, fleet_sweep, gateway_bench};
+use stigmergy_bench::{experiments, fleet_sweep};
 use stigmergy_fleet::{run_batch, BatchSpec};
 use stigmergy_gateway::{termination_flag, Client, Gateway, GatewayConfig, JobRequest};
 
@@ -63,11 +61,9 @@ fn main() -> ExitCode {
             }
         }
         Some("batch") => run_batch_cmd(&args[1..]),
-        Some("sweep") => run_sweep_cmd(&args[1..]),
         Some("serve") => run_serve_cmd(&args[1..]),
         Some("submit") => run_submit_cmd(&args[1..]),
         Some("cancel") => run_cancel_cmd(&args[1..]),
-        Some("gateway-bench") => run_gateway_bench_cmd(&args[1..]),
         Some("list") => {
             for artifact in experiments::all() {
                 emit(&format!("{:6} {}", artifact.id, artifact.paper_ref));
@@ -111,7 +107,6 @@ struct FleetFlags {
     max_workers: u64,
     deadline_ms: u64,
     job: Option<u64>,
-    jobs: usize,
 }
 
 impl Default for FleetFlags {
@@ -127,14 +122,13 @@ impl Default for FleetFlags {
             max_workers: 32,
             deadline_ms: 0,
             job: None,
-            jobs: 4,
         }
     }
 }
 
-/// Parses `--workers N --seeds K --budget-cap B --metrics-out/--out PATH`
-/// plus the gateway flags `--addr --capacity --max-workers --deadline-ms
-/// --job --jobs`.
+/// Parses `--workers N --seeds K --budget-cap B --metrics-out PATH` plus
+/// the gateway flags `--addr --capacity --max-workers --deadline-ms
+/// --job`.
 fn parse_fleet_flags(args: &[String]) -> Result<FleetFlags, String> {
     let mut flags = FleetFlags::default();
     let mut it = args.iter();
@@ -161,8 +155,8 @@ fn parse_fleet_flags(args: &[String]) -> Result<FleetFlags, String> {
             "--budget-cap" => {
                 flags.budget_cap = Some(positive("--budget-cap", value("--budget-cap")?)?);
             }
-            "--metrics-out" | "--out" => {
-                flags.out = Some(value(flag)?.clone());
+            "--metrics-out" => {
+                flags.out = Some(value("--metrics-out")?.clone());
             }
             "--addr" => {
                 let addr = value("--addr")?;
@@ -186,10 +180,6 @@ fn parse_fleet_flags(args: &[String]) -> Result<FleetFlags, String> {
             }
             "--job" => {
                 flags.job = Some(value("--job")?.parse().map_err(|e| format!("--job: {e}"))?);
-            }
-            "--jobs" => {
-                flags.jobs = usize::try_from(positive("--jobs", value("--jobs")?)?)
-                    .map_err(|_| "--jobs: value out of range".to_string())?;
             }
             other => return Err(format!("unknown flag {other:?}")),
         }
@@ -245,44 +235,6 @@ fn run_batch_cmd(args: &[String]) -> ExitCode {
         emit(&format!("wrote {path}"));
     }
     ExitCode::SUCCESS
-}
-
-/// `sweep`: times the same spec at workers=1 and workers=N, verifies the
-/// outputs are identical, and writes the timing document (`--out`). The
-/// committed `BENCH_fleet.json` baseline is produced by `stigbench
-/// --suite fleet` instead, which measures the full worker-count matrix
-/// under the CI counter gate.
-fn run_sweep_cmd(args: &[String]) -> ExitCode {
-    let flags = match parse_fleet_flags(args) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("sweep: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let result = fleet_sweep::sweep(&fleet_spec(&flags), flags.workers.max(2));
-    banner(
-        "sweep",
-        &format!(
-            "workers=1 vs workers={}, {} sessions",
-            result.workers,
-            result.report.runs.len()
-        ),
-    );
-    emit(&fleet_sweep::sweep_table(&result).to_string());
-    if let Some(path) = &flags.out {
-        if let Err(e) = std::fs::write(path, result.to_json()) {
-            eprintln!("sweep: writing {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        emit(&format!("wrote {path}"));
-    }
-    if result.identical_runs && result.identical_metrics {
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("sweep: workers=1 and workers=N disagreed");
-        ExitCode::FAILURE
-    }
 }
 
 /// `serve`: runs `stigmergyd` in the foreground until SIGTERM/SIGINT or
@@ -435,41 +387,6 @@ fn run_cancel_cmd(args: &[String]) -> ExitCode {
     }
 }
 
-/// `gateway-bench`: times direct execution against loopback serving and
-/// writes the timing document (`--out`, conventionally
-/// `BENCH_gateway.json`).
-fn run_gateway_bench_cmd(args: &[String]) -> ExitCode {
-    let flags = match parse_fleet_flags(args) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("gateway-bench: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let result = gateway_bench::bench(&fleet_spec(&flags), flags.jobs, flags.workers as u64);
-    banner(
-        "gateway-bench",
-        &format!(
-            "{} jobs x {} sessions over loopback",
-            result.jobs, result.sessions_per_job
-        ),
-    );
-    emit(&gateway_bench::bench_table(&result).to_string());
-    if let Some(path) = &flags.out {
-        if let Err(e) = std::fs::write(path, result.to_json()) {
-            eprintln!("gateway-bench: writing {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        emit(&format!("wrote {path}"));
-    }
-    if result.identical_results {
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("gateway-bench: served results diverged from direct execution");
-        ExitCode::FAILURE
-    }
-}
-
 fn banner(id: &str, paper_ref: &str) {
     let bar = "=".repeat(72);
     emit(&bar);
@@ -501,8 +418,8 @@ mod tests {
             "--algorithms",
             "--budget-cap",
             "500",
-            "--out",
-            "bench.json",
+            "--metrics-out",
+            "metrics.json",
             "--addr",
             "127.0.0.1:9000",
             "--capacity",
@@ -513,21 +430,18 @@ mod tests {
             "0",
             "--job",
             "7",
-            "--jobs",
-            "2",
         ])
         .unwrap();
         assert_eq!(flags.workers, 4);
         assert_eq!(flags.seeds, 16);
         assert!(flags.algorithms);
         assert_eq!(flags.budget_cap, Some(500));
-        assert_eq!(flags.out.as_deref(), Some("bench.json"));
+        assert_eq!(flags.out.as_deref(), Some("metrics.json"));
         assert_eq!(flags.addr, "127.0.0.1:9000");
         assert_eq!(flags.capacity, 3);
         assert_eq!(flags.max_workers, 8);
         assert_eq!(flags.deadline_ms, 0);
         assert_eq!(flags.job, Some(7));
-        assert_eq!(flags.jobs, 2);
     }
 
     #[test]
@@ -541,7 +455,6 @@ mod tests {
                 vec!["--max-workers", "0"],
                 "--max-workers must be at least 1",
             ),
-            (vec!["--jobs", "0"], "--jobs must be at least 1"),
             (vec!["--addr", ""], "--addr must not be empty"),
         ] {
             let err = parse(&args).expect_err(needle);
@@ -559,17 +472,5 @@ mod tests {
         assert!(parse(&["--frobnicate"])
             .unwrap_err()
             .contains("unknown flag"));
-    }
-
-    #[test]
-    fn metrics_out_and_out_are_synonyms() {
-        assert_eq!(
-            parse(&["--metrics-out", "a.json"]).unwrap().out.as_deref(),
-            Some("a.json")
-        );
-        assert_eq!(
-            parse(&["--out", "a.json"]).unwrap().out.as_deref(),
-            Some("a.json")
-        );
     }
 }

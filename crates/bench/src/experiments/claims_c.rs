@@ -477,5 +477,16 @@ mod tests {
         let s = tables[0].to_string();
         assert!(!s.contains("| false |"), "{s}");
         assert_eq!(tables[0].len(), 3);
+        // Rounds and movement instants per row, pinned exactly: 6 rounds
+        // and 5,536 instants in all.
+        let work: Vec<[&str; 2]> = s
+            .lines()
+            .skip(3)
+            .map(|line| {
+                let cells: Vec<&str> = line.split('|').map(str::trim).collect();
+                [cells[3], cells[4]]
+            })
+            .collect();
+        assert_eq!(work, [["2", "2112"], ["2", "2880"], ["2", "544"]], "{s}");
     }
 }

@@ -1,102 +1,16 @@
-//! Batch sweeps through the parallel fleet runtime.
+//! Batch runs through the parallel fleet runtime.
 //!
 //! The experiment drivers in this crate historically ran every session
 //! serially inline. This module dispatches the conformance batch —
 //! protocols × schedules × fault plans × seeds — through
-//! [`stigmergy_fleet::run_batch`], timing the same spec at `workers = 1`
-//! and `workers = N` and checking the fleet's headline guarantee on the
-//! way: identical per-seed reports and identical merged metrics
-//! regardless of worker count. `experiments sweep` serializes the result
-//! for ad-hoc comparisons; the *committed* fleet baseline
-//! (`BENCH_fleet.json`) is owned by the `fleet-scaling` stigbench suite
-//! (`stigbench --suite fleet`), which measures workers ∈ {1, 2, 4, 8}
-//! plus the 100k-session sweep under the CI counter gate.
-
-use std::time::{Duration, Instant};
+//! [`stigmergy_fleet::run_batch`] and checks the fleet's headline
+//! guarantee on the way: identical per-seed reports and identical merged
+//! metrics regardless of worker count. The wall-clock cost of the same
+//! sessions is measured by `crates/benchmark` (see `BENCHMARK.json`).
 
 use stigmergy_fleet::{run_batch, BatchReport, BatchSpec};
 
 use crate::table::Table;
-
-/// Outcome of timing one spec at two worker counts.
-#[derive(Debug)]
-pub struct SweepResult {
-    /// The parallel run's report (identical content to the serial one).
-    pub report: BatchReport,
-    /// Wall-clock of the `workers = 1` run.
-    pub serial_wall: Duration,
-    /// Wall-clock of the `workers = N` run.
-    pub parallel_wall: Duration,
-    /// The `N` used for the parallel run.
-    pub workers: usize,
-    /// Whether the two runs produced identical per-session reports.
-    pub identical_runs: bool,
-    /// Whether the two runs produced identical merged metrics.
-    pub identical_metrics: bool,
-}
-
-impl SweepResult {
-    /// Serial wall-clock over parallel wall-clock.
-    #[must_use]
-    pub fn speedup(&self) -> f64 {
-        let p = self.parallel_wall.as_secs_f64();
-        if p > 0.0 {
-            self.serial_wall.as_secs_f64() / p
-        } else {
-            1.0
-        }
-    }
-
-    /// The sweep document: timings plus the deterministic metrics
-    /// snapshot. Timings vary run to run; everything under `"metrics"`
-    /// is byte-stable for a given spec.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"benchmark\":\"fleet-batch-sweep\",",
-                "\"sessions\":{},",
-                "\"workers\":{},",
-                "\"wall_seconds_serial\":{:.3},",
-                "\"wall_seconds_parallel\":{:.3},",
-                "\"speedup\":{:.3},",
-                "\"identical_runs\":{},",
-                "\"identical_metrics\":{},",
-                "\"metrics\":{}}}"
-            ),
-            self.report.runs.len(),
-            self.workers,
-            self.serial_wall.as_secs_f64(),
-            self.parallel_wall.as_secs_f64(),
-            self.speedup(),
-            self.identical_runs,
-            self.identical_metrics,
-            self.report.metrics.to_json(),
-        )
-    }
-}
-
-/// Runs `spec` at `workers = 1` and `workers = N`, timing both and
-/// comparing their outputs.
-#[must_use]
-pub fn sweep(spec: &BatchSpec, workers: usize) -> SweepResult {
-    let t0 = Instant::now();
-    let serial = run_batch(spec, 1);
-    let serial_wall = t0.elapsed();
-
-    let t1 = Instant::now();
-    let parallel = run_batch(spec, workers);
-    let parallel_wall = t1.elapsed();
-
-    SweepResult {
-        identical_runs: serial.runs == parallel.runs,
-        identical_metrics: serial.metrics == parallel.metrics,
-        report: parallel,
-        serial_wall,
-        parallel_wall,
-        workers,
-    }
-}
 
 /// Per-protocol summary of a batch report.
 #[must_use]
@@ -148,99 +62,45 @@ pub fn batch_table(report: &BatchReport) -> Table {
     t
 }
 
-/// Timing/determinism summary of a sweep.
-#[must_use]
-pub fn sweep_table(result: &SweepResult) -> Table {
-    let mut t = Table::new("fleet sweep: workers=1 vs workers=N", ["quantity", "value"]);
-    t.row(["sessions", &result.report.runs.len().to_string()]);
-    t.row(["workers (parallel run)", &result.workers.to_string()]);
-    t.row([
-        "wall seconds, workers=1",
-        &format!("{:.3}", result.serial_wall.as_secs_f64()),
-    ]);
-    t.row([
-        &format!("wall seconds, workers={}", result.workers),
-        &format!("{:.3}", result.parallel_wall.as_secs_f64()),
-    ]);
-    t.row(["speedup", &format!("{:.3}", result.speedup())]);
-    t.row([
-        "identical per-session reports",
-        &result.identical_runs.to_string(),
-    ]);
-    t.row([
-        "identical merged metrics",
-        &result.identical_metrics.to_string(),
-    ]);
-    t
-}
-
 /// E16: the fleet runtime itself as an artefact — the conformance matrix
-/// dispatched through the worker pool, with the determinism guarantee
-/// checked inline. Budgets are capped so the default `run all` path stays
-/// fast; `experiments sweep` runs the uncapped, *timed* version. The
-/// tables here are fully deterministic (no timings) so the recorded
-/// output stays diffable across runs like every other artefact.
+/// dispatched through the worker pool at `workers = 1` and `workers = 4`,
+/// with the determinism guarantee checked inline. Budgets are capped so
+/// the default `run all` path stays fast. The tables are fully
+/// deterministic (no timings) so the recorded output stays diffable
+/// across runs like every other artefact.
 #[must_use]
 pub fn e16() -> Vec<Table> {
     let spec = BatchSpec {
         budget_cap: Some(2_000),
         ..BatchSpec::conformance_matrix(vec![0, 1])
     };
-    let result = sweep(&spec, 4);
-    assert!(result.identical_runs, "fleet determinism violated: runs");
-    assert!(
-        result.identical_metrics,
-        "fleet determinism violated: metrics"
-    );
+    let serial = run_batch(&spec, 1);
+    let parallel = run_batch(&spec, 4);
+    let identical_runs = serial.runs == parallel.runs;
+    let identical_metrics = serial.metrics == parallel.metrics;
+    assert!(identical_runs, "fleet determinism violated: runs");
+    assert!(identical_metrics, "fleet determinism violated: metrics");
     let mut check = Table::new(
         "fleet determinism: workers=1 vs workers=4",
         ["quantity", "value"],
     );
-    check.row(["sessions", &result.report.runs.len().to_string()]);
-    check.row([
-        "identical per-session reports",
-        &result.identical_runs.to_string(),
-    ]);
-    check.row([
-        "identical merged metrics",
-        &result.identical_metrics.to_string(),
-    ]);
-    vec![batch_table(&result.report), check]
+    check.row(["sessions", &parallel.runs.len().to_string()]);
+    check.row(["identical per-session reports", &identical_runs.to_string()]);
+    check.row(["identical merged metrics", &identical_metrics.to_string()]);
+    vec![batch_table(&parallel), check]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn tiny_spec() -> BatchSpec {
-        BatchSpec {
-            budget_cap: Some(300),
-            ..BatchSpec::conformance_matrix(vec![0])
-        }
-    }
-
-    #[test]
-    fn sweep_confirms_determinism_and_reports_timings() {
-        let result = sweep(&tiny_spec(), 3);
-        assert!(result.identical_runs);
-        assert!(result.identical_metrics);
-        assert_eq!(result.workers, 3);
-        assert!(result.speedup() > 0.0);
-    }
-
-    #[test]
-    fn json_has_stable_shape() {
-        let result = sweep(&tiny_spec(), 2);
-        let json = result.to_json();
-        assert!(json.starts_with("{\"benchmark\":\"fleet-batch-sweep\","));
-        assert!(json.contains("\"identical_runs\":true"));
-        assert!(json.contains("\"metrics\":{\"sessions\":"));
-        assert!(json.ends_with("}}"));
-    }
-
     #[test]
     fn batch_table_covers_every_protocol_once() {
-        let report = run_batch(&tiny_spec(), 2);
+        let spec = BatchSpec {
+            budget_cap: Some(300),
+            ..BatchSpec::conformance_matrix(vec![0])
+        };
+        let report = run_batch(&spec, 2);
         let t = batch_table(&report);
         assert_eq!(t.len(), 6, "one row per conformance protocol");
     }

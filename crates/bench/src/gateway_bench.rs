@@ -1,20 +1,16 @@
 //! Serving-layer experiments: the gateway on a loopback socket.
 //!
-//! Two entry points, split the same way as [`crate::fleet_sweep`]:
-//! [`e17`] is the *deterministic* artefact (every printed number is a
-//! pure function of the spec, so the recorded output diffs cleanly),
-//! while [`bench()`] is the *timed* run behind `experiments gateway-bench`
-//! that writes `BENCH_gateway.json` with wall-clocks and the serving
-//! histograms.
-
-use std::time::{Duration, Instant};
+//! [`e17`] is a *deterministic* artefact: every printed number is a pure
+//! function of the spec, so the recorded output diffs cleanly. The
+//! gateway's wall-clock cost is measured by the `gateway-jobs` workload
+//! of `crates/benchmark` (see `BENCHMARK.json`).
 
 use stigmergy_fleet::{run_batch, BatchSpec};
 use stigmergy_gateway::{Client, Gateway, GatewayConfig, GatewayError, JobRequest, RejectReason};
 
 use crate::table::Table;
 
-/// The capped conformance spec both entry points serve.
+/// The capped conformance spec [`e17`] serves.
 #[must_use]
 pub fn gateway_spec(seeds: Vec<u64>) -> BatchSpec {
     BatchSpec {
@@ -158,138 +154,6 @@ fn admission_table() -> Table {
     t
 }
 
-/// Outcome of timing the gateway against direct execution.
-#[derive(Debug)]
-pub struct GatewayBenchResult {
-    /// Jobs served.
-    pub jobs: usize,
-    /// Sessions in each job.
-    pub sessions_per_job: usize,
-    /// Fleet workers per job.
-    pub workers: u64,
-    /// Wall-clock of running every job directly via [`run_batch`].
-    pub direct_wall: Duration,
-    /// Wall-clock of serving every job over the loopback gateway.
-    pub gateway_wall: Duration,
-    /// Whether every served answer matched its direct counterpart.
-    pub identical_results: bool,
-    /// The gateway's serving metrics after the drain (queue-wait and
-    /// end-to-end latency histograms included).
-    pub metrics_json: String,
-}
-
-impl GatewayBenchResult {
-    /// The `BENCH_gateway.json` document. Wall-clocks vary run to run;
-    /// `identical_results` and the metric *counters* are deterministic.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"benchmark\":\"gateway-loopback\",",
-                "\"jobs\":{},",
-                "\"sessions_per_job\":{},",
-                "\"workers\":{},",
-                "\"wall_seconds_direct\":{:.3},",
-                "\"wall_seconds_gateway\":{:.3},",
-                "\"overhead_seconds\":{:.3},",
-                "\"identical_results\":{},",
-                "\"gateway_metrics\":{}}}"
-            ),
-            self.jobs,
-            self.sessions_per_job,
-            self.workers,
-            self.direct_wall.as_secs_f64(),
-            self.gateway_wall.as_secs_f64(),
-            (self.gateway_wall.as_secs_f64() - self.direct_wall.as_secs_f64()).max(0.0),
-            self.identical_results,
-            self.metrics_json,
-        )
-    }
-}
-
-/// Times `jobs` copies of `spec`: directly, then served back-to-back
-/// through one loopback gateway. The gateway run pre-queues every job
-/// with the runner paused, so the queue-wait histogram sees real waits.
-///
-/// # Panics
-///
-/// Panics if the loopback gateway cannot be bound or a serve fails —
-/// a benchmark that cannot run should fail loudly.
-#[must_use]
-pub fn bench(spec: &BatchSpec, jobs: usize, workers: u64) -> GatewayBenchResult {
-    let t0 = Instant::now();
-    let direct = run_batch(spec, usize::try_from(workers).unwrap_or(1));
-    for _ in 1..jobs {
-        let again = run_batch(spec, usize::try_from(workers).unwrap_or(1));
-        assert_eq!(again.metrics, direct.metrics, "direct runs must agree");
-    }
-    let direct_wall = t0.elapsed();
-    let direct_fingerprints: Vec<u64> = direct.runs.iter().map(|r| r.trace_hash).collect();
-    let direct_metrics = direct.metrics.to_json();
-
-    let gateway = Gateway::bind(
-        ("127.0.0.1", 0),
-        GatewayConfig {
-            capacity: jobs,
-            max_workers: workers.max(1),
-        },
-    )
-    .expect("loopback bind");
-    let mut client = Client::connect(gateway.local_addr()).expect("loopback connect");
-    let request = JobRequest {
-        spec: spec.clone(),
-        workers,
-        deadline_ms: 0,
-    };
-    let t1 = Instant::now();
-    gateway.pause();
-    let tickets: Vec<_> = (0..jobs)
-        .map(|_| client.submit(&request).expect("submission fits capacity"))
-        .collect();
-    gateway.resume();
-    let mut identical = true;
-    for ticket in tickets {
-        let result = client.wait(ticket.job, |_, _| {}).expect("job completes");
-        identical &=
-            result.fingerprints == direct_fingerprints && result.metrics_json == direct_metrics;
-    }
-    let gateway_wall = t1.elapsed();
-    let metrics_json = gateway.metrics().to_json();
-    gateway.shutdown_and_join();
-
-    GatewayBenchResult {
-        jobs,
-        sessions_per_job: direct.runs.len(),
-        workers,
-        direct_wall,
-        gateway_wall,
-        identical_results: identical,
-        metrics_json,
-    }
-}
-
-/// Timing/serving summary of a [`bench()`] run.
-#[must_use]
-pub fn bench_table(result: &GatewayBenchResult) -> Table {
-    let mut t = Table::new(
-        "gateway bench: loopback serve vs direct",
-        ["quantity", "value"],
-    );
-    t.row(["jobs", &result.jobs.to_string()]);
-    t.row(["sessions per job", &result.sessions_per_job.to_string()]);
-    t.row(["workers", &result.workers.to_string()]);
-    t.row([
-        "wall seconds, direct",
-        &format!("{:.3}", result.direct_wall.as_secs_f64()),
-    ]);
-    t.row([
-        "wall seconds, via gateway",
-        &format!("{:.3}", result.gateway_wall.as_secs_f64()),
-    ]);
-    t.row(["identical results", &result.identical_results.to_string()]);
-    t
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -307,21 +171,5 @@ mod tests {
                 .join("\n")
         };
         assert_eq!(render(&a), render(&b));
-    }
-
-    #[test]
-    fn bench_confirms_identical_results() {
-        let spec = BatchSpec {
-            budget_cap: Some(300),
-            ..BatchSpec::conformance_matrix(vec![0])
-        };
-        let result = bench(&spec, 2, 2);
-        assert!(result.identical_results);
-        assert_eq!(result.jobs, 2);
-        let json = result.to_json();
-        assert!(json.starts_with("{\"benchmark\":\"gateway-loopback\","));
-        assert!(json.contains("\"identical_results\":true"));
-        assert!(json.contains("\"gateway_metrics\":{\"accepted\":2,"));
-        assert!(json.ends_with("}}"));
     }
 }

@@ -13,18 +13,16 @@
 //!
 //! Run everything with `cargo run -p stigmergy-bench --bin experiments`,
 //! or one artefact by id (`… -- fig4`, `… -- e3`). Wall-clock performance
-//! is measured separately by the Criterion benches in `benches/`.
+//! is measured separately by `crates/benchmark` (see `BENCHMARK.json`),
+//! and exact work counters are pinned by `tests/tests/work_counters.rs`.
 
 // The harness is the measuring instrument: wall-clock reads are its job.
 // Determinism of what it measures is enforced inside the fleet/gateway.
 #![allow(clippy::disallowed_methods)]
 
-pub mod algo_suite;
 pub mod experiments;
-pub mod fleet_scaling;
 pub mod fleet_sweep;
 pub mod gateway_bench;
-pub mod stigbench;
 pub mod svg;
 pub mod table;
 pub mod workloads;

@@ -6,8 +6,9 @@
 //! so `accepted == completed + cancelled + deadline_expired` once the
 //! gateway is idle — the invariant the loopback tests assert after a
 //! drain. Latency histograms share [`Histogram`] with the fleet, and the
-//! JSON rendering reuses the same stable-key-order discipline, so
-//! `BENCH_gateway.json` diffs like every other artefact.
+//! JSON rendering reuses the same stable-key-order discipline, so a
+//! snapshot diffs like every other artefact. `crates/benchmark` reads
+//! these histograms for its per-layer gateway metrics.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use stigmergy_fleet::{Histogram, HistogramSnapshot};

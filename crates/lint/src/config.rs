@@ -177,13 +177,6 @@ pub const PANIC_REACH_BUDGET: &[(&str, &str)] = &[
         "ActivationSet::remove",
         "word indexing by robot/64 with robot < n enforced by the set's constructors",
     ),
-    // --- union-edge artifacts: reached only through untypeable
-    // --- match-binding receivers (report.metrics.to_json()), kept
-    // --- budgeted rather than special-cased in the resolver
-    (
-        "SweepResult::speedup",
-        "division guarded by the p > 0.0 branch; reachable only via a name-union edge from run_job's report binding",
-    ),
 ];
 
 /// Hot-loop roots for the hot-path-alloc pass: the engine activation

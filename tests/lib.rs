@@ -1,6 +1,7 @@
 //! Shared helpers for the cross-crate integration tests (the tests live
 //! in `tests/`).
 
+use stigmergy_fleet::{fnv1a64_update, BatchReport};
 use stigmergy_geometry::Point;
 
 /// An irregular ring: the workhorse valid configuration.
@@ -13,4 +14,17 @@ pub fn ring(n: usize, radius: f64) -> Vec<Point> {
             Point::new(r * theta.sin(), r * theta.cos())
         })
         .collect()
+}
+
+/// Folds every run's trace hash and length, report order included, into
+/// one FNV-1a fingerprint of a whole batch.
+#[must_use]
+pub fn fingerprint(report: &BatchReport) -> u64 {
+    report
+        .runs
+        .iter()
+        .fold(stigmergy_fleet::trace_codec::FNV_BASIS, |acc, r| {
+            let acc = fnv1a64_update(acc, &r.trace_hash.to_le_bytes());
+            fnv1a64_update(acc, &(r.trace_len as u64).to_le_bytes())
+        })
 }

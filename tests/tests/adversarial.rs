@@ -366,7 +366,7 @@ fn algorithm_matrix_is_worker_count_invariant() {
     assert_eq!(serial.metrics.to_json(), pooled.metrics.to_json());
 }
 
-/// The acceptance criterion of the fault subsystem: the same `FaultPlan`
+/// The acceptance test of the fault subsystem: the same `FaultPlan`
 /// seed yields a bit-identical `Trace` (positions, activations, *and*
 /// fault events), and a different seed yields a different one.
 #[test]

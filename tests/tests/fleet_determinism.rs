@@ -5,7 +5,8 @@
 //! the worker pool only changes *when* they run, never *what* they
 //! compute — this file is what keeps that true as the engine evolves.
 
-use stigmergy_fleet::{fnv1a64, fnv1a64_update, run_batch, BatchReport, BatchSpec};
+use stigmergy_fleet::{fnv1a64, run_batch, BatchReport, BatchSpec};
+use stigmergy_integration::fingerprint;
 
 /// The full matrix at a budget small enough to keep every whole trace in
 /// memory (the byte-level comparison) but large enough for every fault
@@ -42,15 +43,6 @@ fn workers_1_and_8_produce_byte_identical_traces_per_seed() {
         assert_eq!(a, b, "full report diverged for {cell}");
     }
     assert_eq!(serial.metrics, parallel.metrics, "merged metrics diverged");
-}
-
-/// Folds every run's trace hash and length, report order included — the
-/// same fingerprint the stigbench suites gate on.
-fn fingerprint(report: &BatchReport) -> u64 {
-    report.runs.iter().fold(0xCBF2_9CE4_8422_2325u64, |acc, r| {
-        let acc = fnv1a64_update(acc, &r.trace_hash.to_le_bytes());
-        fnv1a64_update(acc, &(r.trace_len as u64).to_le_bytes())
-    })
 }
 
 #[test]

@@ -22,7 +22,7 @@ use stigmergy_scheduler::{AlgorithmSpec, CodingSpec, FaultSpec, ScheduleSpec};
 /// The budget cap keeps the pinned prefix a few hundred instants — far
 /// short of a decision, which is fine: the golden guards *trace* drift
 /// (activation order, excursion geometry, fault events); decision
-/// values are pinned by the adversarial matrix and the bench suite.
+/// values are pinned by the adversarial matrix and `work_counters.rs`.
 const GOLDEN_ALGORITHMS: [AlgorithmSpec; 3] = [
     AlgorithmSpec::Flood { initiator: 0 },
     AlgorithmSpec::Election,
