@@ -7,8 +7,14 @@
 //! are parked, not dropped, and [`Client::wait`] finds them later. This
 //! keeps the client a strictly blocking, thread-free loop while still
 //! supporting several in-flight jobs per connection.
+//!
+//! Reads go through a `BufReader`: the server sends every frame as its
+//! own segment, and a streamed job is dozens of them, so one `read` per
+//! arrival instead of two per frame keeps the client's share of the
+//! machine small.
 
 use std::collections::VecDeque;
+use std::io::BufReader;
 use std::net::{TcpStream, ToSocketAddrs};
 
 use crate::wire::{read_frame, write_frame, CancelState, JobRequest, Message, WIRE_VERSION};
@@ -38,7 +44,9 @@ pub struct JobResult {
 /// A blocking gateway connection.
 #[derive(Debug)]
 pub struct Client {
-    stream: TcpStream,
+    /// Frames are read through the buffer and written to the inner
+    /// stream via `get_mut`; the two directions never share bytes.
+    stream: BufReader<TcpStream>,
     pending: VecDeque<Message>,
 }
 
@@ -50,19 +58,20 @@ impl Client {
     /// Transport errors, or [`GatewayError::Protocol`] on a version
     /// mismatch.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Self, GatewayError> {
-        let mut stream = TcpStream::connect(addr)?;
+        let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
+        let mut client = Self {
+            stream: BufReader::new(stream),
+            pending: VecDeque::new(),
+        };
         write_frame(
-            &mut stream,
+            client.stream.get_mut(),
             &Message::Hello {
                 version: WIRE_VERSION,
             },
         )?;
-        match read_frame(&mut stream)? {
-            Message::HelloOk { version } if version == WIRE_VERSION => Ok(Self {
-                stream,
-                pending: VecDeque::new(),
-            }),
+        match read_frame(&mut client.stream)? {
+            Message::HelloOk { version } if version == WIRE_VERSION => Ok(client),
             Message::HelloOk { version } => Err(GatewayError::Protocol(format!(
                 "server speaks wire version {version}, client speaks {WIRE_VERSION}"
             ))),
@@ -95,7 +104,7 @@ impl Client {
     /// job was not admitted, otherwise transport or protocol errors.
     pub fn submit(&mut self, request: &JobRequest) -> Result<Ticket, GatewayError> {
         write_frame(
-            &mut self.stream,
+            self.stream.get_mut(),
             &Message::Submit {
                 request: request.clone(),
             },
@@ -171,7 +180,7 @@ impl Client {
     /// Transport or protocol errors; the outcome itself is the typed
     /// [`CancelState`].
     pub fn cancel(&mut self, job: u64) -> Result<CancelState, GatewayError> {
-        write_frame(&mut self.stream, &Message::Cancel { job })?;
+        write_frame(self.stream.get_mut(), &Message::Cancel { job })?;
         match self.recv(|m| matches!(m, Message::CancelOk { job: j, .. } if *j == job))? {
             Message::CancelOk { state, .. } => Ok(state),
             other => Err(unexpected(&other)),
@@ -184,7 +193,7 @@ impl Client {
     ///
     /// Transport or protocol errors.
     pub fn stats(&mut self) -> Result<String, GatewayError> {
-        write_frame(&mut self.stream, &Message::Stats)?;
+        write_frame(self.stream.get_mut(), &Message::Stats)?;
         match self.recv(|m| matches!(m, Message::StatsOk { .. }))? {
             Message::StatsOk { json } => Ok(json),
             other => Err(unexpected(&other)),
@@ -197,7 +206,7 @@ impl Client {
     ///
     /// Transport or protocol errors.
     pub fn shutdown(&mut self) -> Result<(), GatewayError> {
-        write_frame(&mut self.stream, &Message::Shutdown)?;
+        write_frame(self.stream.get_mut(), &Message::Shutdown)?;
         match self.recv(|m| matches!(m, Message::ShutdownOk))? {
             Message::ShutdownOk => Ok(()),
             other => Err(unexpected(&other)),

@@ -6,8 +6,9 @@
 //! constraint rules out tokio, and the fleet's own pool pattern —
 //! `Mutex` + `Condvar` + scoped threads — extends naturally to serving):
 //!
-//! * **listener** — non-blocking accept loop; spawns one handler per
-//!   client, stops accepting the moment shutdown begins;
+//! * **listener** — blocking accept loop; spawns one handler per
+//!   client, survives transient accept errors, and exits once shutdown
+//!   begins (the shutdown path wakes it with one loopback connect);
 //! * **connection handlers** — one per client, polling reads through a
 //!   [`FrameBuffer`] so a read timeout can never desynchronize a frame;
 //!   responses and streamed events share a per-connection writer mutex,
@@ -51,7 +52,7 @@
 
 use std::collections::VecDeque;
 use std::io::Read;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -89,6 +90,15 @@ pub const MAX_SESSIONS: usize = 250_000;
 pub const MAX_PAYLOAD: usize = 1_024;
 /// Ceiling on a job's swarm cohort.
 pub const MAX_COHORT: usize = 64;
+
+/// Read timeout on accepted sockets: how often a connection handler
+/// wakes to observe shutdown. It bounds the drain, not request latency.
+const READ_POLL: Duration = Duration::from_millis(25);
+/// Pause after a failed `accept` (`ECONNABORTED`, `EMFILE`, …) before
+/// the listener tries again.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
+/// Bound on the loopback connect that wakes the listener at shutdown.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// Validates a job request against the serving limits, so a hostile or
 /// buggy spec is rejected at admission instead of panicking the runner.
@@ -311,6 +321,8 @@ impl ConnWriter {
 
 struct Shared {
     config: GatewayConfig,
+    /// Where [`Shared::begin_shutdown`] connects to wake the listener.
+    wake_addr: SocketAddr,
     metrics: GatewayMetrics,
     state: Mutex<State>,
     work: Condvar,
@@ -400,13 +412,20 @@ impl Shared {
 
     /// Flips the gateway into draining mode. Idempotent.
     fn begin_shutdown(&self) {
-        self.shutdown.store(true, Ordering::Release);
+        let first = !self.shutdown.swap(true, Ordering::AcqRel);
         let mut st = self.state.lock().expect("state poisoned");
         st.shutting_down = true;
         // Drain overrides pause: shutdown must terminate.
         st.paused = false;
         drop(st);
         self.work.notify_all();
+        if first {
+            // Wake the listener out of its blocking accept; it sees the
+            // flag and drops this connection. If the connect fails, the
+            // listener is either erroring already (and checks the flag
+            // after its backoff) or has a full backlog to accept from.
+            let _ = TcpStream::connect_timeout(&self.wake_addr, WAKE_TIMEOUT);
+        }
     }
 
     /// The runner: FIFO over accepted jobs, drain-then-exit on shutdown.
@@ -552,36 +571,30 @@ impl Shared {
         }
     }
 
-    /// The accept loop: non-blocking so it can observe shutdown.
+    /// The accept loop: blocks in `accept` until a client connects or
+    /// [`Shared::begin_shutdown`] wakes it; an accept error never ends it
+    /// before shutdown.
     fn listener(self: &Arc<Self>, listener: &TcpListener) {
-        listener
-            .set_nonblocking(true)
-            .expect("listener supports non-blocking");
-        while !self.shutdown.load(Ordering::Acquire) {
-            match listener.accept() {
+        loop {
+            let accepted = listener.accept();
+            if self.shutdown.load(Ordering::Acquire) {
+                // The wake connect, or a client too late to be served.
+                return;
+            }
+            match accepted {
                 Ok((stream, _peer)) => {
                     let shared = Arc::clone(self);
                     let handle = std::thread::spawn(move || shared.connection(stream));
                     self.conns.lock().expect("conns poisoned").push(handle);
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                Err(_) => return,
+                Err(_) => std::thread::sleep(ACCEPT_BACKOFF),
             }
         }
     }
 
     /// One client connection: poll reads, dispatch frames.
     fn connection(self: Arc<Self>, stream: TcpStream) {
-        // The accepted socket inherits non-blocking from the listener on
-        // some platforms; force known state: blocking with a short read
-        // timeout, so the handler can observe shutdown between reads.
-        if stream.set_nonblocking(false).is_err()
-            || stream
-                .set_read_timeout(Some(Duration::from_millis(25)))
-                .is_err()
-        {
+        if configure_accepted(&stream).is_err() {
             return;
         }
         let Ok(write_half) = stream.try_clone() else {
@@ -668,6 +681,29 @@ impl Shared {
     }
 }
 
+/// Puts an accepted socket in the state the handler relies on: blocking
+/// (whatever the platform lets it inherit from the listener), Nagle off
+/// so every response frame leaves at once instead of waiting on the
+/// client's delayed ACK, and a [`READ_POLL`] read timeout so the handler
+/// can observe shutdown between reads.
+fn configure_accepted(stream: &TcpStream) -> std::io::Result<()> {
+    stream.set_nonblocking(false)?;
+    stream.set_nodelay(true)?;
+    stream.set_read_timeout(Some(READ_POLL))
+}
+
+/// The address that reaches a listener bound to `bound`: an unspecified
+/// bind address (`0.0.0.0`, `::`) maps to the loopback of its family.
+fn wake_addr(mut bound: SocketAddr) -> SocketAddr {
+    if bound.ip().is_unspecified() {
+        bound.set_ip(match bound {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    bound
+}
+
 /// A `None` fail reason, freshly allocated per job.
 fn conn_reason_none() -> Arc<Mutex<Option<FailReason>>> {
     Arc::new(Mutex::new(None))
@@ -704,6 +740,7 @@ impl Gateway {
         let addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
             config,
+            wake_addr: wake_addr(addr),
             metrics: GatewayMetrics::new(),
             state: Mutex::new(State {
                 queue: VecDeque::new(),
@@ -977,6 +1014,46 @@ mod tests {
         assert!(validate_request(&bad_prob, &GatewayConfig::default())
             .expect_err("prob out of range")
             .contains("outside [0, 1]"));
+    }
+
+    #[test]
+    fn accepted_sockets_are_blocking_with_nodelay_and_the_poll_timeout() {
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        // Start from the state a non-blocking listener can hand down.
+        stream.set_nonblocking(true).unwrap();
+        configure_accepted(&stream).unwrap();
+        assert!(stream.nodelay().unwrap());
+        // The kernel rounds the timeout up to its clock tick.
+        let timeout = stream.read_timeout().unwrap().expect("read timeout set");
+        assert!(
+            (READ_POLL..READ_POLL + Duration::from_millis(10)).contains(&timeout),
+            "{timeout:?}"
+        );
+        // Blocking mode: an idle read waits out the timeout instead of
+        // failing at once with WouldBlock.
+        let start = Instant::now();
+        let err = (&stream).read(&mut [0u8; 1]).unwrap_err();
+        assert!(matches!(
+            err.kind(),
+            std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+        ));
+        assert!(start.elapsed() >= READ_POLL / 2, "{:?}", start.elapsed());
+    }
+
+    #[test]
+    fn wake_addr_maps_unspecified_binds_to_loopback() {
+        let cases = [
+            ("0.0.0.0:7841", "127.0.0.1:7841"),
+            ("[::]:7841", "[::1]:7841"),
+            ("127.0.0.1:7841", "127.0.0.1:7841"),
+            ("192.0.2.7:7841", "192.0.2.7:7841"),
+        ];
+        for (bound, want) in cases {
+            let bound: SocketAddr = bound.parse().unwrap();
+            assert_eq!(wake_addr(bound), want.parse::<SocketAddr>().unwrap());
+        }
     }
 
     #[test]

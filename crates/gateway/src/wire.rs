@@ -537,17 +537,32 @@ pub fn get_batch_spec(r: &mut Reader<'_>) -> Result<BatchSpec, WireError> {
     })
 }
 
-/// Writes one CRC-protected frame.
+/// Writes one CRC-protected frame with a single `write_all`.
+///
+/// The length prefix and the protected body go out in one buffer: split
+/// across two writes on a socket with Nagle's algorithm on, the body
+/// would wait for the peer's delayed ACK of the prefix.
 ///
 /// # Errors
 ///
-/// Propagates I/O errors from the writer.
+/// [`std::io::ErrorKind::InvalidInput`] if the frame would exceed
+/// [`MAX_FRAME`] (nothing is written); otherwise I/O errors from the
+/// writer.
 pub fn write_frame(w: &mut impl std::io::Write, msg: &Message) -> std::io::Result<()> {
-    let protected = checksum::protect(&msg.encode());
-    debug_assert!(protected.len() <= MAX_FRAME, "outgoing frame too large");
-    let len = u32::try_from(protected.len()).expect("frame fits u32");
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(&protected)?;
+    let body = msg.encode();
+    let len = body.len() + 1; // the CRC-8 trailer
+    if len > MAX_FRAME {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            format!("outgoing frame of {len} bytes exceeds MAX_FRAME"),
+        ));
+    }
+    let mut frame = Vec::with_capacity(4 + len);
+    // MAX_FRAME is far below u32::MAX, so the cast cannot truncate.
+    frame.extend_from_slice(&(len as u32).to_le_bytes());
+    frame.extend_from_slice(&body);
+    frame.push(checksum::crc8(&body));
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -735,6 +750,51 @@ mod tests {
             }
         }
         assert_eq!(got, corpus());
+    }
+
+    /// A writer that records how many `write` calls each frame takes.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl std::io::Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn every_frame_is_one_write() {
+        for msg in corpus() {
+            let mut w = CountingWriter::default();
+            write_frame(&mut w, &msg).unwrap();
+            assert_eq!(w.writes, 1, "{msg:?}");
+            let mut cursor = std::io::Cursor::new(w.bytes);
+            assert_eq!(read_frame(&mut cursor).unwrap(), msg);
+        }
+    }
+
+    #[test]
+    fn oversized_outgoing_frame_is_an_error_not_a_panic() {
+        // String fields are capped at `MAX_SEQ` (1 MiB) by `put_bytes`,
+        // so only the fingerprint list can push a frame past 16 MiB.
+        let msg = Message::Done {
+            job: 1,
+            fingerprints: vec![0; MAX_FRAME / 8 + 1],
+            metrics_json: String::new(),
+        };
+        let mut w = CountingWriter::default();
+        let err = write_frame(&mut w, &msg).expect_err("frame over MAX_FRAME");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+        assert_eq!(w.writes, 0, "nothing of a rejected frame is written");
     }
 
     #[test]

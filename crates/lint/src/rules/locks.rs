@@ -56,6 +56,7 @@ pub const BLOCKING_SINKS: &[&str] = &[
     "send",
     "accept",
     "connect",
+    "connect_timeout",
     "sleep",
     "job_finished",
 ];
@@ -369,6 +370,14 @@ mod tests {
         let v = run(src);
         assert_eq!(v.len(), 1);
         assert!(v[0].message.contains("write_frame"));
+    }
+
+    #[test]
+    fn bounded_connect_under_a_guard_is_flagged() {
+        let src = "fn f(&self) {\n    let st = self.state.lock().expect(\"p\");\n    let _ = TcpStream::connect_timeout(&addr, t);\n}";
+        let v = run(src);
+        assert_eq!(v.len(), 1);
+        assert!(v[0].message.contains("connect_timeout"));
     }
 
     #[test]

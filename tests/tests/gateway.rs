@@ -14,7 +14,9 @@
 //!   rejecting new ones, and the idle metrics partition
 //!   (`accepted == completed + cancelled + deadline_expired`) holds;
 //! * **concurrency** — several clients with overlapping sweeps each get
-//!   their own correct, deterministic answer.
+//!   their own correct, deterministic answer;
+//! * **latency** — a warmed submit round trip carries no timer stall,
+//!   and a gateway bound to an unspecified address still shuts down.
 
 use stigmergy_fleet::{run_batch, BatchSpec};
 use stigmergy_gateway::{
@@ -346,5 +348,59 @@ fn version_mismatch_is_refused_at_handshake() {
         stigmergy_gateway::wire::read_frame(&mut stream),
         Err(GatewayError::Io(_))
     ));
+    gateway.shutdown_and_join();
+}
+
+#[test]
+// A bare thread on purpose: a hung drain must fail this test, not hang it.
+#[allow(clippy::disallowed_methods)]
+fn gateway_bound_to_the_unspecified_address_still_shuts_down() {
+    // Shutdown wakes the blocking accept with a loopback connect; a
+    // gateway bound to 0.0.0.0 must map that connect to 127.0.0.1.
+    let gateway = Gateway::bind(("0.0.0.0", 0), GatewayConfig::default()).expect("bind");
+    let port = gateway.local_addr().port();
+    let mut client = Client::connect(("127.0.0.1", port)).expect("connect");
+    client.stats().expect("serves before shutdown");
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        gateway.shutdown_and_join();
+        let _ = done_tx.send(());
+    });
+    done_rx
+        .recv_timeout(std::time::Duration::from_secs(10))
+        .expect("shutdown_and_join returns");
+}
+
+#[test]
+// Wall-clock on purpose: the claim under test is a latency bound.
+#[allow(clippy::disallowed_methods)]
+fn warmed_submit_round_trip_has_no_timer_stall() {
+    // A timer on the response path (Nagle holding a frame for the
+    // client's ~40 ms delayed ACK) costs every round trip at least 40 ms.
+    // Scheduling noise only adds time, so the fastest of ten round trips
+    // is a stable witness.
+    let (gateway, addr) = loopback(GatewayConfig::default());
+    gateway.pause(); // jobs never run: each is cancelled out of the queue
+    let mut client = Client::connect(addr).expect("connect");
+    let mut round_trip = || {
+        let start = std::time::Instant::now();
+        let ticket = client.submit(&request(vec![0], 1)).expect("fits");
+        let elapsed = start.elapsed();
+        assert_eq!(
+            client.cancel(ticket.job).expect("cancel"),
+            CancelState::Dequeued
+        );
+        assert!(matches!(
+            client.wait(ticket.job, |_, _| {}),
+            Err(GatewayError::JobFailed(FailReason::Cancelled))
+        ));
+        elapsed
+    };
+    round_trip(); // warm-up
+    let fastest = (0..10).map(|_| round_trip()).min().expect("ten samples");
+    assert!(
+        fastest < std::time::Duration::from_millis(20),
+        "fastest submit -> Accepted round trip took {fastest:?}"
+    );
     gateway.shutdown_and_join();
 }
