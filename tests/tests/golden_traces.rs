@@ -36,9 +36,9 @@ const GOLDEN_ALGORITHMS: [AlgorithmSpec; 3] = [
 /// Sync protocols run the conformance matrix's coding (8-level paced
 /// signalling with FEC); async and hardened sessions ignore the coding
 /// field, so their pinned traces are untouched by it. The separate
-/// `sync2-binary` scenario pins the legacy uncoded sync path — its hex
-/// file is the pre-coding `sync2.hex` byte for byte, proving the coding
-/// layer never leaks into `CodingSpec::Binary` runs.
+/// `*-binary` scenarios pin the legacy uncoded sync paths — the
+/// `sync2-binary` hex file is the pre-coding `sync2.hex` byte for byte,
+/// proving the coding layer never leaks into `CodingSpec::Binary` runs.
 fn golden_spec(protocol: ProtocolKind) -> SessionSpec {
     SessionSpec {
         protocol,
@@ -104,15 +104,24 @@ fn golden_scenarios() -> Vec<(String, SessionSpec)> {
         .iter()
         .map(|&p| (p.name().to_string(), golden_spec(p)))
         .collect();
-    // The legacy uncoded sync pair: byte-pinned to the pre-coding
-    // `sync2.hex` content.
-    out.push((
-        "sync2-binary".to_string(),
-        SessionSpec {
-            coding: CodingSpec::Binary,
-            ..golden_spec(ProtocolKind::Sync2)
-        },
-    ));
+    // The legacy uncoded sync protocols: `sync2-binary` is byte-pinned
+    // to the pre-coding `sync2.hex` content.
+    out.extend(
+        [
+            ProtocolKind::Sync2,
+            ProtocolKind::SyncSwarmRouted,
+            ProtocolKind::SyncSwarmLex,
+            ProtocolKind::SyncSwarmSec,
+        ]
+        .map(|p| {
+            let spec = SessionSpec {
+                coding: CodingSpec::Binary,
+                ..golden_spec(p)
+            };
+            (format!("{}-binary", p.name()), spec)
+        }),
+    );
+    out.push(("hardened".to_string(), golden_spec(ProtocolKind::Hardened)));
     out.extend(
         GOLDEN_ALGORITHMS
             .iter()
@@ -186,9 +195,10 @@ fn golden_runs_are_reproducible_in_process() {
 
 #[test]
 fn golden_scenarios_differ_across_protocols() {
-    // Six distinct protocols (plus the uncoded sync2 variant) and three
-    // algorithms must pin ten distinct traces — identical files would
-    // mean the spec ignores its protocol, coding, or algorithm field.
+    // Six distinct protocols, the four uncoded sync variants, the
+    // hardened session and three algorithms must pin fourteen distinct
+    // traces — identical files would mean the spec ignores its
+    // protocol, coding, or algorithm field.
     let golden = all_golden();
     let expected = golden.len();
     let mut hashes: Vec<u64> = golden.into_iter().map(|(_, b)| fnv1a64(&b)).collect();
