@@ -90,7 +90,10 @@ pub struct AsyncSwarm {
 }
 
 impl AsyncSwarm {
-    fn with_scheme(scheme: NamingScheme) -> Self {
+    /// Addresses peers by `scheme`; the named constructors below pick one
+    /// each.
+    #[must_use]
+    pub fn with_scheme(scheme: NamingScheme) -> Self {
         Self {
             scheme,
             geometry: None,

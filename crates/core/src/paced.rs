@@ -613,7 +613,9 @@ pub struct PacedSwarm {
 }
 
 impl PacedSwarm {
-    fn with_scheme(scheme: NamingScheme, config: PacedConfig) -> Self {
+    /// Routes by `scheme`; the named constructors below pick one each.
+    #[must_use]
+    pub fn with_scheme(scheme: NamingScheme, config: PacedConfig) -> Self {
         Self {
             scheme,
             config,

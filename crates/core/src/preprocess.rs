@@ -15,13 +15,13 @@
 //! constructions, so every robot computes *consistent* keyboards and
 //! labellings in its own private frame — the linchpin of decodability.
 
-use crate::naming::{label_by_id, label_by_lex, label_by_sec, Labeling};
+use crate::naming::{label_by_id, label_by_lex, label_by_sec, Labeling, NamingError};
 use crate::CoreError;
 use serde::{Deserialize, Serialize};
 use stigmergy_geometry::granular::{SliceZone, SlicedGranular};
 use stigmergy_geometry::voronoi::granular_radius;
 use stigmergy_geometry::{smallest_enclosing_circle, Point, Tolerance, Vec2};
-use stigmergy_robots::{View, VisibleId};
+use stigmergy_robots::{Capabilities, View, VisibleId};
 
 /// Which naming mechanism the cohort uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -32,6 +32,66 @@ pub enum NamingScheme {
     ByLex,
     /// Observer-relative SEC radial order (§3.4) — chirality only.
     BySec,
+}
+
+impl NamingScheme {
+    /// The capabilities a cohort needs for this naming: IDs and a common
+    /// North for [`NamingScheme::ById`], a common North for
+    /// [`NamingScheme::ByLex`], chirality only for [`NamingScheme::BySec`].
+    #[must_use]
+    pub const fn capabilities(self) -> Capabilities {
+        match self {
+            NamingScheme::ById => Capabilities::identified_with_direction(),
+            NamingScheme::ByLex => Capabilities::anonymous_with_direction(),
+            NamingScheme::BySec => Capabilities::anonymous(),
+        }
+    }
+
+    /// The labelling robot `observer` computes of the cohort at `homes`
+    /// (or of its `ids`, under [`NamingScheme::ById`]).
+    fn labeling(
+        self,
+        homes: &[Point],
+        ids: Option<&[VisibleId]>,
+        observer: usize,
+    ) -> Result<Labeling, CoreError> {
+        // Missing IDs surface as the naming failure they cause.
+        let no_ids = NamingError::AmbiguousPositions {
+            first: 0,
+            second: 0,
+        };
+        Ok(match self {
+            NamingScheme::ById => label_by_id(ids.ok_or(no_ids)?)?,
+            NamingScheme::ByLex => label_by_lex(homes)?,
+            NamingScheme::BySec => label_by_sec(homes, observer)?,
+        })
+    }
+
+    /// The label of robot `to` as seen by robot `from` — the address
+    /// `from` puts on a message for `to` — given the cohort's `homes` and,
+    /// for [`NamingScheme::ById`], its visible `ids`. Every scheme is
+    /// similarity-invariant, so world positions give the labels each
+    /// robot computes in its private frame.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::Naming`] for a degenerate configuration or missing
+    /// IDs; [`CoreError::UnknownDestination`] if `to` is outside the
+    /// cohort.
+    pub fn label_of(
+        self,
+        homes: &[Point],
+        ids: Option<&[VisibleId]>,
+        from: usize,
+        to: usize,
+    ) -> Result<usize, CoreError> {
+        self.labeling(homes, ids, from)?
+            .label_of(to)
+            .ok_or(CoreError::UnknownDestination {
+                dest: to,
+                cohort: homes.len(),
+            })
+    }
 }
 
 /// The fully preprocessed swarm geometry from one robot's perspective.
@@ -75,24 +135,13 @@ impl SwarmGeometry {
         }
         let ids: Option<Vec<VisibleId>> = observed.iter().map(|o| o.id).collect();
 
-        // Naming.
+        // Naming: one global labelling, or one per observer under SEC.
         let labelings: Vec<Labeling> = match scheme {
-            NamingScheme::ById => {
-                let ids = ids.as_ref().ok_or(CoreError::Naming(
-                    crate::naming::NamingError::AmbiguousPositions {
-                        first: 0,
-                        second: 0,
-                    },
-                ))?;
-                let l = label_by_id(ids)?;
-                vec![l; n]
-            }
-            NamingScheme::ByLex => {
-                let l = label_by_lex(&homes)?;
-                vec![l; n]
+            NamingScheme::ById | NamingScheme::ByLex => {
+                vec![scheme.labeling(&homes, ids.as_deref(), 0)?; n]
             }
             NamingScheme::BySec => (0..n)
-                .map(|i| label_by_sec(&homes, i))
+                .map(|i| scheme.labeling(&homes, None, i))
                 .collect::<Result<_, _>>()?,
         };
 

@@ -28,13 +28,12 @@ use crate::async2::{Async2, DriftPolicy};
 use crate::async_n::AsyncSwarm;
 use crate::backup::{Channel, Delivery, Wireless};
 use crate::decode::InboxEntry;
-use crate::naming::{label_by_id, label_by_lex, label_by_sec};
 use crate::preprocess::{NamingScheme, SwarmGeometry};
 use crate::sync_swarm::SyncSwarm;
 use crate::CoreError;
 use stigmergy_coding::fec::{protect_bytes, recover_bytes};
 use stigmergy_geometry::Point;
-use stigmergy_robots::{Capabilities, Engine, MovementProtocol};
+use stigmergy_robots::{Engine, MovementProtocol};
 use stigmergy_scheduler::{FairAsync, FaultPlan, Schedule, Synchronous, WakeAllFirst};
 
 /// The protocol-side interface a [`Network`] drives.
@@ -134,13 +133,7 @@ impl SyncNetwork {
     /// Fails on degenerate configurations (coincident robots; a robot at
     /// the SEC centre surfaces on the first send/run).
     pub fn anonymous(positions: Vec<Point>, seed: u64) -> Result<Self, CoreError> {
-        Self::build_sync(
-            positions,
-            seed,
-            NamingScheme::BySec,
-            Capabilities::anonymous(),
-            SyncSwarm::anonymous,
-        )
+        Self::build_sync(positions, seed, NamingScheme::BySec)
     }
 
     /// Anonymous robots with a common North (§3.3 naming).
@@ -149,13 +142,7 @@ impl SyncNetwork {
     ///
     /// As [`SyncNetwork::anonymous`].
     pub fn anonymous_with_direction(positions: Vec<Point>, seed: u64) -> Result<Self, CoreError> {
-        Self::build_sync(
-            positions,
-            seed,
-            NamingScheme::ByLex,
-            Capabilities::anonymous_with_direction(),
-            SyncSwarm::anonymous_with_direction,
-        )
+        Self::build_sync(positions, seed, NamingScheme::ByLex)
     }
 
     /// Identified robots with a common North (§3.2 routing).
@@ -164,27 +151,19 @@ impl SyncNetwork {
     ///
     /// As [`SyncNetwork::anonymous`].
     pub fn identified(positions: Vec<Point>, seed: u64) -> Result<Self, CoreError> {
-        Self::build_sync(
-            positions,
-            seed,
-            NamingScheme::ById,
-            Capabilities::identified_with_direction(),
-            SyncSwarm::routed,
-        )
+        Self::build_sync(positions, seed, NamingScheme::ById)
     }
 
     fn build_sync(
         positions: Vec<Point>,
         seed: u64,
         scheme: NamingScheme,
-        caps: Capabilities,
-        proto: fn() -> SyncSwarm,
     ) -> Result<Self, CoreError> {
         let n = positions.len();
         let engine = Engine::builder()
             .positions(positions)
-            .protocols((0..n).map(|_| proto()))
-            .capabilities(caps)
+            .protocols((0..n).map(|_| SyncSwarm::with_scheme(scheme)))
+            .capabilities(scheme.capabilities())
             .schedule(Synchronous)
             .frame_seed(seed)
             .build()?;
@@ -218,16 +197,17 @@ impl AsyncNetwork {
         schedule: S,
     ) -> Result<Self, CoreError> {
         let n = positions.len();
+        let scheme = NamingScheme::BySec;
         let engine = Engine::builder()
             .positions(positions)
-            .protocols((0..n).map(|_| AsyncSwarm::anonymous()))
-            .capabilities(Capabilities::anonymous())
+            .protocols((0..n).map(|_| AsyncSwarm::with_scheme(scheme)))
+            .capabilities(scheme.capabilities())
             .schedule(WakeAllFirst::new(schedule))
             .frame_seed(seed)
             .build()?;
         Ok(Self {
             engine,
-            scheme: NamingScheme::BySec,
+            scheme,
             expectations: Vec::new(),
         })
     }
@@ -273,7 +253,8 @@ impl<P: SwarmProtocol> Network<P> {
         if payload.len() > stigmergy_coding::framing::MAX_PAYLOAD {
             return Err(CoreError::PayloadTooLarge { len: payload.len() });
         }
-        let label = self.label_from_world(from, to)?;
+        let initial = self.engine.trace().initial();
+        let label = self.scheme.label_of(initial, self.engine.ids(), from, to)?;
         self.engine.protocol_mut(from).queue_label(label, payload);
         self.expectations.push((from, to, payload.to_vec()));
         Ok(())
@@ -414,27 +395,6 @@ impl<P: SwarmProtocol> Network<P> {
             .initial()
             .iter()
             .position(|&p| p.approx_eq(world))
-    }
-
-    /// The label of `to` in `from`'s naming, computed from world positions
-    /// (valid because every naming scheme is similarity-invariant).
-    fn label_from_world(&self, from: usize, to: usize) -> Result<usize, CoreError> {
-        let homes = self.engine.trace().initial();
-        let labeling = match self.scheme {
-            NamingScheme::ByLex => label_by_lex(homes)?,
-            NamingScheme::BySec => label_by_sec(homes, from)?,
-            NamingScheme::ById => {
-                let ids = self
-                    .engine
-                    .ids()
-                    .expect("identified networks always carry IDs");
-                label_by_id(ids)?
-            }
-        };
-        labeling.label_of(to).ok_or(CoreError::UnknownDestination {
-            dest: to,
-            cohort: homes.len(),
-        })
     }
 }
 

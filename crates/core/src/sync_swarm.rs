@@ -74,7 +74,9 @@ pub type SyncAnonDir = SyncSwarm;
 pub type SyncAnonChir = SyncSwarm;
 
 impl SyncSwarm {
-    fn with_scheme(scheme: NamingScheme) -> Self {
+    /// Routes by `scheme`; the named constructors below pick one each.
+    #[must_use]
+    pub fn with_scheme(scheme: NamingScheme) -> Self {
         Self {
             scheme: Some(scheme),
             ..Self::default()

@@ -23,25 +23,29 @@ use stigmergy::ack::RetransmitPolicy;
 use stigmergy::async2::{Async2, DriftPolicy};
 use stigmergy::async_n::AsyncSwarm;
 use stigmergy::backup::Wireless;
+use stigmergy::election_signature;
 use stigmergy::paced::{Paced2, PacedConfig, PacedSwarm};
 use stigmergy::session::HardenedSession;
 use stigmergy::sync2::Sync2;
 use stigmergy::sync_swarm::SyncSwarm;
-use stigmergy::{election_signature, label_by_id, label_by_lex, label_by_sec};
+use stigmergy::NamingScheme;
 use stigmergy_algo::{
     agreement, election, flood, AgreementSession, ElectionSession, FloodSession, NodeStack,
     Outgoing, Status,
 };
+use stigmergy_coding::CodingError;
 use stigmergy_geometry::{Point, Vec2};
 use stigmergy_robots::engine::DEFAULT_COLLISION_EPS;
-use stigmergy_robots::{Capabilities, Engine, MovementProtocol};
+use stigmergy_robots::{Engine, MovementProtocol};
 use stigmergy_scheduler::rng::SplitMix64;
 use stigmergy_scheduler::{AlgorithmSpec, CodingSpec, FaultSpec, ScheduleSpec, WakeAllFirst};
 
 /// Payload every batch session sends, unless overridden.
 pub const DEFAULT_PAYLOAD: &[u8] = b"adv";
 
-/// The protocol a session exercises.
+/// The protocol a session exercises. Everything fleet knows about a
+/// protocol is its row in `ProtocolKind::row`: a new protocol is one
+/// variant plus one row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProtocolKind {
     /// §3 two-robot synchronous chat.
@@ -73,76 +77,118 @@ pub const CONFORMANCE: [ProtocolKind; 6] = [
     ProtocolKind::AsyncSwarm,
 ];
 
+/// How a protocol's sessions carry bits: the setting (synchronous or
+/// asynchronous), the cohort (a pair or the spec's swarm) and, for a
+/// swarm, the naming its capabilities allow (DESIGN.md §1).
+#[derive(Debug, Clone, Copy)]
+enum Channel {
+    /// Two robots, synchronous; paced when the session's coding says so.
+    SyncPair,
+    /// Two robots, asynchronous.
+    AsyncPair,
+    /// `cohort` robots, synchronous; paced when the session's coding says
+    /// so.
+    SyncN(NamingScheme),
+    /// `cohort` robots, asynchronous.
+    AsyncN(NamingScheme),
+    /// [`HardenedSession`]: movement first, wireless failover.
+    Failover,
+}
+
+/// One protocol's row of the table.
+struct Row {
+    /// Short name for reports.
+    name: &'static str,
+    /// One-byte tag in the gateway's `BatchSpec` encoding.
+    wire_code: u8,
+    /// Frame-seed base; session seed 0 runs exactly these frames.
+    tag: u64,
+    /// Step budget before the crash cap and the spec's ceiling.
+    budget: u64,
+    /// Fixed plan-seed base, for the pairs that historically had one;
+    /// the other rows derive the plan seed from the frame seed.
+    plan_seed: Option<u64>,
+    channel: Channel,
+}
+
+// `ALL` lists every variant once, in declaration order, and every row's
+// wire code is its position there.
+const _: () = {
+    let mut i = 0;
+    while i < ProtocolKind::ALL.len() {
+        let kind = ProtocolKind::ALL[i];
+        assert!(kind as usize == i && kind.row().wire_code as usize == i);
+        i += 1;
+    }
+};
+
 impl ProtocolKind {
+    /// Every protocol, in wire-code order.
+    pub const ALL: [ProtocolKind; 7] = [
+        ProtocolKind::Sync2,
+        ProtocolKind::Async2,
+        ProtocolKind::SyncSwarmRouted,
+        ProtocolKind::SyncSwarmLex,
+        ProtocolKind::SyncSwarmSec,
+        ProtocolKind::AsyncSwarm,
+        ProtocolKind::Hardened,
+    ];
+
+    /// The protocol's row — the only per-variant `match` in fleet.
+    /// Columns: name, wire code, frame-seed tag, default budget (the
+    /// adversarial suite's), fixed plan-seed base, channel.
+    const fn row(self) -> Row {
+        use Channel::{AsyncN, AsyncPair, Failover, SyncN, SyncPair};
+        use NamingScheme::{ById, ByLex, BySec};
+        let (name, wire_code, tag, budget, plan_seed, channel) = match self {
+            ProtocolKind::Sync2 => ("sync2", 0, 0xFA01, 40_000, Some(0xA1), SyncPair),
+            ProtocolKind::Async2 => ("async2", 1, 0xFA02, 600_000, Some(0xA2), AsyncPair),
+            ProtocolKind::SyncSwarmRouted => {
+                ("sync-swarm-routed", 2, 0xB0_01, 40_000, None, SyncN(ById))
+            }
+            ProtocolKind::SyncSwarmLex => {
+                ("sync-swarm-lex", 3, 0xB0_02, 40_000, None, SyncN(ByLex))
+            }
+            ProtocolKind::SyncSwarmSec => {
+                ("sync-swarm-sec", 4, 0xB0_03, 40_000, None, SyncN(BySec))
+            }
+            ProtocolKind::AsyncSwarm => ("async-swarm", 5, 0xB0_04, 800_000, None, AsyncN(BySec)),
+            // Budget per retransmission attempt; the policy does backoff.
+            ProtocolKind::Hardened => ("hardened", 6, 0xB0_05, 4_000, None, Failover),
+        };
+        Row {
+            name,
+            wire_code,
+            tag,
+            budget,
+            plan_seed,
+            channel,
+        }
+    }
+
     /// A short name for reports.
     #[must_use]
     pub fn name(self) -> &'static str {
-        match self {
-            ProtocolKind::Sync2 => "sync2",
-            ProtocolKind::Async2 => "async2",
-            ProtocolKind::SyncSwarmRouted => "sync-swarm-routed",
-            ProtocolKind::SyncSwarmLex => "sync-swarm-lex",
-            ProtocolKind::SyncSwarmSec => "sync-swarm-sec",
-            ProtocolKind::AsyncSwarm => "async-swarm",
-            ProtocolKind::Hardened => "hardened",
-        }
+        self.row().name
     }
 
     /// The default step budget, matching the adversarial suite's.
     #[must_use]
     pub fn default_budget(self) -> u64 {
-        match self {
-            ProtocolKind::Sync2
-            | ProtocolKind::SyncSwarmRouted
-            | ProtocolKind::SyncSwarmLex
-            | ProtocolKind::SyncSwarmSec => 40_000,
-            ProtocolKind::Async2 => 600_000,
-            ProtocolKind::AsyncSwarm => 800_000,
-            // Budget per retransmission attempt; the policy does backoff.
-            ProtocolKind::Hardened => 4_000,
-        }
+        self.row().budget
     }
 
     /// The protocol's wire tag — one byte, stable across releases, used
     /// by the gateway's `BatchSpec` encoding.
     #[must_use]
     pub fn wire_code(self) -> u8 {
-        match self {
-            ProtocolKind::Sync2 => 0,
-            ProtocolKind::Async2 => 1,
-            ProtocolKind::SyncSwarmRouted => 2,
-            ProtocolKind::SyncSwarmLex => 3,
-            ProtocolKind::SyncSwarmSec => 4,
-            ProtocolKind::AsyncSwarm => 5,
-            ProtocolKind::Hardened => 6,
-        }
+        self.row().wire_code
     }
 
     /// Decodes a [`ProtocolKind::wire_code`] tag.
     #[must_use]
     pub fn from_wire_code(code: u8) -> Option<Self> {
-        Some(match code {
-            0 => ProtocolKind::Sync2,
-            1 => ProtocolKind::Async2,
-            2 => ProtocolKind::SyncSwarmRouted,
-            3 => ProtocolKind::SyncSwarmLex,
-            4 => ProtocolKind::SyncSwarmSec,
-            5 => ProtocolKind::AsyncSwarm,
-            6 => ProtocolKind::Hardened,
-            _ => return None,
-        })
-    }
-
-    fn tag(self) -> u64 {
-        match self {
-            ProtocolKind::Sync2 => 0xFA01,
-            ProtocolKind::Async2 => 0xFA02,
-            ProtocolKind::SyncSwarmRouted => 0xB0_01,
-            ProtocolKind::SyncSwarmLex => 0xB0_02,
-            ProtocolKind::SyncSwarmSec => 0xB0_03,
-            ProtocolKind::AsyncSwarm => 0xB0_04,
-            ProtocolKind::Hardened => 0xB0_05,
-        }
+        Self::ALL.into_iter().find(|kind| kind.wire_code() == code)
     }
 }
 
@@ -159,10 +205,6 @@ pub fn ring(n: usize, radius: f64) -> Vec<Point> {
             Point::new(r * dir.x, r * dir.y)
         })
         .collect()
-}
-
-fn pair_positions() -> Vec<Point> {
-    vec![Point::new(0.0, 0.0), Point::new(14.0, 0.0)]
 }
 
 /// A whole sweep: the cross product of protocols × schedules × plans ×
@@ -379,12 +421,9 @@ impl SessionSpec {
     /// the three algorithms never share frames.
     #[must_use]
     pub fn frame_seed(&self) -> u64 {
-        let tag = match self.algorithm {
-            Some(AlgorithmSpec::Flood { .. }) => 0xA1_60_01,
-            Some(AlgorithmSpec::Election) => 0xA1_60_02,
-            Some(AlgorithmSpec::Agreement { .. }) => 0xA1_60_03,
-            None => self.protocol.tag(),
-        };
+        let tag = self
+            .algorithm
+            .map_or(self.protocol.row().tag, |a| algo_row(a).tag);
         if self.seed == 0 {
             tag
         } else {
@@ -396,11 +435,9 @@ impl SessionSpec {
     /// derivation from the frame seed.
     #[must_use]
     pub fn plan_seed(&self) -> u64 {
-        match self.protocol {
-            // The pair runners historically used fixed plan seeds.
-            ProtocolKind::Sync2 => 0xA1 ^ self.seed,
-            ProtocolKind::Async2 => 0xA2 ^ self.seed,
-            _ => self.frame_seed() ^ 0x5EED,
+        match self.protocol.row().plan_seed {
+            Some(base) => base ^ self.seed,
+            None => self.frame_seed() ^ 0x5EED,
         }
     }
 
@@ -411,22 +448,35 @@ impl SessionSpec {
     /// exactly the regime they must *terminate* under, not time out.
     #[must_use]
     pub fn budget(&self) -> u64 {
-        let mut budget = match self.algorithm {
-            Some(AlgorithmSpec::Flood { .. }) => 600_000,
-            Some(AlgorithmSpec::Election) => 900_000,
-            Some(AlgorithmSpec::Agreement { .. }) => 1_200_000,
-            None => {
-                let mut budget = self.protocol.default_budget();
-                if self.plan.crashes() {
-                    budget = budget.min(20_000);
-                }
-                budget
-            }
+        let budget = match self.algorithm {
+            Some(algorithm) => algo_row(algorithm).budget,
+            None if self.plan.crashes() => self.protocol.default_budget().min(20_000),
+            None => self.protocol.default_budget(),
         };
-        if let Some(cap) = self.budget_cap {
-            budget = budget.min(cap);
-        }
-        budget
+        self.budget_cap.map_or(budget, |cap| budget.min(cap))
+    }
+}
+
+/// One algorithm's row: what [`ProtocolKind::row`] is to protocols.
+struct AlgoRow {
+    /// Frame-seed base, as [`SessionSpec::frame_seed`] uses it.
+    tag: u64,
+    /// Step budget before the spec's ceiling.
+    budget: u64,
+    /// The algorithm's `crates/algo` protocol id.
+    protocol_id: u8,
+}
+
+fn algo_row(algorithm: AlgorithmSpec) -> AlgoRow {
+    let (tag, budget, protocol_id) = match algorithm {
+        AlgorithmSpec::Flood { .. } => (0xA1_60_01, 600_000, flood::PROTOCOL_ID),
+        AlgorithmSpec::Election => (0xA1_60_02, 900_000, election::PROTOCOL_ID),
+        AlgorithmSpec::Agreement { .. } => (0xA1_60_03, 1_200_000, agreement::PROTOCOL_ID),
+    };
+    AlgoRow {
+        tag,
+        budget,
+        protocol_id,
     }
 }
 
@@ -513,6 +563,15 @@ impl RunReport {
     #[must_use]
     pub fn poisoned(spec: &SessionSpec, message: &str) -> Self {
         Self {
+            error: Some(format!("session panicked: {message}")),
+            ..Self::unrun(spec)
+        }
+    }
+
+    /// The report of a session that did no work: the spec's names and
+    /// seed, zero counters, the empty trace, no error.
+    fn unrun(spec: &SessionSpec) -> Self {
+        Self {
             protocol: spec.protocol.name(),
             algorithm: spec.algorithm.map(|a| a.name()),
             schedule: spec.schedule.name(),
@@ -534,7 +593,7 @@ impl RunReport {
             trace_hash: fnv1a64(&[]),
             trace: None,
             algo: None,
-            error: Some(format!("session panicked: {message}")),
+            error: None,
         }
     }
 
@@ -713,138 +772,128 @@ pub fn run_session(spec: &SessionSpec) -> RunReport {
     if let Some(algorithm) = spec.algorithm {
         return run_algo_session(spec, algorithm);
     }
-    let paced = paced_config(spec.coding);
-    match (spec.protocol, paced) {
-        (ProtocolKind::Sync2, Some(cfg)) => run_pair(spec, move || Paced2::new(cfg), Paced2::inbox),
-        (ProtocolKind::Sync2, None) => run_pair(spec, Sync2::new, Sync2::inbox),
-        (ProtocolKind::Async2, _) => {
-            run_pair(spec, || Async2::new(DriftPolicy::Diverge), Async2::inbox)
-        }
-        (ProtocolKind::SyncSwarmRouted, Some(cfg)) => run_swarm(
-            spec,
-            move || PacedSwarm::routed(cfg),
-            Capabilities::identified_with_direction(),
-            |e, to| label_by_id(e.ids().unwrap()).unwrap().label_of(to),
-        ),
-        (ProtocolKind::SyncSwarmRouted, None) => run_swarm(
-            spec,
-            SyncSwarm::routed,
-            Capabilities::identified_with_direction(),
-            |e, to| label_by_id(e.ids().unwrap()).unwrap().label_of(to),
-        ),
-        (ProtocolKind::SyncSwarmLex, Some(cfg)) => run_swarm(
-            spec,
-            move || PacedSwarm::anonymous_with_direction(cfg),
-            Capabilities::anonymous_with_direction(),
-            |e, to| label_by_lex(e.trace().initial()).unwrap().label_of(to),
-        ),
-        (ProtocolKind::SyncSwarmLex, None) => run_swarm(
-            spec,
-            SyncSwarm::anonymous_with_direction,
-            Capabilities::anonymous_with_direction(),
-            |e, to| label_by_lex(e.trace().initial()).unwrap().label_of(to),
-        ),
-        (ProtocolKind::SyncSwarmSec, Some(cfg)) => run_swarm(
-            spec,
-            move || PacedSwarm::anonymous(cfg),
-            Capabilities::anonymous(),
-            |e, to| label_by_sec(e.trace().initial(), 0).unwrap().label_of(to),
-        ),
-        (ProtocolKind::SyncSwarmSec, None) => run_swarm(
-            spec,
-            SyncSwarm::anonymous,
-            Capabilities::anonymous(),
-            |e, to| label_by_sec(e.trace().initial(), 0).unwrap().label_of(to),
-        ),
-        (ProtocolKind::AsyncSwarm, _) => run_swarm(
-            spec,
-            AsyncSwarm::anonymous,
-            Capabilities::anonymous(),
-            |e, to| label_by_sec(e.trace().initial(), 0).unwrap().label_of(to),
-        ),
-        (ProtocolKind::Hardened, _) => run_hardened(spec),
+    // Only the synchronous channels read the coding.
+    let paced = || paced_config(spec.coding).expect("coding spec with valid levels and dwell");
+    match spec.protocol.row().channel {
+        Channel::SyncPair => match paced() {
+            Some(cfg) => run_chat(spec, None, || Paced2::new(cfg)),
+            None => run_chat(spec, None, Sync2::new),
+        },
+        Channel::SyncN(scheme) => match paced() {
+            Some(cfg) => run_chat(spec, Some(scheme), || PacedSwarm::with_scheme(scheme, cfg)),
+            None => run_chat(spec, Some(scheme), || SyncSwarm::with_scheme(scheme)),
+        },
+        Channel::AsyncPair => run_chat(spec, None, || Async2::new(DriftPolicy::Diverge)),
+        Channel::AsyncN(scheme) => run_chat(spec, Some(scheme), || AsyncSwarm::with_scheme(scheme)),
+        Channel::Failover => run_hardened(spec),
     }
 }
 
 /// Translates a [`CodingSpec`] into the paced channel's config — `None`
 /// for binary, which keeps the historical protocols (and their traces)
-/// untouched.
+/// untouched. The gateway admits a spec only if this accepts its coding.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics on an invalid spec (non-power-of-two levels, zero dwell);
-/// `run_session_contained` turns that into a poisoned report.
-fn paced_config(coding: CodingSpec) -> Option<PacedConfig> {
+/// [`CodingError::AlphabetTooSmall`] for levels that are not a power of
+/// two of at least 2, or for a zero dwell.
+pub fn paced_config(coding: CodingSpec) -> Result<Option<PacedConfig>, CodingError> {
     let (levels, dwell, fec) = match coding {
-        CodingSpec::Binary => return None,
+        CodingSpec::Binary => return Ok(None),
         CodingSpec::MultiLevel { levels, dwell } => (levels, dwell, false),
         CodingSpec::Fec { levels, dwell } => (levels, dwell, true),
     };
-    Some(
-        PacedConfig::new(usize::from(levels), u32::from(dwell), fec)
-            .expect("coding spec with valid levels and dwell"),
-    )
+    PacedConfig::new(usize::from(levels), u32::from(dwell), fec).map(Some)
 }
 
-/// Shared engine-driving shape, mirroring the adversarial suite: one
-/// benign preprocessing instant, arm the fault plan, queue the message,
-/// run to delivery or budget exhaustion. `corrupt_of` counts inbox
-/// entries that differ from the sent payload — detect-or-reject demands
-/// it stays 0.
-///
-/// Sessions run on the streaming trace path: the engine records no step
-/// history (see [`run_pair`]/[`run_swarm`]); a [`TraceEncoder`] attached
-/// as trace observer produces the canonical bytes incrementally, and the
-/// collision margin comes from the engine's streaming minimum. Both are
-/// bit-identical to the legacy record-then-encode path — the golden-trace
-/// suite compares these bytes against goldens generated before the
-/// rewrite.
-fn drive<P, Q, D, C, FE>(
+/// Builds a session's engine and starts it the way the adversarial suite
+/// did. With `naming` unset it is a pair at fixed positions under the
+/// builder's default capabilities; otherwise `spec.cohort` robots on
+/// [`ring`] under the naming's capabilities. The trace streams into the
+/// returned [`TraceEncoder`]: the engine keeps no step history, only the
+/// initial configuration that naming reads, and the bytes are identical
+/// to encoding a recorded trace (the golden-trace suite pins them).
+/// Starting runs one benign preprocessing instant, then arms the fault
+/// plan; a model error in that instant comes back as the third element.
+fn start<P: MovementProtocol + 'static>(
     spec: &SessionSpec,
-    mut engine: Engine<P>,
-    queue: Q,
-    delivered: D,
-    corrupt_of: C,
-    fec_of: FE,
-) -> RunReport
-where
-    P: MovementProtocol + 'static,
-    Q: FnOnce(&mut Engine<P>),
-    D: Fn(&Engine<P>) -> bool,
-    C: Fn(&Engine<P>) -> u64,
-    FE: Fn(&Engine<P>) -> (u64, u64),
-{
+    naming: Option<NamingScheme>,
+    make: impl Fn() -> P,
+) -> (Engine<P>, Rc<RefCell<TraceEncoder>>, Option<String>) {
+    let (positions, n) = match naming {
+        None => (vec![Point::new(0.0, 0.0), Point::new(14.0, 0.0)], 2),
+        Some(_) => (ring(spec.cohort, 18.0), spec.cohort),
+    };
+    let plan = spec.plan.plan(spec.plan_seed());
+    let mut builder = Engine::builder()
+        .positions(positions)
+        .protocols((0..n).map(|_| make()))
+        // `build_faulted` arms crash-aware wrappers (`CrashFiltered`)
+        // with this session's plan; plain schedules ignore the plan.
+        .schedule(WakeAllFirst::new(spec.schedule.build_faulted(n, &plan)))
+        .frame_seed(spec.frame_seed())
+        .record_trace(false);
+    if let Some(scheme) = naming {
+        builder = builder.capabilities(scheme.capabilities());
+    }
+    let mut engine = builder
+        .build()
+        .expect("pair and ring configurations are always valid");
     let encoder = Rc::new(RefCell::new(TraceEncoder::new(engine.positions())));
     let sink = Rc::clone(&encoder);
     engine.observe_trace(move |ev| sink.borrow_mut().record_event(&ev));
-    let mut error = None;
-    let mut satisfied = false;
+    let error = match engine.step() {
+        Ok(_) => {
+            engine.set_fault_plan(plan);
+            None
+        }
+        Err(e) => Some(e.to_string()),
+    };
+    (engine, encoder, error)
+}
+
+/// Runs a chat session: robot 0 queues the payload for the last robot,
+/// addressed in `naming` (a pair has one peer), and the engine runs to
+/// delivery or budget exhaustion. Inbox entries that differ from the
+/// payload count as corrupt — detect-or-reject demands that stays 0.
+fn run_chat<P: Chat + 'static>(
+    spec: &SessionSpec,
+    naming: Option<NamingScheme>,
+    make: impl Fn() -> P,
+) -> RunReport {
+    let (mut engine, encoder, mut error) = start(spec, naming, make);
+    let n = engine.cohort();
+    let receiver = n - 1;
     let mut steps_to_delivery = None;
-    if let Err(e) = engine.step() {
-        error = Some(e.to_string());
-    } else {
-        engine.set_fault_plan(spec.plan.plan(spec.plan_seed()));
-        queue(&mut engine);
-        match engine.run_until(spec.budget(), |e| delivered(e)) {
-            Ok(out) => {
-                satisfied = out.satisfied;
-                if out.satisfied {
-                    steps_to_delivery = Some(out.steps_taken);
-                }
-            }
+    if error.is_none() {
+        let label = naming.map_or(0, |scheme| {
+            let initial = engine.trace().initial();
+            scheme
+                .label_of(initial, engine.ids(), 0, receiver)
+                .expect("receiver must be nameable")
+        });
+        engine.protocol_mut(0).queue(label, &spec.payload);
+        let arrived = |e: &Engine<P>| e.protocol(receiver).payloads().any(|p| p == spec.payload);
+        match engine.run_until(spec.budget(), arrived) {
+            Ok(out) => steps_to_delivery = out.satisfied.then_some(out.steps_taken),
             Err(e) => error = Some(e.to_string()),
         }
     }
-    let corrupt = corrupt_of(&engine);
-    let fec = fec_of(&engine);
+    let corrupt = engine
+        .protocol(receiver)
+        .payloads()
+        .filter(|&p| p != spec.payload)
+        .count() as u64;
+    let fec = (0..n).fold((0, 0), |(c, r), i| {
+        let (ci, ri) = engine.protocol(i).fec_stats();
+        (c + ci, r + ri)
+    });
     let encoder = encoder.borrow();
     finish(
         spec,
         &engine,
         &encoder,
-        satisfied,
         steps_to_delivery,
-        0,
         corrupt,
         fec,
         error,
@@ -852,20 +901,19 @@ where
 }
 
 /// Builds the report from a finished engine: counters, the streamed trace
-/// encoding, and the collision invariant check.
-#[allow(clippy::too_many_arguments)]
+/// encoding, and the collision invariant check. The session delivered iff
+/// `steps_to_delivery` is set.
 fn finish<P: MovementProtocol>(
     spec: &SessionSpec,
     engine: &Engine<P>,
     encoder: &TraceEncoder,
-    delivered: bool,
     steps_to_delivery: Option<u64>,
-    retransmissions: u64,
     corrupt: u64,
     fec: (u64, u64),
     mut error: Option<String>,
 ) -> RunReport {
     let stats = engine.stats();
+    let delivered = steps_to_delivery.is_some();
     let min_distance = engine.min_pairwise_distance();
     if error.is_none() && min_distance < DEFAULT_COLLISION_EPS {
         error = Some(format!(
@@ -873,18 +921,12 @@ fn finish<P: MovementProtocol>(
         ));
     }
     RunReport {
-        protocol: spec.protocol.name(),
-        algorithm: spec.algorithm.map(|a| a.name()),
-        schedule: spec.schedule.name(),
-        plan: spec.plan.name(),
-        seed: spec.seed,
         delivered,
         steps: stats.steps,
         steps_to_delivery,
         activations: stats.activations,
         moves: stats.moves,
         faults: stats.faults_injected,
-        retransmissions,
         corrupt,
         delivered_bits: delivered_payload_bits(spec, delivered),
         fec_corrected: fec.0,
@@ -893,8 +935,8 @@ fn finish<P: MovementProtocol>(
         trace_len: encoder.encoded_len(),
         trace_hash: encoder.fingerprint(),
         trace: spec.keep_trace.then(|| encoder.to_bytes()),
-        algo: None,
         error,
+        ..RunReport::unrun(spec)
     }
 }
 
@@ -906,101 +948,6 @@ fn delivered_payload_bits(spec: &SessionSpec, delivered: bool) -> u64 {
     } else {
         0
     }
-}
-
-fn run_pair<P, F, I>(spec: &SessionSpec, make: F, inbox: I) -> RunReport
-where
-    P: MovementProtocol + PairProto + 'static,
-    F: Fn() -> P,
-    I: Fn(&P) -> &[Vec<u8>],
-{
-    let engine = Engine::builder()
-        .positions(pair_positions())
-        .protocols([make(), make()])
-        // `build_faulted` arms crash-aware wrappers (`CrashFiltered`)
-        // with this session's plan; plain schedules ignore the plan and
-        // build exactly as before.
-        .schedule(WakeAllFirst::new(
-            spec.schedule
-                .build_faulted(2, &spec.plan.plan(spec.plan_seed())),
-        ))
-        .frame_seed(spec.frame_seed())
-        // The observer installed by `drive` streams the trace; keeping
-        // step records in memory too would double the cost for nothing.
-        .record_trace(false)
-        .build()
-        .expect("pair configuration is always valid");
-    let payload = spec.payload.clone();
-    drive(
-        spec,
-        engine,
-        |e| e.protocol_mut(0).send_payload(&payload),
-        |e| inbox(e.protocol(1)).iter().any(|m| m == &spec.payload),
-        |e| {
-            inbox(e.protocol(1))
-                .iter()
-                .filter(|m| *m != &spec.payload)
-                .count() as u64
-        },
-        |e| {
-            let (a, b) = (e.protocol(0).fec_stats(), e.protocol(1).fec_stats());
-            (a.0 + b.0, a.1 + b.1)
-        },
-    )
-}
-
-fn run_swarm<P, F, L>(spec: &SessionSpec, make: F, caps: Capabilities, label_of: L) -> RunReport
-where
-    P: MovementProtocol + SwarmProto + 'static,
-    F: Fn() -> P,
-    L: Fn(&Engine<P>, usize) -> Option<usize>,
-{
-    let n = spec.cohort;
-    let receiver = n - 1;
-    let engine = Engine::builder()
-        .positions(ring(n, 18.0))
-        .protocols((0..n).map(|_| make()))
-        .capabilities(caps)
-        .schedule(WakeAllFirst::new(
-            spec.schedule
-                .build_faulted(n, &spec.plan.plan(spec.plan_seed())),
-        ))
-        .frame_seed(spec.frame_seed())
-        // Streamed by the observer in `drive`; the trace keeps only the
-        // initial configuration (the `label_by_*` closures read it).
-        .record_trace(false)
-        .build()
-        .expect("ring configuration is always valid");
-    let payload = spec.payload.clone();
-    drive(
-        spec,
-        engine,
-        |e| {
-            // Receiver = engine index n−1, addressed by whatever naming
-            // the capability set affords.
-            let label = label_of(e, receiver).expect("receiver must be nameable");
-            e.protocol_mut(0).send_to(label, &payload);
-        },
-        |e| {
-            e.protocol(receiver)
-                .payloads()
-                .iter()
-                .any(|p| p == &spec.payload)
-        },
-        |e| {
-            e.protocol(receiver)
-                .payloads()
-                .iter()
-                .filter(|p| *p != &spec.payload)
-                .count() as u64
-        },
-        |e| {
-            (0..n).fold((0, 0), |(c, r), i| {
-                let (ci, ri) = e.protocol(i).fec_stats();
-                (c + ci, r + ri)
-            })
-        },
-    )
 }
 
 fn run_hardened(spec: &SessionSpec) -> RunReport {
@@ -1031,11 +978,6 @@ fn run_hardened(spec: &SessionSpec) -> RunReport {
         .filter(|(_, p)| p != &spec.payload)
         .count() as u64;
     RunReport {
-        protocol: spec.protocol.name(),
-        algorithm: None,
-        schedule: spec.schedule.name(),
-        plan: spec.plan.name(),
-        seed: spec.seed,
         delivered,
         steps_to_delivery: delivered.then_some(stats.movement_steps),
         steps: report.steps,
@@ -1051,8 +993,8 @@ fn run_hardened(spec: &SessionSpec) -> RunReport {
         trace_len: bytes.len(),
         trace_hash: fnv1a64(&bytes),
         trace: spec.keep_trace.then_some(bytes),
-        algo: None,
         error,
+        ..RunReport::unrun(spec)
     }
 }
 
@@ -1102,21 +1044,9 @@ fn run_algo_session(spec: &SessionSpec, algorithm: AlgorithmSpec) -> RunReport {
             "flood initiator {initiator} outside cohort {n}"
         );
     }
-    let plan = spec.plan.plan(spec.plan_seed());
-    let mut engine = Engine::builder()
-        .positions(ring(n, 18.0))
-        .protocols((0..n).map(|_| AsyncSwarm::anonymous()))
-        .capabilities(Capabilities::anonymous())
-        .schedule(WakeAllFirst::new(spec.schedule.build_faulted(n, &plan)))
-        .frame_seed(spec.frame_seed())
-        .record_trace(false)
-        .build()
-        .expect("ring configuration is always valid");
-    let encoder = Rc::new(RefCell::new(TraceEncoder::new(engine.positions())));
-    let sink = Rc::clone(&encoder);
-    engine.observe_trace(move |ev| sink.borrow_mut().record_event(&ev));
-
-    let mut error: Option<String> = None;
+    let scheme = NamingScheme::BySec;
+    let (mut engine, encoder, mut error) =
+        start(spec, Some(scheme), || AsyncSwarm::with_scheme(scheme));
     let mut algo = AlgoOutcome {
         rounds: 0,
         bits: 0,
@@ -1124,18 +1054,14 @@ fn run_algo_session(spec: &SessionSpec, algorithm: AlgorithmSpec) -> RunReport {
         decision: None,
         rejected: false,
     };
-    let mut delivered = false;
     let mut steps_to_delivery = None;
     let mut corrupt = 0u64;
 
     'run: {
-        // One benign preprocessing instant (geometries build), then arm
-        // the fault plan — the same shape as `drive`.
-        if let Err(e) = engine.step() {
-            error = Some(e.to_string());
+        // `start` ran the preprocessing instant (geometries build).
+        if error.is_some() {
             break 'run;
         }
-        engine.set_fault_plan(plan.clone());
 
         // Identity maps: `home[i][j]` is engine robot `j` as a home index
         // of robot `i`'s geometry; `labels[i][h]` addresses home `h` for
@@ -1164,14 +1090,22 @@ fn run_algo_session(spec: &SessionSpec, algorithm: AlgorithmSpec) -> RunReport {
             }
         }
 
+        // The crash-stops that hit the cohort, in the order they strike;
+        // the engine ignores the others, and so does the detector.
+        let mut crash_list: Vec<(usize, u64)> = spec
+            .plan
+            .plan(spec.plan_seed())
+            .crash_stops()
+            .iter()
+            .copied()
+            .filter(|&(robot, _)| robot < n)
+            .collect();
+        crash_list.sort_unstable_by_key(|&(robot, time)| (time, robot));
+
         // One stack per robot. All robots must agree on `max_rounds`; it
         // derives from the plan's crash budget (`f + 1` FloodSet rounds).
-        let max_rounds = plan.crash_stops().len() as u64 + 1;
-        let proto_id = match algorithm {
-            AlgorithmSpec::Flood { .. } => flood::PROTOCOL_ID,
-            AlgorithmSpec::Election => election::PROTOCOL_ID,
-            AlgorithmSpec::Agreement { .. } => agreement::PROTOCOL_ID,
-        };
+        let max_rounds = crash_list.len() as u64 + 1;
+        let proto_id = algo_row(algorithm).protocol_id;
         let mut stacks: Vec<NodeStack> = Vec::with_capacity(n);
         for (i, home_i) in home.iter().enumerate() {
             let session: Box<dyn stigmergy_algo::Session> = match algorithm {
@@ -1209,11 +1143,6 @@ fn run_algo_session(spec: &SessionSpec, algorithm: AlgorithmSpec) -> RunReport {
 
         // The pump loop: step, strike newly-crashed robots, route fresh
         // inbox frames, check termination.
-        let crash_list: Vec<(usize, u64)> = {
-            let mut list = plan.crash_stops().to_vec();
-            list.sort_unstable_by_key(|&(robot, time)| (time, robot));
-            list
-        };
         let mut live = vec![true; n];
         let mut notified = vec![false; n];
         let mut cursor = vec![0usize; n];
@@ -1314,8 +1243,7 @@ fn run_algo_session(spec: &SessionSpec, algorithm: AlgorithmSpec) -> RunReport {
         // "Delivered" for an algorithm session = terminated with a
         // consistent decision (a rejection terminates but delivers no
         // decision, mirroring undelivered payloads).
-        delivered = error.is_none() && algo.decision.is_some();
-        if !delivered {
+        if error.is_some() || algo.decision.is_none() {
             steps_to_delivery = None;
         }
     }
@@ -1325,9 +1253,7 @@ fn run_algo_session(spec: &SessionSpec, algorithm: AlgorithmSpec) -> RunReport {
         spec,
         &engine,
         &encoder,
-        delivered,
         steps_to_delivery,
-        0,
         corrupt,
         (0, 0),
         error,
@@ -1336,9 +1262,14 @@ fn run_algo_session(spec: &SessionSpec, algorithm: AlgorithmSpec) -> RunReport {
     report
 }
 
-/// Uniform access to the pair protocols' send queue.
-trait PairProto {
-    fn send_payload(&mut self, payload: &[u8]);
+/// What [`run_chat`] needs of a protocol: queue a message, read the
+/// inbox, count FEC work.
+trait Chat: MovementProtocol {
+    /// Queues `payload` for the robot labelled `label`; a pair has one
+    /// peer and ignores the label.
+    fn queue(&mut self, label: usize, payload: &[u8]);
+    /// The payloads received so far, in arrival order.
+    fn payloads(&self) -> impl Iterator<Item = &[u8]>;
     /// `(corrected, rejected)` FEC counters; protocols without a coded
     /// channel report zeros.
     fn fec_stats(&self) -> (u64, u64) {
@@ -1346,21 +1277,33 @@ trait PairProto {
     }
 }
 
-impl PairProto for Sync2 {
-    fn send_payload(&mut self, payload: &[u8]) {
+impl Chat for Sync2 {
+    fn queue(&mut self, _label: usize, payload: &[u8]) {
         self.send(payload);
+    }
+
+    fn payloads(&self) -> impl Iterator<Item = &[u8]> {
+        self.inbox().iter().map(Vec::as_slice)
     }
 }
 
-impl PairProto for Async2 {
-    fn send_payload(&mut self, payload: &[u8]) {
+impl Chat for Async2 {
+    fn queue(&mut self, _label: usize, payload: &[u8]) {
         self.send(payload);
+    }
+
+    fn payloads(&self) -> impl Iterator<Item = &[u8]> {
+        self.inbox().iter().map(Vec::as_slice)
     }
 }
 
-impl PairProto for Paced2 {
-    fn send_payload(&mut self, payload: &[u8]) {
+impl Chat for Paced2 {
+    fn queue(&mut self, _label: usize, payload: &[u8]) {
         self.send(payload);
+    }
+
+    fn payloads(&self) -> impl Iterator<Item = &[u8]> {
+        self.inbox().iter().map(Vec::as_slice)
     }
 
     fn fec_stats(&self) -> (u64, u64) {
@@ -1368,44 +1311,33 @@ impl PairProto for Paced2 {
     }
 }
 
-/// Uniform access to the swarm protocols' queues and inboxes.
-trait SwarmProto {
-    fn send_to(&mut self, label: usize, payload: &[u8]);
-    fn payloads(&self) -> Vec<Vec<u8>>;
-    /// `(corrected, rejected)` FEC counters; protocols without a coded
-    /// channel report zeros.
-    fn fec_stats(&self) -> (u64, u64) {
-        (0, 0)
-    }
-}
-
-impl SwarmProto for SyncSwarm {
-    fn send_to(&mut self, label: usize, payload: &[u8]) {
+impl Chat for SyncSwarm {
+    fn queue(&mut self, label: usize, payload: &[u8]) {
         self.send_label(label, payload);
     }
 
-    fn payloads(&self) -> Vec<Vec<u8>> {
-        self.inbox().iter().map(|m| m.payload.clone()).collect()
+    fn payloads(&self) -> impl Iterator<Item = &[u8]> {
+        self.inbox().iter().map(|m| m.payload.as_slice())
     }
 }
 
-impl SwarmProto for AsyncSwarm {
-    fn send_to(&mut self, label: usize, payload: &[u8]) {
+impl Chat for AsyncSwarm {
+    fn queue(&mut self, label: usize, payload: &[u8]) {
         self.send_label(label, payload);
     }
 
-    fn payloads(&self) -> Vec<Vec<u8>> {
-        self.inbox().iter().map(|m| m.payload.clone()).collect()
+    fn payloads(&self) -> impl Iterator<Item = &[u8]> {
+        self.inbox().iter().map(|m| m.payload.as_slice())
     }
 }
 
-impl SwarmProto for PacedSwarm {
-    fn send_to(&mut self, label: usize, payload: &[u8]) {
+impl Chat for PacedSwarm {
+    fn queue(&mut self, label: usize, payload: &[u8]) {
         self.send_label(label, payload);
     }
 
-    fn payloads(&self) -> Vec<Vec<u8>> {
-        self.inbox().iter().map(|m| m.payload.clone()).collect()
+    fn payloads(&self) -> impl Iterator<Item = &[u8]> {
+        self.inbox().iter().map(|m| m.payload.as_slice())
     }
 
     fn fec_stats(&self) -> (u64, u64) {
@@ -1570,12 +1502,30 @@ mod tests {
 
     #[test]
     fn wire_codes_round_trip_and_cover_every_protocol() {
-        let mut all = CONFORMANCE.to_vec();
-        all.push(ProtocolKind::Hardened);
-        for kind in all {
+        for kind in ProtocolKind::ALL {
             assert_eq!(ProtocolKind::from_wire_code(kind.wire_code()), Some(kind));
+            // Exhaustive on purpose: a new variant stops this test from
+            // building until it is listed here and in `ALL`.
+            match kind {
+                ProtocolKind::Sync2
+                | ProtocolKind::Async2
+                | ProtocolKind::SyncSwarmRouted
+                | ProtocolKind::SyncSwarmLex
+                | ProtocolKind::SyncSwarmSec
+                | ProtocolKind::AsyncSwarm
+                | ProtocolKind::Hardened => {}
+            }
         }
         assert_eq!(ProtocolKind::from_wire_code(7), None);
+        // Exhaustiveness cannot catch a value copied into two rows.
+        let rows = ProtocolKind::ALL.map(ProtocolKind::row);
+        for (i, a) in rows.iter().enumerate() {
+            for b in &rows[i + 1..] {
+                assert_ne!(a.name, b.name);
+                assert_ne!(a.wire_code, b.wire_code);
+                assert_ne!(a.tag, b.tag);
+            }
+        }
     }
 
     #[test]
@@ -1704,6 +1654,31 @@ mod tests {
     }
 
     #[test]
+    fn asynchronous_sessions_ignore_the_coding() {
+        // An invalid coding must not poison the sessions that never read
+        // it: they run exactly as they do under the binary coding.
+        for protocol in [
+            ProtocolKind::Async2,
+            ProtocolKind::AsyncSwarm,
+            ProtocolKind::Hardened,
+        ] {
+            let run = |coding| {
+                run_session_contained(&SessionSpec {
+                    protocol,
+                    budget_cap: Some(2_000),
+                    ..paced_spec(coding)
+                })
+            };
+            let invalid = run(CodingSpec::MultiLevel {
+                levels: 3,
+                dwell: 10,
+            });
+            assert_eq!(invalid, run(CodingSpec::Binary), "{}", protocol.name());
+            assert!(invalid.error.is_none(), "{:?}", invalid.error);
+        }
+    }
+
+    #[test]
     fn worker_count_is_invisible_for_coded_batches() {
         // A k>2 batch must fingerprint identically whether one worker or
         // four drive it — the steal schedule cannot leak into coded runs.
@@ -1818,6 +1793,39 @@ mod tests {
             "ring cohort has distinct signatures"
         );
         assert!(!algo.rejected);
+    }
+
+    #[test]
+    fn crash_outside_the_cohort_is_ignored_by_algorithm_sessions() {
+        // The engine never freezes robot 5 of 3, so the failure detector
+        // must not strike it either: the session runs as the same plan
+        // without the crash-stop does.
+        let outside = algo_spec(
+            AlgorithmSpec::Election,
+            FaultSpec::Crash {
+                robot: 5,
+                time: 35,
+                delta: 0.5,
+                prob: 0.25,
+            },
+        );
+        let report = run_session_contained(&outside);
+        assert!(report.error.is_none(), "{:?}", report.error);
+        assert!(report.delivered);
+        let crash_free = run_session(&SessionSpec {
+            plan: FaultSpec::NonRigid {
+                delta: 0.5,
+                prob: 0.25,
+            },
+            ..outside
+        });
+        assert_eq!(
+            RunReport {
+                plan: crash_free.plan,
+                ..report
+            },
+            crash_free
+        );
     }
 
     #[test]

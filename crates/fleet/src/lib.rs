@@ -39,7 +39,7 @@ pub mod pool;
 pub mod trace_codec;
 
 pub use batch::{
-    ring, run_batch, run_batch_with, run_session, run_session_contained, AlgoOutcome,
+    paced_config, ring, run_batch, run_batch_with, run_session, run_session_contained, AlgoOutcome,
     BatchInterrupted, BatchReport, BatchSpec, Progress, ProtocolKind, RunReport, SessionSpec,
     CONFORMANCE, DEFAULT_PAYLOAD,
 };

@@ -162,8 +162,11 @@ pub fn validate_request(req: &JobRequest, config: &GatewayConfig) -> Result<(), 
         validate_schedule(schedule, spec.cohort)?;
     }
     for plan in &spec.plans {
-        validate_plan(plan)?;
+        validate_plan(plan, spec.cohort)?;
     }
+    // The same check the sessions apply, so the rule lives in one place.
+    stigmergy_fleet::paced_config(spec.coding)
+        .map_err(|e| format!("{} coding: {e}", spec.coding.name()))?;
     Ok(())
 }
 
@@ -247,7 +250,7 @@ fn validate_schedule(
     Ok(())
 }
 
-fn validate_plan(spec: &stigmergy_scheduler::FaultSpec) -> Result<(), String> {
+fn validate_plan(spec: &stigmergy_scheduler::FaultSpec, cohort: usize) -> Result<(), String> {
     use stigmergy_scheduler::FaultSpec as F;
     let unit = |what: &str, x: f64| -> Result<(), String> {
         if (0.0..=1.0).contains(&x) {
@@ -263,7 +266,12 @@ fn validate_plan(spec: &stigmergy_scheduler::FaultSpec) -> Result<(), String> {
             unit("non-rigid prob", *prob)
         }
         F::Dropout { prob } => unit("dropout prob", *prob),
-        F::Crash { delta, prob, .. } => {
+        F::Crash {
+            robot, delta, prob, ..
+        } => {
+            if *robot >= cohort {
+                return Err(format!("crash robot {robot} outside cohort {cohort}"));
+            }
             unit("crash delta", *delta)?;
             unit("crash prob", *prob)
         }
@@ -874,7 +882,7 @@ pub fn termination_flag() -> &'static AtomicBool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stigmergy_fleet::BatchSpec;
+    use stigmergy_fleet::{BatchSpec, ProtocolKind};
 
     fn small_request() -> JobRequest {
         JobRequest {
@@ -1014,6 +1022,48 @@ mod tests {
         assert!(validate_request(&bad_prob, &GatewayConfig::default())
             .expect_err("prob out of range")
             .contains("outside [0, 1]"));
+    }
+
+    #[test]
+    fn validation_rejects_a_crash_outside_the_cohort() {
+        use stigmergy_scheduler::FaultSpec;
+        let crash = |robot| FaultSpec::Crash {
+            robot,
+            time: 35,
+            delta: 0.5,
+            prob: 0.25,
+        };
+        let mut request = small_request();
+        request.spec.plans = vec![crash(2)];
+        assert_eq!(
+            validate_request(&request, &GatewayConfig::default()),
+            Ok(())
+        );
+        request.spec.plans = vec![crash(3)];
+        assert!(validate_request(&request, &GatewayConfig::default())
+            .expect_err("crash robot outside cohort")
+            .contains("crash robot 3 outside cohort 3"));
+    }
+
+    #[test]
+    fn validation_rejects_an_invalid_coding() {
+        use stigmergy_scheduler::CodingSpec;
+        let mut request = small_request();
+        // Asynchronous sessions ignore the coding, but a spec carrying an
+        // invalid one is still malformed.
+        request.spec.protocols = vec![ProtocolKind::Async2];
+        request.spec.coding = CodingSpec::MultiLevel {
+            levels: 3,
+            dwell: 10,
+        };
+        assert!(validate_request(&request, &GatewayConfig::default())
+            .expect_err("3 levels is not a power of two")
+            .contains("coding"));
+        request.spec.coding = CodingSpec::Fec {
+            levels: 8,
+            dwell: 0,
+        };
+        assert!(validate_request(&request, &GatewayConfig::default()).is_err());
     }
 
     #[test]

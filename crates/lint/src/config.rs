@@ -213,7 +213,9 @@ pub fn wire_pairings() -> Vec<Pairing<'static>> {
     const SCHED_FNS: &[&str] = &["encode_wire", "decode_nested"];
     const MSG_FNS: &[&str] = &["kind", "encode", "decode"];
     const SUB_FNS: &[&str] = &["encode", "decode"];
-    const PROTO_FNS: &[&str] = &["wire_code", "from_wire_code"];
+    // `ProtocolKind`'s wire code is a column of its one table; `row` is
+    // the only fn that matches on the variants.
+    const PROTO_FNS: &[&str] = &["row"];
     vec![
         Pairing {
             enum_file: "crates/scheduler/src/factory.rs",

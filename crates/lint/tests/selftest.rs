@@ -161,6 +161,34 @@ fn the_algorithm_wire_pairing_is_configured() {
 }
 
 #[test]
+fn the_protocol_table_pairing_checks_row() {
+    // `ProtocolKind` keeps every per-protocol fact in one `row` match;
+    // the pairing must point there, and a wildcard arm standing in for
+    // a variant's row must be flagged even when another enum in the
+    // same match shares no name with it.
+    let pairings = lint::config::wire_pairings();
+    let pairing = pairings
+        .iter()
+        .find(|p| p.enum_name == "ProtocolKind")
+        .expect("ProtocolKind missing from the wire-completeness table");
+    assert_eq!(pairing.fns, ["row"]);
+    let src = "pub enum ProtocolKind { Sync2, Hardened }\n\
+               enum Channel { Pair, Failover }\n\
+               impl ProtocolKind {\n\
+                   const fn row(self) -> (u8, Channel) {\n\
+                       match self {\n\
+                           ProtocolKind::Sync2 => (0, Channel::Pair),\n\
+                           _ => (6, Channel::Failover),\n\
+                       }\n\
+                   }\n\
+               }\n";
+    let file = lint::scan::FileTokens::new(pairing.enum_file, src);
+    let v = lint::rules::wire_complete::check_pairing(pairing, &file, &file);
+    assert_eq!(v.len(), 1, "{v:?}");
+    assert!(v[0].message.contains("ProtocolKind::Hardened"), "{v:?}");
+}
+
+#[test]
 fn fixture_locks_io_is_caught() {
     let v = lint_fixture("locks_io.rs");
     assert_eq!(count_rule(&v, "lock-discipline"), 2, "{v:?}");

@@ -114,6 +114,7 @@ proptest! {
 
     #[test]
     fn batch_specs_round_trip_through_the_gateway_frame(
+        protocols in prop::collection::vec(prop::sample::select(ProtocolKind::ALL.to_vec()), 0..8),
         algorithms in prop::collection::vec(algorithm_spec(), 0..4),
         schedules in prop::collection::vec(schedule_spec(), 1..4),
         plans in prop::collection::vec(fault_spec(), 1..4),
@@ -127,11 +128,7 @@ proptest! {
         coding in coding_spec(),
     ) {
         let spec = BatchSpec {
-            protocols: vec![
-                ProtocolKind::Sync2,
-                ProtocolKind::AsyncSwarm,
-                ProtocolKind::Hardened,
-            ],
+            protocols,
             algorithms,
             schedules,
             plans,
