@@ -7,7 +7,7 @@ use std::time::Instant;
 use stigmergy::async_n::AsyncSwarm;
 use stigmergy::flocking::Flocking;
 use stigmergy::session::{AsyncNetwork, SyncNetwork};
-use stigmergy::sync2_coded::Sync2Coded;
+use stigmergy::sync2::Sync2;
 use stigmergy::sync_swarm::SyncSwarm;
 use stigmergy::SwarmGeometry;
 use stigmergy_coding::alphabet::LevelAlphabet;
@@ -241,7 +241,10 @@ pub fn e9() -> Vec<Table> {
         let alphabet = LevelAlphabet::new(levels).expect("non-empty alphabet");
         let mut e = Engine::builder()
             .positions([Point::new(0.0, 0.0), Point::new(8.0, 0.0)])
-            .protocols([Sync2Coded::new(alphabet), Sync2Coded::new(alphabet)])
+            .protocols([
+                Sync2::with_alphabet(alphabet),
+                Sync2::with_alphabet(alphabet),
+            ])
             .frame_seed(0xE9)
             .build()
             .expect("valid pair");

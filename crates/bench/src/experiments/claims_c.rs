@@ -3,11 +3,11 @@
 
 use crate::table::Table;
 use crate::workloads;
-use stigmergy::apps::{run_app, EchoAggregate, LeaderElection};
-use stigmergy::session::SyncNetwork;
+use stigmergy::election_signature;
 use stigmergy::stabilize::StabilizingSync;
+use stigmergy_fleet::{ring, run_session, ProtocolKind, SessionSpec, DEFAULT_PAYLOAD};
 use stigmergy_robots::{Capabilities, Engine};
-use stigmergy_scheduler::Synchronous;
+use stigmergy_scheduler::{AlgorithmSpec, CodingSpec, FaultSpec, ScheduleSpec, Synchronous};
 
 /// E11: self-stabilization (§5) — transient memory faults are absorbed at
 /// the next epoch boundary; the plain protocol stays broken.
@@ -84,8 +84,9 @@ pub fn e11() -> Vec<Table> {
     vec![t]
 }
 
-/// E12: the title claim — classical distributed algorithms running with
-/// every message carried by movement signals.
+/// E12: the title claim — classical distributed algorithms (`crates/algo`)
+/// running with every message carried by movement signals, driven by the
+/// fleet's session runner over the §4 anonymous swarm transport.
 #[must_use]
 pub fn e12() -> Vec<Table> {
     let mut t = Table::new(
@@ -99,52 +100,55 @@ pub fn e12() -> Vec<Table> {
             "correct",
         ],
     );
+    let run = |algorithm: AlgorithmSpec, n: usize| {
+        let report = run_session(&SessionSpec {
+            protocol: ProtocolKind::AsyncSwarm,
+            algorithm: Some(algorithm),
+            schedule: ScheduleSpec::Synchronous,
+            plan: FaultSpec::Benign,
+            seed: 0xE12,
+            cohort: n,
+            payload: DEFAULT_PAYLOAD.to_vec(),
+            coding: CodingSpec::Binary,
+            budget_cap: None,
+            keep_trace: false,
+        });
+        assert_eq!(report.error, None, "{algorithm:?} at n = {n}");
+        let algo = report.algo.expect("algorithm session");
+        (report.steps, algo)
+    };
 
-    // Leader election by nonce flooding.
+    // Leader election: the unique minimum SEC signature wins.
     for n in [4usize, 6] {
-        let nonces: Vec<u64> = (0..n).map(|i| (i as u64 * 37 + 11) % 53).collect();
-        let expected = nonces
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, &v)| v)
-            .map(|(i, _)| i)
-            .expect("non-empty");
-        let mut net =
-            SyncNetwork::anonymous_with_direction(workloads::ring(n, 12.0 * n as f64), 0xE12)
-                .expect("valid ring");
-        let mut apps: Vec<LeaderElection> =
-            nonces.iter().map(|&v| LeaderElection::new(v)).collect();
-        let rounds = run_app(&mut net, &mut apps, 20, 400_000).expect("quiescence");
-        let agreed = apps.iter().all(|a| a.leader() == Some(expected));
+        let positions = ring(n, 18.0);
+        let signatures: Vec<u32> = (0..n)
+            .map(|i| election_signature(&positions, i).expect("valid ring") as u32)
+            .collect();
+        let min = *signatures.iter().min().expect("non-empty");
+        let winners: Vec<usize> = (0..n).filter(|&i| signatures[i] == min).collect();
+        let (steps, algo) = run(AlgorithmSpec::Election, n);
         t.row([
-            "leader election (max-nonce flood)".to_string(),
+            "leader election (SEC signature)".to_string(),
             n.to_string(),
-            rounds.to_string(),
-            net.engine().time().to_string(),
-            format!("leader = robot {expected}"),
-            agreed.to_string(),
+            algo.rounds.to_string(),
+            steps.to_string(),
+            format!("leader = robot {}", winners[0]),
+            (winners.len() == 1 && algo.decision == Some(u64::from(min))).to_string(),
         ]);
     }
 
-    // Sum aggregation.
-    {
-        let n = 5usize;
-        let values: Vec<u32> = (0..n as u32).map(|i| 10 * (i + 1)).collect();
-        let expected: u64 = values.iter().map(|&v| u64::from(v)).sum();
-        let mut net = SyncNetwork::anonymous_with_direction(workloads::ring(n, 60.0), 0xE12)
-            .expect("valid ring");
-        let mut apps: Vec<EchoAggregate> =
-            values.iter().map(|&v| EchoAggregate::new(v, 0)).collect();
-        let rounds = run_app(&mut net, &mut apps, 10, 400_000).expect("quiescence");
-        t.row([
-            "echo aggregation (sum)".to_string(),
-            n.to_string(),
-            rounds.to_string(),
-            net.engine().time().to_string(),
-            format!("sum = {}", apps[0].sum()),
-            (apps[0].sum() == expected).to_string(),
-        ]);
-    }
+    // Flood with convergecast: the initiator learns how many robots the
+    // payload reached.
+    let n = 5usize;
+    let (steps, algo) = run(AlgorithmSpec::Flood { initiator: 0 }, n);
+    t.row([
+        "flood + convergecast (coverage)".to_string(),
+        n.to_string(),
+        algo.rounds.to_string(),
+        steps.to_string(),
+        format!("coverage = {}", algo.decision.unwrap_or(0)),
+        (algo.decision == Some(n as u64)).to_string(),
+    ]);
     vec![t]
 }
 
@@ -320,7 +324,6 @@ pub fn e15() -> Vec<Table> {
     use stigmergy::async2::DriftPolicy;
     use stigmergy::session::{AsyncNetwork, AsyncPair, SyncNetwork};
     use stigmergy::sync2::Sync2;
-    use stigmergy::sync2_coded::Sync2Coded;
     use stigmergy_coding::alphabet::LevelAlphabet;
     use stigmergy_geometry::Point;
     use stigmergy_robots::Engine;
@@ -357,11 +360,11 @@ pub fn e15() -> Vec<Table> {
         out.steps_taken
     });
 
-    row("Sync2Coded (256 symbols)", &mut |size| {
+    row("Sync2 (256 symbols)", &mut |size| {
         let a = LevelAlphabet::new(128).expect("valid alphabet");
         let mut e = Engine::builder()
             .positions([Point::new(0.0, 0.0), Point::new(12.0, 0.0)])
-            .protocols([Sync2Coded::new(a), Sync2Coded::new(a)])
+            .protocols([Sync2::with_alphabet(a), Sync2::with_alphabet(a)])
             .frame_seed(0xE15)
             .build()
             .expect("valid pair");
@@ -477,8 +480,9 @@ mod tests {
         let s = tables[0].to_string();
         assert!(!s.contains("| false |"), "{s}");
         assert_eq!(tables[0].len(), 3);
-        // Rounds and movement instants per row, pinned exactly: 6 rounds
-        // and 5,536 instants in all.
+        // Rounds and movement instants per row, pinned exactly: one
+        // round each (election and flood decide in a single exchange) and
+        // 1,932 instants in all.
         let work: Vec<[&str; 2]> = s
             .lines()
             .skip(3)
@@ -487,6 +491,6 @@ mod tests {
                 [cells[3], cells[4]]
             })
             .collect();
-        assert_eq!(work, [["2", "2112"], ["2", "2880"], ["2", "544"]], "{s}");
+        assert_eq!(work, [["1", "573"], ["1", "573"], ["1", "786"]], "{s}");
     }
 }

@@ -44,7 +44,6 @@
 //! ```
 
 pub mod ack;
-pub mod apps;
 pub mod async2;
 pub mod async_n;
 pub mod backup;
@@ -58,7 +57,6 @@ pub mod preprocess;
 pub mod session;
 pub mod stabilize;
 pub mod sync2;
-pub mod sync2_coded;
 pub mod sync_swarm;
 
 pub use naming::{

@@ -14,16 +14,28 @@
 //! Since both robots move perpendicular to the line between their homes,
 //! their distance never decreases — collision-free without any granular
 //! machinery.
+//!
+//! # Byte coding
+//!
+//! §3.1's optimisation — "the total distance `2σ` … can be divided by the
+//! number of possible bytes" — is [`Sync2::with_alphabet`]: with a
+//! [`LevelAlphabet`], an excursion's *side* and *magnitude* (a fraction of
+//! the lateral step, so scale-invariant) together carry one symbol of
+//! `log2(2·levels)` bits. [`Sync2::new`] is the one-level, one-bit case.
+//! Frames are padded to whole symbols; the receiver drops the tail of the
+//! symbol that completes a frame, so back-to-back messages stay aligned.
 
-use stigmergy_coding::bits::BitQueue;
+use std::collections::VecDeque;
+use stigmergy_coding::alphabet::{Displacement, LevelAlphabet};
 use stigmergy_coding::framing::{encode_frame, FrameDecoder};
-use stigmergy_coding::Bit;
+use stigmergy_coding::{Bit, BitString};
 use stigmergy_geometry::{Point, Tolerance, Vec2};
 use stigmergy_robots::{MovementProtocol, View};
 
 /// The two-robot synchronous movement-coding protocol.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Sync2 {
+    alphabet: LevelAlphabet,
     counter: u64,
     home: Option<Point>,
     peer_home: Option<Point>,
@@ -32,30 +44,63 @@ pub struct Sync2 {
     my_right: Option<Vec2>,
     peer_right: Option<Vec2>,
     lateral_step: f64,
-    outgoing: BitQueue,
+    outgoing: VecDeque<usize>,
     decoder: FrameDecoder,
     inbox: Vec<Vec<u8>>,
     decoded_bits: Vec<Bit>,
     signals_sent: u64,
 }
 
+impl Default for Sync2 {
+    fn default() -> Self {
+        Self::with_alphabet(LevelAlphabet::binary())
+    }
+}
+
 impl Sync2 {
-    /// Creates an idle protocol instance.
+    /// Creates an idle protocol instance with the binary alphabet.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Queues a message for the peer.
+    /// Creates an idle instance signalling with `alphabet` (the §3.1
+    /// byte coding); both robots must use the same one.
+    #[must_use]
+    pub fn with_alphabet(alphabet: LevelAlphabet) -> Self {
+        Self {
+            alphabet,
+            counter: 0,
+            home: None,
+            peer_home: None,
+            my_right: None,
+            peer_right: None,
+            lateral_step: 0.0,
+            outgoing: VecDeque::new(),
+            decoder: FrameDecoder::new(),
+            inbox: Vec::new(),
+            decoded_bits: Vec::new(),
+            signals_sent: 0,
+        }
+    }
+
+    /// The alphabet in use.
+    #[must_use]
+    pub fn alphabet(&self) -> LevelAlphabet {
+        self.alphabet
+    }
+
+    /// Queues a message for the peer. The framed bit stream is packed
+    /// into symbols; the tail is padded to a whole symbol.
     pub fn send(&mut self, payload: &[u8]) {
-        self.outgoing.enqueue(&encode_frame(payload));
+        self.send_raw(&encode_frame(payload));
     }
 
     /// Queues raw bits, bypassing framing — the peer will *decode* the
     /// bits but complete no message until a well-formed frame arrives.
     /// Diagnostics and figure reproductions only.
-    pub fn send_raw(&mut self, bits: &stigmergy_coding::BitString) {
-        self.outgoing.enqueue(bits);
+    pub fn send_raw(&mut self, bits: &BitString) {
+        self.outgoing.extend(self.alphabet.pack(bits));
     }
 
     /// Messages received so far, in order.
@@ -70,31 +115,22 @@ impl Sync2 {
         &self.decoded_bits
     }
 
-    /// Whether all queued bits have been sent.
+    /// Whether all queued symbols have been sent.
     #[must_use]
     pub fn is_drained(&self) -> bool {
         self.outgoing.is_empty()
     }
 
-    /// Number of signal moves made.
+    /// Number of signal moves made (one per symbol).
     #[must_use]
     pub fn signals_sent(&self) -> u64 {
         self.signals_sent
     }
 
-    /// The peer's right-hand direction as seen from `peer_home` facing
-    /// `my_home` — the direction a peer's `0` displacement points to.
-    fn peer_right(&self) -> Option<Vec2> {
-        self.peer_right
-    }
-
-    /// My right-hand direction facing the peer.
-    fn my_right(&self) -> Option<Vec2> {
-        self.my_right
-    }
-
     fn decode_peer(&mut self, peer_pos: Point) {
-        let (Some(peer_home), Some(right)) = (self.peer_home, self.peer_right()) else {
+        // `peer_right` is the peer's right-hand direction facing us — the
+        // direction its zero-side displacements point to.
+        let (Some(peer_home), Some(right)) = (self.peer_home, self.peer_right) else {
             return;
         };
         let disp = peer_pos - peer_home;
@@ -102,10 +138,23 @@ impl Sync2 {
         if tol.zero(disp.norm()) {
             return; // silence
         }
-        let bit = Bit::from_bool(disp.dot(right) < 0.0); // right = 0, left = 1
-        self.decoded_bits.push(bit);
-        if let Some(msg) = self.decoder.push_bit(bit) {
-            self.inbox.push(msg);
+        let u = disp.dot(right);
+        let d = Displacement {
+            one_side: u < 0.0,
+            fraction: (u.abs() / self.lateral_step).clamp(0.0, 1.0),
+        };
+        let Ok(symbol) = self.alphabet.decode(d) else {
+            return;
+        };
+        // Unpack the symbol's bits; if a frame completes mid-symbol, the
+        // remaining bits are sender-side padding — drop them.
+        for i in (0..self.alphabet.bits_per_symbol()).rev() {
+            let bit = Bit::from_bool(symbol & (1 << i) != 0);
+            self.decoded_bits.push(bit);
+            if let Some(msg) = self.decoder.push_bit(bit) {
+                self.inbox.push(msg);
+                break;
+            }
         }
     }
 }
@@ -141,13 +190,17 @@ impl MovementProtocol for Sync2 {
 
         if c.is_multiple_of(2) {
             // Signal instant.
-            let Some(bit) = self.outgoing.dequeue() else {
+            let Some(symbol) = self.outgoing.pop_front() else {
                 return home; // silent
             };
             self.signals_sent += 1;
-            let right = self.my_right().expect("homes are distinct");
-            let dir = if bit.as_bool() { -right } else { right };
-            home + dir * self.lateral_step
+            let d = self
+                .alphabet
+                .encode(symbol)
+                .expect("queued symbols are in range");
+            let right = self.my_right.expect("homes are distinct");
+            let dir = if d.one_side { -right } else { right };
+            home + dir * (self.lateral_step * d.fraction)
         } else {
             // Return instant; the snapshot shows the peer's signal
             // position — decode it first.
@@ -298,23 +351,30 @@ mod tests {
     #[test]
     fn wrong_cohort_size_stays_put() {
         // Three robots running Sync2: everyone safely freezes instead of
-        // mis-signalling.
-        let mut e = Engine::builder()
-            .positions([
-                Point::new(0.0, 0.0),
-                Point::new(8.0, 0.0),
-                Point::new(4.0, 6.0),
-            ])
-            .protocols([Sync2::new(), Sync2::new(), Sync2::new()])
-            .unit_frames()
-            .build()
-            .unwrap();
-        e.protocol_mut(0).send(b"nope");
-        e.run(40).unwrap();
-        for i in 0..3 {
-            assert_eq!(e.trace().path_length(i), 0.0, "robot {i} moved");
+        // mis-signalling — with the byte coding too, which would otherwise
+        // deliver garbage to one robot and the message to the other.
+        for alphabet in [LevelAlphabet::binary(), LevelAlphabet::new(8).unwrap()] {
+            let mut e = Engine::builder()
+                .positions([
+                    Point::new(0.0, 0.0),
+                    Point::new(8.0, 0.0),
+                    Point::new(4.0, 6.0),
+                ])
+                .protocols([0, 1, 2].map(|_| Sync2::with_alphabet(alphabet)))
+                .unit_frames()
+                .build()
+                .unwrap();
+            e.protocol_mut(0).send(b"nope");
+            e.run(40).unwrap();
+            for i in 0..3 {
+                assert_eq!(
+                    e.trace().path_length(i),
+                    0.0,
+                    "{alphabet:?}: robot {i} moved"
+                );
+                assert!(e.protocol(i).inbox().is_empty(), "{alphabet:?}: robot {i}");
+            }
         }
-        assert!(e.protocol(1).inbox().is_empty());
     }
 
     #[test]
@@ -330,5 +390,102 @@ mod tests {
         e.run_until(200, |e| !e.protocol(1).inbox().is_empty())
             .unwrap();
         assert_eq!(e.protocol(1).inbox()[0], b"\xF0".to_vec());
+    }
+
+    fn coded(levels: usize, seed: u64) -> Engine<Sync2> {
+        let a = LevelAlphabet::new(levels).unwrap();
+        Engine::builder()
+            .positions([Point::new(0.0, 0.0), Point::new(8.0, 0.0)])
+            .protocols([Sync2::with_alphabet(a), Sync2::with_alphabet(a)])
+            .frame_seed(seed)
+            .build()
+            .unwrap()
+    }
+
+    #[test]
+    fn binary_alphabet_delivers() {
+        let mut e = coded(1, 1);
+        e.protocol_mut(0).send(b"plain");
+        let out = e
+            .run_until(500, |e| !e.protocol(1).inbox().is_empty())
+            .unwrap();
+        assert!(out.satisfied);
+        assert_eq!(e.protocol(1).inbox()[0], b"plain".to_vec());
+        assert_eq!(e.protocol(0).alphabet(), LevelAlphabet::binary());
+    }
+
+    #[test]
+    fn larger_alphabets_deliver() {
+        for levels in [2usize, 4, 8, 128] {
+            let mut e = coded(levels, 10 + levels as u64);
+            e.protocol_mut(0).send(b"waggle dance!");
+            let out = e
+                .run_until(800, |e| !e.protocol(1).inbox().is_empty())
+                .unwrap();
+            assert!(out.satisfied, "levels={levels}");
+            assert_eq!(e.protocol(1).inbox()[0], b"waggle dance!".to_vec());
+        }
+    }
+
+    #[test]
+    fn byte_alphabet_cuts_moves_eightfold() {
+        // levels = 128 → 256 symbols → 8 bits per move (the paper's
+        // "bytes").
+        let payload = vec![0xC3u8; 32];
+        let mut bin = coded(1, 2);
+        bin.protocol_mut(0).send(&payload);
+        bin.run_until(2_000, |e| !e.protocol(1).inbox().is_empty())
+            .unwrap();
+        let mut byte = coded(128, 3);
+        byte.protocol_mut(0).send(&payload);
+        byte.run_until(2_000, |e| !e.protocol(1).inbox().is_empty())
+            .unwrap();
+        let (b, y) = (
+            bin.protocol(0).signals_sent(),
+            byte.protocol(0).signals_sent(),
+        );
+        assert_eq!(b, y * 8, "binary {b} vs byte {y}");
+        assert_eq!(byte.protocol(1).inbox()[0], payload);
+    }
+
+    #[test]
+    fn back_to_back_messages_stay_aligned() {
+        // The padding-discard logic must keep frame boundaries straight.
+        let mut e = coded(4, 4); // 3 bits per symbol: frames misalign
+        e.protocol_mut(0).send(b"a");
+        e.protocol_mut(0).send(b"bc");
+        e.protocol_mut(0).send(b"def");
+        let out = e
+            .run_until(2_000, |e| e.protocol(1).inbox().len() == 3)
+            .unwrap();
+        assert!(out.satisfied);
+        assert_eq!(
+            e.protocol(1).inbox(),
+            &[b"a".to_vec(), b"bc".to_vec(), b"def".to_vec()]
+        );
+    }
+
+    #[test]
+    fn duplex_with_different_directions() {
+        let mut e = coded(8, 5);
+        e.protocol_mut(0).send(b"fwd");
+        e.protocol_mut(1).send(b"rev");
+        let out = e
+            .run_until(1_000, |e| {
+                !e.protocol(0).inbox().is_empty() && !e.protocol(1).inbox().is_empty()
+            })
+            .unwrap();
+        assert!(out.satisfied);
+        assert_eq!(e.protocol(1).inbox()[0], b"fwd".to_vec());
+        assert_eq!(e.protocol(0).inbox()[0], b"rev".to_vec());
+    }
+
+    #[test]
+    fn coded_silent_when_idle() {
+        let mut e = coded(8, 6);
+        e.run(50).unwrap();
+        assert_eq!(e.trace().path_length(0), 0.0);
+        assert!(e.protocol(0).is_drained());
+        assert_eq!(e.protocol(0).alphabet().size(), 16);
     }
 }

@@ -16,6 +16,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use stigmergy::async2::{Async2, DriftPolicy};
 use stigmergy::sync2::Sync2;
+use stigmergy_coding::alphabet::LevelAlphabet;
 use stigmergy_geometry::Point;
 use stigmergy_robots::{Engine, MovementProtocol};
 use stigmergy_scheduler::Synchronous;
@@ -103,7 +104,30 @@ fn allocation_budgets_hold_on_the_hot_paths() {
          (budget: 1 per 8 activations)"
     );
 
-    // 3. Async2 delivery: the asynchronous protocol carries more state
+    // 3. Transmitting byte-coded Sync2 (256 symbols, 8 bits per move):
+    //    the same budget per frame bit, so unpacking a symbol into its
+    //    bits must stay allocation-free (no per-symbol `BitString`).
+    let byte = LevelAlphabet::new(128).expect("valid alphabet");
+    let mut engine = pair(|| Sync2::with_alphabet(byte), 0xA110C);
+    engine.run(4).expect("collision-free");
+    engine.protocol_mut(0).send(&[0x5A; 32]);
+    let (allocs, outcome) = allocations_during(|| {
+        engine
+            .run_until(4_000, |e| !e.protocol(1).inbox().is_empty())
+            .expect("collision-free")
+    });
+    assert!(
+        outcome.satisfied,
+        "byte-coded Sync2 must deliver within budget"
+    );
+    let frame_bits = 16 + 32 * 8;
+    assert!(
+        allocs * 8 <= frame_bits,
+        "byte-coded Sync2 allocated {allocs} times for {frame_bits} frame bits \
+         (budget: 1 per 8 frame bits)"
+    );
+
+    // 4. Async2 delivery: the asynchronous protocol carries more state
     //    per activation (pending observations, drift bookkeeping), so it
     //    gets a pinned budget instead of zero — measured at well under
     //    0.5 allocations per activation after the rewrite.

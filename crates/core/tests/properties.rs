@@ -6,7 +6,6 @@ use proptest::prelude::*;
 use stigmergy::ack::ChangeTracker;
 use stigmergy::kslice::KSliceSync;
 use stigmergy::sync2::Sync2;
-use stigmergy::sync2_coded::Sync2Coded;
 use stigmergy_coding::alphabet::LevelAlphabet;
 use stigmergy_geometry::Point;
 use stigmergy_robots::{Capabilities, Engine};
@@ -43,7 +42,7 @@ proptest! {
         let alphabet = LevelAlphabet::new(levels).unwrap();
         let mut e = Engine::builder()
             .positions([Point::new(0.0, 0.0), Point::new(10.0, 0.0)])
-            .protocols([Sync2Coded::new(alphabet), Sync2Coded::new(alphabet)])
+            .protocols([Sync2::with_alphabet(alphabet), Sync2::with_alphabet(alphabet)])
             .frame_seed(seed)
             .build()
             .unwrap();

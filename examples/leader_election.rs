@@ -6,44 +6,54 @@
 //!
 //! The paper's point is not chatting for its own sake: once deaf and dumb
 //! robots can exchange messages, **any** message-passing distributed
-//! algorithm runs on top. Here six anonymous robots elect a leader by
-//! flooding the maximum nonce — with every single protocol message
-//! travelling as granular excursions.
+//! algorithm runs on top. Here six anonymous robots elect a leader — each
+//! announces its SEC-naming signature and the unique minimum wins — with
+//! every single protocol message travelling as granular excursions.
 
-use stigmergy::apps::{run_app, LeaderElection};
-use stigmergy::session::SyncNetwork;
-use stigmergy_geometry::Point;
+use stigmergy::election_signature;
+use stigmergy_fleet::{ring, run_session, ProtocolKind, SessionSpec};
+use stigmergy_scheduler::{AlgorithmSpec, CodingSpec, FaultSpec, ScheduleSpec};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let n = 6;
-    let positions: Vec<Point> = (0..n)
-        .map(|k| {
-            let theta = std::f64::consts::TAU * k as f64 / n as f64;
-            Point::new(40.0 * theta.cos(), 40.0 * theta.sin() + k as f64 * 0.1)
-        })
-        .collect();
-    let mut net = SyncNetwork::anonymous_with_direction(positions, 2026)?;
+    // The ring the session starts from. Signatures are similarity-
+    // invariant, so every robot computes these same values from its own
+    // private frame — computing them from world positions is only a
+    // shortcut for printing.
+    let positions = ring(n, 18.0);
+    let signatures = (0..n)
+        .map(|i| election_signature(&positions, i).map(|s| s as u32))
+        .collect::<Result<Vec<u32>, _>>()?;
+    println!("signatures: {signatures:?}\n");
 
-    // Anonymous robots draw nonces (in practice: seeded hardware RNG).
-    let nonces = [831u64, 119, 407, 995, 223, 640];
-    println!("nonces: {nonces:?}\n");
-    let mut apps: Vec<LeaderElection> = nonces.iter().map(|&v| LeaderElection::new(v)).collect();
-
-    let rounds = run_app(&mut net, &mut apps, 20, 400_000)?;
-
-    println!("quiescence after {rounds} message rounds");
-    println!("movement instants consumed: {}", net.engine().time());
-    for (i, app) in apps.iter().enumerate() {
-        println!(
-            "  robot {i}: leader = robot {:?} (nonce {})",
-            app.leader().expect("settled"),
-            app.best_nonce()
-        );
+    let report = run_session(&SessionSpec {
+        protocol: ProtocolKind::AsyncSwarm,
+        algorithm: Some(AlgorithmSpec::Election),
+        schedule: ScheduleSpec::Synchronous,
+        plan: FaultSpec::Benign,
+        seed: 2026,
+        cohort: n,
+        payload: Vec::new(),
+        coding: CodingSpec::Binary,
+        budget_cap: None,
+        keep_trace: false,
+    });
+    if let Some(error) = report.error {
+        return Err(error.into());
     }
-    let leader = apps[0].leader().expect("settled");
-    assert!(
-        apps.iter().all(|a| a.leader() == Some(leader)),
-        "agreement violated"
+    let algo = report.algo.ok_or("not an algorithm session")?;
+    // The runner reports a decision only when every robot reached the
+    // same one, and the election decides only on a unique minimum (a tie
+    // rejects): agreement and uniqueness are checked for us.
+    let winner = algo.decision.ok_or("the election did not decide")?;
+    let leader = signatures
+        .iter()
+        .position(|&s| u64::from(s) == winner)
+        .ok_or("the winner is not a robot's signature")?;
+
+    println!(
+        "decided after {} movement instants ({} channel bits)",
+        report.steps, algo.bits
     );
     println!("\nagreement: all {n} robots elected robot {leader} — without a single radio packet");
     Ok(())

@@ -8,7 +8,8 @@
 //! dumb robots can exchange messages, classical swarm tasks follow. This
 //! example runs a complete mission with zero radio packets:
 //!
-//! 1. **Elect** a leader by max-nonce flooding over the movement channel.
+//! 1. **Elect** a leader by SEC-signature election over the movement
+//!    channel.
 //! 2. **Agree on a point**: the leader broadcasts a rendezvous target
 //!    encoded in the only shared coordinate system anonymous robots have —
 //!    offsets from the smallest-enclosing-circle centre, in units of its
@@ -16,11 +17,13 @@
 //! 3. **Converge**: robots approach the target, each stopping on its own
 //!    ring (ranked by the leader's SEC naming) so nobody collides.
 
-use stigmergy::apps::{run_app, LeaderElection};
+use stigmergy::election_signature;
 use stigmergy::naming::label_by_sec;
 use stigmergy::session::SyncNetwork;
+use stigmergy_fleet::{ring, run_session, ProtocolKind, SessionSpec};
 use stigmergy_geometry::{smallest_enclosing_circle, Point};
 use stigmergy_robots::{Engine, MovementProtocol, View};
+use stigmergy_scheduler::{AlgorithmSpec, CodingSpec, FaultSpec, ScheduleSpec};
 
 /// Phase-3 protocol: walk toward a (locally computed) target, stop on
 /// your assigned ring.
@@ -45,24 +48,43 @@ impl MovementProtocol for Approach {
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let n = 5usize;
     let seed = 4242u64;
-    let positions: Vec<Point> = (0..n)
-        .map(|k| {
-            let theta = std::f64::consts::TAU * k as f64 / n as f64;
-            Point::new(45.0 * theta.cos() + k as f64 * 0.3, 45.0 * theta.sin())
-        })
-        .collect();
+    let positions = ring(n, 18.0);
 
     // ---- Phase 1: leader election over movement signals --------------
+    // Every robot announces its SEC-naming signature; the unique minimum
+    // wins. The runner reports a decision only when all robots agree.
+    let report = run_session(&SessionSpec {
+        protocol: ProtocolKind::AsyncSwarm,
+        algorithm: Some(AlgorithmSpec::Election),
+        schedule: ScheduleSpec::Synchronous,
+        plan: FaultSpec::Benign,
+        seed,
+        cohort: n,
+        payload: Vec::new(),
+        coding: CodingSpec::Binary,
+        budget_cap: None,
+        keep_trace: false,
+    });
+    if let Some(error) = report.error {
+        return Err(error.into());
+    }
+    let winner = report
+        .algo
+        .and_then(|a| a.decision)
+        .ok_or("the election did not decide")?;
+    // Signatures are similarity-invariant: world positions give the same
+    // values every robot derives in its own frame.
+    let signatures = (0..n)
+        .map(|i| election_signature(&positions, i).map(|s| u64::from(s as u32)))
+        .collect::<Result<Vec<u64>, _>>()?;
+    let leader = signatures
+        .iter()
+        .position(|&s| s == winner)
+        .ok_or("the winner is not a robot's signature")?;
+    println!("phase 1: elected robot {leader} (signature {winner:#010x})");
+
+    // The chat network for phase 2 starts from the same ring.
     let mut net = SyncNetwork::anonymous_with_direction(positions.clone(), seed)?;
-    let nonces = [512u64, 77, 903, 268, 431];
-    let mut apps: Vec<LeaderElection> = nonces.iter().map(|&v| LeaderElection::new(v)).collect();
-    run_app(&mut net, &mut apps, 20, 400_000)?;
-    let leader = apps[0].leader().expect("settled");
-    assert!(apps.iter().all(|a| a.leader() == Some(leader)));
-    println!(
-        "phase 1: elected robot {leader} (nonce {})",
-        apps[0].best_nonce()
-    );
 
     // ---- Phase 2: leader broadcasts the rendezvous point --------------
     // Encoded as (dx, dy) from the SEC centre in milli-radii — the shared
