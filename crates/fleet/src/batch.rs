@@ -38,6 +38,9 @@ use stigmergy_geometry::{Point, Vec2};
 use stigmergy_robots::engine::DEFAULT_COLLISION_EPS;
 use stigmergy_robots::{Engine, MovementProtocol};
 use stigmergy_scheduler::rng::SplitMix64;
+use stigmergy_scheduler::wire::{
+    get_seq, put_bytes, put_seq, put_u64, put_u8, Reader, Wire, WireError,
+};
 use stigmergy_scheduler::{AlgorithmSpec, CodingSpec, FaultSpec, ScheduleSpec, WakeAllFirst};
 
 /// Payload every batch session sends, unless overridden.
@@ -189,6 +192,17 @@ impl ProtocolKind {
     #[must_use]
     pub fn from_wire_code(code: u8) -> Option<Self> {
         Self::ALL.into_iter().find(|kind| kind.wire_code() == code)
+    }
+}
+
+impl Wire for ProtocolKind {
+    fn encode_wire(&self, out: &mut Vec<u8>) {
+        put_u8(out, self.wire_code());
+    }
+
+    fn decode_wire(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let tag = r.u8()?;
+        Self::from_wire_code(tag).ok_or(WireError::bad_tag("protocol kind", tag))
     }
 }
 
@@ -382,6 +396,53 @@ impl BatchSpec {
             push_block(ProtocolKind::AsyncSwarm, Some(algorithm));
         }
         out
+    }
+}
+
+/// The gateway's `Submit` payload: the five axes as sequences, then the
+/// shared knobs.
+impl Wire for BatchSpec {
+    fn encode_wire(&self, out: &mut Vec<u8>) {
+        put_seq(out, &self.protocols);
+        put_seq(out, &self.algorithms);
+        put_seq(out, &self.schedules);
+        put_seq(out, &self.plans);
+        put_seq(out, &self.seeds);
+        self.cohort.encode_wire(out);
+        put_bytes(out, &self.payload);
+        match self.budget_cap {
+            Some(cap) => {
+                put_u8(out, 1);
+                put_u64(out, cap);
+            }
+            None => put_u8(out, 0),
+        }
+        put_u8(out, u8::from(self.keep_traces));
+        self.coding.encode_wire(out);
+    }
+
+    fn decode_wire(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        // Fields in wire order: a struct literal evaluates in source order.
+        Ok(BatchSpec {
+            protocols: get_seq(r, "protocols")?,
+            algorithms: get_seq(r, "algorithms")?,
+            schedules: get_seq(r, "schedules")?,
+            plans: get_seq(r, "plans")?,
+            seeds: get_seq(r, "seeds")?,
+            cohort: usize::decode_wire(r)?,
+            payload: r.bytes("payload")?,
+            budget_cap: match r.u8()? {
+                0 => None,
+                1 => Some(r.u64()?),
+                tag => return Err(WireError::bad_tag("budget cap flag", tag)),
+            },
+            keep_traces: match r.u8()? {
+                0 => false,
+                1 => true,
+                tag => return Err(WireError::bad_tag("keep-traces flag", tag)),
+            },
+            coding: CodingSpec::decode_wire(r)?,
+        })
     }
 }
 

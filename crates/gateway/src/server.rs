@@ -102,6 +102,9 @@ const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// Validates a job request against the serving limits, so a hostile or
 /// buggy spec is rejected at admission instead of panicking the runner.
+/// Whether a spec is legal at all is the spec's own rule
+/// (`ScheduleSpec::validate` and its siblings, `fleet::paced_config` for
+/// the coding); this adds only what the gateway is willing to serve.
 ///
 /// # Errors
 ///
@@ -155,127 +158,19 @@ pub fn validate_request(req: &JobRequest, config: &GatewayConfig) -> Result<(), 
     if sessions > MAX_SESSIONS {
         return Err(format!("{sessions} sessions exceed the {MAX_SESSIONS} cap"));
     }
+    // Each spec's own rule: the contract of what the sessions build.
     for algorithm in &spec.algorithms {
-        validate_algorithm(algorithm, spec.cohort)?;
+        algorithm.validate(spec.cohort)?;
     }
     for schedule in &spec.schedules {
-        validate_schedule(schedule, spec.cohort)?;
+        schedule.validate(spec.cohort)?;
     }
     for plan in &spec.plans {
-        validate_plan(plan, spec.cohort)?;
+        plan.validate(spec.cohort)?;
     }
-    // The same check the sessions apply, so the rule lives in one place.
     stigmergy_fleet::paced_config(spec.coding)
         .map_err(|e| format!("{} coding: {e}", spec.coding.name()))?;
     Ok(())
-}
-
-fn validate_algorithm(
-    spec: &stigmergy_scheduler::AlgorithmSpec,
-    cohort: usize,
-) -> Result<(), String> {
-    use stigmergy_scheduler::AlgorithmSpec as A;
-    match spec {
-        A::Flood { initiator } => {
-            if *initiator >= cohort {
-                return Err(format!(
-                    "flood initiator {initiator} outside cohort {cohort}"
-                ));
-            }
-        }
-        A::Election => {}
-        A::Agreement { inputs } => {
-            if cohort < 64 && inputs >> cohort != 0 {
-                return Err(format!(
-                    "agreement inputs {inputs:#x} has bits beyond cohort {cohort}"
-                ));
-            }
-        }
-    }
-    Ok(())
-}
-
-fn validate_schedule(
-    spec: &stigmergy_scheduler::ScheduleSpec,
-    cohort: usize,
-) -> Result<(), String> {
-    use stigmergy_scheduler::ScheduleSpec as S;
-    match spec {
-        S::Synchronous | S::RoundRobin | S::LaggingReceiver { .. } => {}
-        S::FairAsync { p, max_gap, .. } => {
-            if !(*p > 0.0 && *p <= 1.0) {
-                return Err(format!("fair-async p {p} outside (0, 1]"));
-            }
-            if *max_gap == 0 {
-                return Err("fair-async max_gap must be positive".into());
-            }
-        }
-        S::SingleActive { max_gap, .. } => {
-            if *max_gap == 0 {
-                return Err("single-active max_gap must be positive".into());
-            }
-        }
-        S::Lagging { victim, .. } => {
-            if *victim >= cohort {
-                return Err(format!("lagging victim {victim} outside cohort {cohort}"));
-            }
-        }
-        S::Bursty { burst_len, .. } => {
-            if *burst_len == 0 {
-                return Err("bursty burst_len must be positive".into());
-            }
-        }
-        S::WorstCaseFair { max_gap } => {
-            if *max_gap == 0 {
-                return Err("worst-case-fair max_gap must be positive".into());
-            }
-        }
-        S::CrashFiltered { inner } => validate_schedule(inner, cohort)?,
-        S::Scripted { script } => {
-            if script.is_empty() {
-                return Err("scripted schedule has no steps".into());
-            }
-            for (t, step) in script.iter().enumerate() {
-                if step.is_empty() {
-                    return Err(format!("scripted step {t} activates no robot"));
-                }
-                if let Some(&robot) = step.iter().find(|&&r| r >= cohort) {
-                    return Err(format!(
-                        "scripted step {t} activates robot {robot} outside cohort {cohort}"
-                    ));
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
-fn validate_plan(spec: &stigmergy_scheduler::FaultSpec, cohort: usize) -> Result<(), String> {
-    use stigmergy_scheduler::FaultSpec as F;
-    let unit = |what: &str, x: f64| -> Result<(), String> {
-        if (0.0..=1.0).contains(&x) {
-            Ok(())
-        } else {
-            Err(format!("{what} {x} outside [0, 1]"))
-        }
-    };
-    match spec {
-        F::Benign => Ok(()),
-        F::NonRigid { delta, prob } => {
-            unit("non-rigid delta", *delta)?;
-            unit("non-rigid prob", *prob)
-        }
-        F::Dropout { prob } => unit("dropout prob", *prob),
-        F::Crash {
-            robot, delta, prob, ..
-        } => {
-            if *robot >= cohort {
-                return Err(format!("crash robot {robot} outside cohort {cohort}"));
-            }
-            unit("crash delta", *delta)?;
-            unit("crash prob", *prob)
-        }
-    }
 }
 
 /// One accepted job, parked in the bounded queue.
@@ -1022,6 +917,53 @@ mod tests {
         assert!(validate_request(&bad_prob, &GatewayConfig::default())
             .expect_err("prob out of range")
             .contains("outside [0, 1]"));
+
+        // Shapes that break a constructor's `# Panics` contract: each
+        // would panic every session it ran in.
+        let schedules = [
+            ScheduleSpec::Bursty {
+                seed: 1,
+                burst_len: 3,
+                lull_len: 0,
+            },
+            ScheduleSpec::LaggingReceiver { max_gap: 0 },
+            ScheduleSpec::Lagging {
+                victim: 0,
+                max_gap: 0,
+            },
+        ];
+        for schedule in schedules {
+            let mut request = small_request();
+            request.spec.schedules = vec![schedule.clone()];
+            assert!(
+                validate_request(&request, &GatewayConfig::default())
+                    .expect_err("zero-length phase or gap")
+                    .contains("must be positive"),
+                "{schedule:?}"
+            );
+        }
+        let plans = [
+            FaultSpec::NonRigid {
+                delta: 0.0,
+                prob: 0.5,
+            },
+            FaultSpec::Crash {
+                robot: 1,
+                time: 35,
+                delta: 0.0,
+                prob: 0.25,
+            },
+        ];
+        for plan in plans {
+            let mut request = small_request();
+            request.spec.plans = vec![plan.clone()];
+            assert!(
+                validate_request(&request, &GatewayConfig::default())
+                    .expect_err("delta of zero")
+                    .contains("outside (0, 1]"),
+                "{plan:?}"
+            );
+        }
     }
 
     #[test]

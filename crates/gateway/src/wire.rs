@@ -11,20 +11,24 @@
 //! CRC-8 from `stigmergy-coding::checksum` — the same integrity check the
 //! robots' wireless backup channel uses, so the serving layer eats its
 //! own dogfood: a flipped bit anywhere in a frame is detected and the
-//! frame rejected, never silently misparsed. Inside the body, spec
-//! payloads reuse the canonical `scheduler::wire` encoding; a
-//! [`BatchSpec`] submitted over the wire decodes to a value `==` to the
-//! one the client held, which is what makes the gateway's determinism
-//! guarantee meaningful end to end.
+//! frame rejected, never silently misparsed. This module knows only the
+//! framing: every payload inside a body is a `scheduler::wire::Wire`
+//! value whose codec lives with its type — the specs in
+//! `scheduler::wire`, [`BatchSpec`] and `ProtocolKind` in `fleet::batch`,
+//! and the job request and reply enums here. A [`BatchSpec`] submitted
+//! over the wire decodes to a value `==` to the one the client held,
+//! which is what makes the gateway's determinism guarantee meaningful end
+//! to end; `tests/golden/submit-v3.hex` and `done-v3.hex` pin the bytes.
 //!
 //! The first frame on a connection must be [`Message::Hello`] carrying
 //! [`WIRE_VERSION`]; the server answers [`Message::HelloOk`] or closes.
 //! Frames larger than [`MAX_FRAME`] are rejected before allocation.
 
 use stigmergy_coding::checksum;
-use stigmergy_fleet::{BatchSpec, ProtocolKind};
-use stigmergy_scheduler::wire::{put_bytes, put_u32, put_u64, put_u8, Reader, WireError};
-use stigmergy_scheduler::{AlgorithmSpec, CodingSpec, FaultSpec, ScheduleSpec};
+use stigmergy_fleet::BatchSpec;
+use stigmergy_scheduler::wire::{
+    get_seq, put_bytes, put_seq, put_u32, put_u64, put_u8, Reader, Wire, WireError,
+};
 
 use crate::GatewayError;
 
@@ -49,6 +53,23 @@ pub struct JobRequest {
     pub workers: u64,
     /// Wall-clock deadline in milliseconds from acceptance; `0` = none.
     pub deadline_ms: u64,
+}
+
+impl Wire for JobRequest {
+    fn encode_wire(&self, out: &mut Vec<u8>) {
+        put_u64(out, self.workers);
+        put_u64(out, self.deadline_ms);
+        self.spec.encode_wire(out);
+    }
+
+    fn decode_wire(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        // Fields in wire order: a struct literal evaluates in source order.
+        Ok(JobRequest {
+            workers: r.u64()?,
+            deadline_ms: r.u64()?,
+            spec: BatchSpec::decode_wire(r)?,
+        })
+    }
 }
 
 /// Why a submission was not accepted. Typed, so clients can distinguish
@@ -81,6 +102,33 @@ impl std::fmt::Display for RejectReason {
     }
 }
 
+impl Wire for RejectReason {
+    fn encode_wire(&self, out: &mut Vec<u8>) {
+        match self {
+            RejectReason::QueueFull { capacity } => {
+                put_u8(out, 0);
+                put_u64(out, *capacity);
+            }
+            RejectReason::ShuttingDown => put_u8(out, 1),
+            RejectReason::InvalidSpec { detail } => {
+                put_u8(out, 2);
+                put_bytes(out, detail.as_bytes());
+            }
+        }
+    }
+
+    fn decode_wire(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(match r.u8()? {
+            0 => RejectReason::QueueFull { capacity: r.u64()? },
+            1 => RejectReason::ShuttingDown,
+            2 => RejectReason::InvalidSpec {
+                detail: decode_string(r, "reject detail")?,
+            },
+            tag => return Err(WireError::bad_tag("reject reason", tag)),
+        })
+    }
+}
+
 /// Why an accepted job did not complete.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FailReason {
@@ -105,6 +153,30 @@ impl std::fmt::Display for FailReason {
     }
 }
 
+impl Wire for FailReason {
+    fn encode_wire(&self, out: &mut Vec<u8>) {
+        match self {
+            FailReason::Cancelled => put_u8(out, 0),
+            FailReason::DeadlineExceeded => put_u8(out, 1),
+            FailReason::Internal { detail } => {
+                put_u8(out, 2);
+                put_bytes(out, detail.as_bytes());
+            }
+        }
+    }
+
+    fn decode_wire(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(match r.u8()? {
+            0 => FailReason::Cancelled,
+            1 => FailReason::DeadlineExceeded,
+            2 => FailReason::Internal {
+                detail: decode_string(r, "fail detail")?,
+            },
+            tag => return Err(WireError::bad_tag("fail reason", tag)),
+        })
+    }
+}
+
 /// What a cancellation request found.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CancelState {
@@ -117,6 +189,30 @@ pub enum CancelState {
     Finished,
     /// No job with that id was ever accepted.
     Unknown,
+}
+
+impl Wire for CancelState {
+    fn encode_wire(&self, out: &mut Vec<u8>) {
+        put_u8(
+            out,
+            match self {
+                CancelState::Dequeued => 0,
+                CancelState::Signalled => 1,
+                CancelState::Finished => 2,
+                CancelState::Unknown => 3,
+            },
+        );
+    }
+
+    fn decode_wire(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(match r.u8()? {
+            0 => CancelState::Dequeued,
+            1 => CancelState::Signalled,
+            2 => CancelState::Finished,
+            3 => CancelState::Unknown,
+            tag => return Err(WireError::bad_tag("cancel state", tag)),
+        })
+    }
 }
 
 /// Every frame the protocol speaks, both directions.
@@ -228,26 +324,12 @@ impl Message {
             Message::Hello { version } | Message::HelloOk { version } => {
                 put_u32(&mut out, u32::from(*version));
             }
-            Message::Submit { request } => {
-                put_u64(&mut out, request.workers);
-                put_u64(&mut out, request.deadline_ms);
-                put_batch_spec(&mut out, &request.spec);
-            }
+            Message::Submit { request } => request.encode_wire(&mut out),
             Message::Accepted { job, queued_ahead } => {
                 put_u64(&mut out, *job);
                 put_u64(&mut out, *queued_ahead);
             }
-            Message::Rejected { reason } => match reason {
-                RejectReason::QueueFull { capacity } => {
-                    put_u8(&mut out, 0);
-                    put_u64(&mut out, *capacity);
-                }
-                RejectReason::ShuttingDown => put_u8(&mut out, 1),
-                RejectReason::InvalidSpec { detail } => {
-                    put_u8(&mut out, 2);
-                    put_bytes(&mut out, detail.as_bytes());
-                }
-            },
+            Message::Rejected { reason } => reason.encode_wire(&mut out),
             Message::Progress {
                 job,
                 completed,
@@ -263,38 +345,17 @@ impl Message {
                 metrics_json,
             } => {
                 put_u64(&mut out, *job);
-                put_u32(
-                    &mut out,
-                    u32::try_from(fingerprints.len()).expect("fingerprints fit u32"),
-                );
-                for fp in fingerprints {
-                    put_u64(&mut out, *fp);
-                }
+                put_seq(&mut out, fingerprints);
                 put_bytes(&mut out, metrics_json.as_bytes());
             }
             Message::Failed { job, reason } => {
                 put_u64(&mut out, *job);
-                match reason {
-                    FailReason::Cancelled => put_u8(&mut out, 0),
-                    FailReason::DeadlineExceeded => put_u8(&mut out, 1),
-                    FailReason::Internal { detail } => {
-                        put_u8(&mut out, 2);
-                        put_bytes(&mut out, detail.as_bytes());
-                    }
-                }
+                reason.encode_wire(&mut out);
             }
             Message::Cancel { job } => put_u64(&mut out, *job),
             Message::CancelOk { job, state } => {
                 put_u64(&mut out, *job);
-                put_u8(
-                    &mut out,
-                    match state {
-                        CancelState::Dequeued => 0,
-                        CancelState::Signalled => 1,
-                        CancelState::Finished => 2,
-                        CancelState::Unknown => 3,
-                    },
-                );
+                state.encode_wire(&mut out);
             }
             Message::StatsOk { json } => put_bytes(&mut out, json.as_bytes()),
             Message::Stats | Message::Shutdown | Message::ShutdownOk => {}
@@ -317,87 +378,34 @@ impl Message {
             0x02 => Message::HelloOk {
                 version: decode_version(&mut r)?,
             },
-            0x10 => {
-                let workers = r.u64()?;
-                let deadline_ms = r.u64()?;
-                let spec = get_batch_spec(&mut r)?;
-                Message::Submit {
-                    request: JobRequest {
-                        spec,
-                        workers,
-                        deadline_ms,
-                    },
-                }
-            }
+            0x10 => Message::Submit {
+                request: JobRequest::decode_wire(&mut r)?,
+            },
             0x11 => Message::Accepted {
                 job: r.u64()?,
                 queued_ahead: r.u64()?,
             },
             0x12 => Message::Rejected {
-                reason: match r.u8()? {
-                    0 => RejectReason::QueueFull { capacity: r.u64()? },
-                    1 => RejectReason::ShuttingDown,
-                    2 => RejectReason::InvalidSpec {
-                        detail: decode_string(&mut r, "reject detail")?,
-                    },
-                    tag => {
-                        return Err(WireError::BadTag {
-                            what: "reject reason",
-                            tag,
-                        })
-                    }
-                },
+                reason: RejectReason::decode_wire(&mut r)?,
             },
             0x13 => Message::Progress {
                 job: r.u64()?,
                 completed: r.u64()?,
                 total: r.u64()?,
             },
-            0x14 => {
-                let job = r.u64()?;
-                let n = r.seq_len("fingerprints")?;
-                let mut fingerprints = Vec::with_capacity(n);
-                for _ in 0..n {
-                    fingerprints.push(r.u64()?);
-                }
-                let metrics_json = decode_string(&mut r, "metrics json")?;
-                Message::Done {
-                    job,
-                    fingerprints,
-                    metrics_json,
-                }
-            }
+            0x14 => Message::Done {
+                job: r.u64()?,
+                fingerprints: get_seq(&mut r, "fingerprints")?,
+                metrics_json: decode_string(&mut r, "metrics json")?,
+            },
             0x15 => Message::Failed {
                 job: r.u64()?,
-                reason: match r.u8()? {
-                    0 => FailReason::Cancelled,
-                    1 => FailReason::DeadlineExceeded,
-                    2 => FailReason::Internal {
-                        detail: decode_string(&mut r, "fail detail")?,
-                    },
-                    tag => {
-                        return Err(WireError::BadTag {
-                            what: "fail reason",
-                            tag,
-                        })
-                    }
-                },
+                reason: FailReason::decode_wire(&mut r)?,
             },
             0x20 => Message::Cancel { job: r.u64()? },
             0x21 => Message::CancelOk {
                 job: r.u64()?,
-                state: match r.u8()? {
-                    0 => CancelState::Dequeued,
-                    1 => CancelState::Signalled,
-                    2 => CancelState::Finished,
-                    3 => CancelState::Unknown,
-                    tag => {
-                        return Err(WireError::BadTag {
-                            what: "cancel state",
-                            tag,
-                        })
-                    }
-                },
+                state: CancelState::decode_wire(&mut r)?,
             },
             0x30 => Message::Stats,
             0x31 => Message::StatsOk {
@@ -405,12 +413,7 @@ impl Message {
             },
             0x40 => Message::Shutdown,
             0x41 => Message::ShutdownOk,
-            tag => {
-                return Err(WireError::BadTag {
-                    what: "message kind",
-                    tag,
-                })
-            }
+            tag => return Err(WireError::bad_tag("message kind", tag)),
         };
         r.finish()?;
         Ok(msg)
@@ -425,116 +428,6 @@ fn decode_version(r: &mut Reader<'_>) -> Result<u16, WireError> {
 
 fn decode_string(r: &mut Reader<'_>, what: &'static str) -> Result<String, WireError> {
     String::from_utf8(r.bytes(what)?).map_err(|_| WireError::BadValue { what })
-}
-
-/// Appends the canonical encoding of a [`BatchSpec`].
-pub fn put_batch_spec(out: &mut Vec<u8>, spec: &BatchSpec) {
-    let len32 = |n: usize| u32::try_from(n).expect("sequence fits u32");
-    put_u32(out, len32(spec.protocols.len()));
-    for p in &spec.protocols {
-        put_u8(out, p.wire_code());
-    }
-    put_u32(out, len32(spec.algorithms.len()));
-    for a in &spec.algorithms {
-        a.encode_wire(out);
-    }
-    put_u32(out, len32(spec.schedules.len()));
-    for s in &spec.schedules {
-        s.encode_wire(out);
-    }
-    put_u32(out, len32(spec.plans.len()));
-    for p in &spec.plans {
-        p.encode_wire(out);
-    }
-    put_u32(out, len32(spec.seeds.len()));
-    for &seed in &spec.seeds {
-        put_u64(out, seed);
-    }
-    put_u64(out, spec.cohort as u64);
-    put_bytes(out, &spec.payload);
-    match spec.budget_cap {
-        Some(cap) => {
-            put_u8(out, 1);
-            put_u64(out, cap);
-        }
-        None => put_u8(out, 0),
-    }
-    put_u8(out, u8::from(spec.keep_traces));
-    spec.coding.encode_wire(out);
-}
-
-/// Decodes a [`BatchSpec`] (inverse of [`put_batch_spec`]).
-///
-/// # Errors
-///
-/// [`WireError`] on any structural problem.
-pub fn get_batch_spec(r: &mut Reader<'_>) -> Result<BatchSpec, WireError> {
-    let n = r.seq_len("protocols")?;
-    let mut protocols = Vec::with_capacity(n);
-    for _ in 0..n {
-        let code = r.u8()?;
-        protocols.push(ProtocolKind::from_wire_code(code).ok_or(WireError::BadTag {
-            what: "protocol kind",
-            tag: code,
-        })?);
-    }
-    let n = r.seq_len("algorithms")?;
-    let mut algorithms = Vec::with_capacity(n);
-    for _ in 0..n {
-        algorithms.push(AlgorithmSpec::decode_wire(r)?);
-    }
-    let n = r.seq_len("schedules")?;
-    let mut schedules = Vec::with_capacity(n);
-    for _ in 0..n {
-        schedules.push(ScheduleSpec::decode_wire(r)?);
-    }
-    let n = r.seq_len("plans")?;
-    let mut plans = Vec::with_capacity(n);
-    for _ in 0..n {
-        plans.push(FaultSpec::decode_wire(r)?);
-    }
-    let n = r.seq_len("seeds")?;
-    let mut seeds = Vec::with_capacity(n);
-    for _ in 0..n {
-        seeds.push(r.u64()?);
-    }
-    let cohort = usize::try_from(r.u64()?).map_err(|_| WireError::BadValue {
-        what: "cohort exceeds usize",
-    })?;
-    let payload = r.bytes("payload")?;
-    let budget_cap = match r.u8()? {
-        0 => None,
-        1 => Some(r.u64()?),
-        tag => {
-            return Err(WireError::BadTag {
-                what: "budget cap flag",
-                tag,
-            })
-        }
-    };
-    let keep_traces = match r.u8()? {
-        0 => false,
-        1 => true,
-        tag => {
-            return Err(WireError::BadTag {
-                what: "keep-traces flag",
-                tag,
-            })
-        }
-    };
-    let coding = CodingSpec::decode_wire(r)?;
-    Ok(BatchSpec {
-        protocols,
-        algorithms,
-        schedules,
-        plans,
-        seeds,
-        cohort,
-        payload,
-        budget_cap,
-        keep_traces,
-        coding,
-    })
 }
 
 /// Writes one CRC-protected frame with a single `write_all`.
@@ -642,6 +535,8 @@ impl FrameBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    use stigmergy_scheduler::CodingSpec;
 
     fn sample_spec() -> BatchSpec {
         BatchSpec {
@@ -860,12 +755,7 @@ mod tests {
                 coding,
                 ..sample_spec()
             };
-            let mut buf = Vec::new();
-            put_batch_spec(&mut buf, &spec);
-            let mut r = Reader::new(&buf);
-            let back = get_batch_spec(&mut r).unwrap();
-            r.finish().unwrap();
-            assert_eq!(back, spec);
+            assert_eq!(BatchSpec::from_wire(&spec.to_wire()).unwrap(), spec);
         }
     }
 

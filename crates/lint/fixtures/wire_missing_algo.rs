@@ -1,8 +1,8 @@
 //! Seeded violation: an `AlgorithmSpec` variant added without a decode
 //! arm. `decode_wire` hides `Agreement` behind a wildcard — the exact
-//! hazard the explicit scheduler↔wire pairing guards in the workspace,
-//! reproduced here in same-file-inference form so the selftest can pin
-//! it without a multi-file harness. Expected: 1 × wire-completeness.
+//! hazard inference guards across `scheduler::factory` and
+//! `scheduler::wire` in the workspace, reproduced here in one file so
+//! the binary can be pointed at it. Expected: 1 × wire-completeness.
 
 pub enum AlgorithmSpec {
     Flood { initiator: usize },

@@ -33,9 +33,10 @@ pub const PANIC_BUDGETS: &[(&str, usize)] = &[
     // under the same guard, 2 on thread joins, plus 2 bounds-checked
     // index expressions; the ratchet pins today's count exactly.
     ("crates/gateway/src/server.rs", 22),
-    // 2 `.expect` in length-validated encode paths + 1 length-checked
-    // `self.buf[..4]` (guarded by the `len < 4` early return).
-    ("crates/gateway/src/wire.rs", 3),
+    // 1 length-checked `self.buf[..4]` (guarded by the `len < 4` early
+    // return); the payload codecs and their length prefixes live in
+    // `scheduler::wire` and `fleet::batch`.
+    ("crates/gateway/src/wire.rs", 1),
 ];
 
 /// Files in lock-discipline scope (guards may exist, but must not be
@@ -104,14 +105,6 @@ pub const PANIC_REACH_BUDGET: &[(&str, &str)] = &[
     // --- our own side (documented # Panics), decode panics are
     // --- length-guarded
     (
-        "gateway::wire::Message::encode",
-        "encode-side .expect on values validated at admission; encoding our own rejected range is a logic error",
-    ),
-    (
-        "gateway::wire::put_batch_spec",
-        "encode-side .expect on spec fields the admission check already bounded",
-    ),
-    (
         "FrameBuffer::next_frame",
         "self.buf[..4] indexing guarded by the len < 4 early return on the previous line",
     ),
@@ -128,8 +121,8 @@ pub const PANIC_REACH_BUDGET: &[(&str, &str)] = &[
         "documented # Panics contract: encoding a sequence the decoder must reject is a caller logic error",
     ),
     (
-        "ScheduleSpec::encode_wire",
-        "encode-side .expect on counts the factory validated; specs round-trip through the same caps",
+        "scheduler::wire::put_len",
+        "documented # Panics contract: the one shared length prefix; a sequence past u32::MAX items cannot fit a frame",
     ),
     // --- fleet pool: every index is derived from ranges asserted at
     // --- construction; the asserts themselves are the validation
@@ -203,77 +196,20 @@ pub const FLOAT_EXEMPT_CRATE: &str = "geometry";
 /// (after typed-receiver, chained-field, and call-result inference).
 pub const MAX_UNION_FRACTION: f64 = 0.15;
 
-/// The explicit cross-file enum↔codec table.
+/// The enum↔codec pairings inference cannot see. Every other codec —
+/// inherent or `impl Wire for E` — is paired with its enum by
+/// `wire_complete::check_inferred_workspace`.
 #[must_use]
 pub fn wire_pairings() -> Vec<Pairing<'static>> {
-    const SPEC_FNS: &[&str] = &["encode_wire", "decode_wire"];
-    // `ScheduleSpec::decode_wire` is a thin shim over the depth-tracked
-    // `decode_nested` (recursion guard for `CrashFiltered`); the match
-    // arms — what completeness is about — live in the helper.
-    const SCHED_FNS: &[&str] = &["encode_wire", "decode_nested"];
-    const MSG_FNS: &[&str] = &["kind", "encode", "decode"];
-    const SUB_FNS: &[&str] = &["encode", "decode"];
     // `ProtocolKind`'s wire code is a column of its one table; `row` is
     // the only fn that matches on the variants.
-    const PROTO_FNS: &[&str] = &["row"];
-    vec![
-        Pairing {
-            enum_file: "crates/scheduler/src/factory.rs",
-            enum_name: "ScheduleSpec",
-            codec_file: "crates/scheduler/src/wire.rs",
-            impl_name: "ScheduleSpec",
-            fns: SCHED_FNS,
-        },
-        Pairing {
-            enum_file: "crates/scheduler/src/factory.rs",
-            enum_name: "AlgorithmSpec",
-            codec_file: "crates/scheduler/src/wire.rs",
-            impl_name: "AlgorithmSpec",
-            fns: SPEC_FNS,
-        },
-        Pairing {
-            enum_file: "crates/scheduler/src/factory.rs",
-            enum_name: "FaultSpec",
-            codec_file: "crates/scheduler/src/wire.rs",
-            impl_name: "FaultSpec",
-            fns: SPEC_FNS,
-        },
-        Pairing {
-            enum_file: "crates/gateway/src/wire.rs",
-            enum_name: "Message",
-            codec_file: "crates/gateway/src/wire.rs",
-            impl_name: "Message",
-            fns: MSG_FNS,
-        },
-        Pairing {
-            enum_file: "crates/gateway/src/wire.rs",
-            enum_name: "RejectReason",
-            codec_file: "crates/gateway/src/wire.rs",
-            impl_name: "Message",
-            fns: SUB_FNS,
-        },
-        Pairing {
-            enum_file: "crates/gateway/src/wire.rs",
-            enum_name: "FailReason",
-            codec_file: "crates/gateway/src/wire.rs",
-            impl_name: "Message",
-            fns: SUB_FNS,
-        },
-        Pairing {
-            enum_file: "crates/gateway/src/wire.rs",
-            enum_name: "CancelState",
-            codec_file: "crates/gateway/src/wire.rs",
-            impl_name: "Message",
-            fns: SUB_FNS,
-        },
-        Pairing {
-            enum_file: "crates/fleet/src/batch.rs",
-            enum_name: "ProtocolKind",
-            codec_file: "crates/fleet/src/batch.rs",
-            impl_name: "ProtocolKind",
-            fns: PROTO_FNS,
-        },
-    ]
+    vec![Pairing {
+        enum_file: "crates/fleet/src/batch.rs",
+        enum_name: "ProtocolKind",
+        codec_file: "crates/fleet/src/batch.rs",
+        impl_name: "ProtocolKind",
+        fns: &["row"],
+    }]
 }
 
 /// The panic budget for a workspace-relative path (0 if unlisted).

@@ -2,11 +2,10 @@
 //! codec's match arms.
 //!
 //! Adding a `ScheduleSpec`/`FaultSpec`/gateway `Message` variant
-//! without touching the encode/decode arms currently surfaces as a
-//! proptest flake (or worse, a silent wire error). This pass makes it
-//! a lint failure: for each configured (enum, codec fns) pair, every
-//! variant name must occur as an identifier inside every listed codec
-//! fn body.
+//! without touching the encode/decode arms would surface as a proptest
+//! flake (or worse, a silent wire error). This pass makes it a lint
+//! failure: for each (enum, codec fns) pair, every variant name must
+//! occur as an identifier inside every codec fn body.
 //!
 //! Matching is by identifier occurrence, not full pattern analysis: a
 //! decode arm that names the variant (`ScheduleSpec::Bursty { .. }` or
@@ -17,19 +16,21 @@
 //! Pairing comes from two sources:
 //!
 //! - Symbol-graph inference: every workspace `enum E` is paired with
-//!   every inherent `impl E` holding fns named in [`CODEC_FNS`],
-//!   across file and crate boundaries ([`check_inferred_workspace`]).
-//! - An explicit table in [`crate::config`] for the cases inference
-//!   would get wrong — codecs whose arms live in a helper fn, and
-//!   sub-enums encoded by a parent's codec. A table row *replaces*
-//!   inference for its enum.
+//!   every `impl E` or `impl Trait for E` (e.g. `impl Wire for E`)
+//!   holding fns named in [`CODEC_FNS`], across file and crate
+//!   boundaries ([`check_inferred_workspace`]).
+//! - An explicit table in [`crate::config`] for what inference cannot
+//!   see — a codec whose arms live in a differently named fn (today
+//!   only `ProtocolKind::row`). A table row *replaces* inference for
+//!   its enum.
 
+use crate::lexer::TokKind;
 use crate::scan::{enum_variants, find_enums, find_fn_bodies, FileTokens};
 use crate::Violation;
 
 pub const RULE: &str = "wire-completeness";
 
-/// Fn names that mark an inherent impl as a codec.
+/// Fn names that mark an impl as a codec.
 pub const CODEC_FNS: &[&str] = &[
     "encode",
     "decode",
@@ -48,9 +49,8 @@ pub struct Pairing<'a> {
     pub enum_name: &'a str,
     /// File holding the codec impl.
     pub codec_file: &'a str,
-    /// Name of the inherent impl holding the codec fns. Usually the
-    /// enum itself, but sub-enums ride inside a parent's codec (e.g.
-    /// `RejectReason` is encoded by `Message::encode`).
+    /// Name of the type whose impls hold the codec fns. Usually the
+    /// enum itself, but a sub-enum may ride inside a parent's codec.
     pub impl_name: &'a str,
     /// Codec fns each variant must appear in. A fn listed here but
     /// absent from the impl is itself a violation.
@@ -100,41 +100,25 @@ pub fn check_pairing(
             });
             continue;
         };
-        let mut named = std::collections::BTreeSet::new();
-        for i in codec_ft.all_code_indices() {
-            if i > body_open
-                && i < body_close
-                && codec_ft.toks[i].kind == crate::lexer::TokKind::Ident
-            {
-                named.insert(codec_ft.toks[i].text.clone());
-            }
-        }
-        for v in &variants {
-            if !named.contains(v) && !codec_ft.is_suppressed(RULE, codec_ft.toks[body_open].line) {
-                out.push(Violation {
-                    file: pairing.codec_file.to_string(),
-                    line: codec_ft.toks[body_open].line,
-                    rule: RULE,
-                    message: format!(
-                        "`{}::{fname}` has no arm naming `{}::{v}`; \
-                         a wildcard arm would hide it on the wire",
-                        pairing.impl_name, pairing.enum_name
-                    ),
-                });
-            }
-        }
+        out.extend(unnamed_variants(
+            codec_ft,
+            (body_open, body_close),
+            &format!("{}::{fname}", pairing.impl_name),
+            pairing.enum_name,
+            &variants,
+        ));
     }
     out
 }
 
 /// Symbol-graph inference: pair every workspace `enum E` with the
-/// inherent `impl E` blocks holding codec-named fns, wherever those
-/// impls live. An enum declared in `scheduler::factory` with its
-/// codec in `scheduler::wire` is checked with no table entry. Enums
-/// the explicit table covers are skipped entirely — a table row is a
-/// reviewed statement of *which* fns carry the arms (e.g.
-/// `ScheduleSpec` decodes through the `decode_nested` helper, and
-/// inferring on its `decode_wire` shim would be a false positive).
+/// `impl E` and `impl Trait for E` blocks holding codec-named fns,
+/// wherever those impls live. An enum declared in `scheduler::factory`
+/// with its `impl Wire` in `scheduler::wire` is checked with no table
+/// entry. Enums the explicit table covers are skipped entirely — a
+/// table row is a reviewed statement of *which* fns carry the arms
+/// (`ProtocolKind`'s `encode_wire` reads a column of its `row` table,
+/// and inferring on it would be a false positive).
 #[must_use]
 pub fn check_inferred_workspace(
     idx: &crate::WorkspaceIndex,
@@ -154,7 +138,7 @@ pub fn check_inferred_workspace(
         let enum_ft = &idx.files[e.file_idx];
         let variants = enum_variants(enum_ft, e.span);
         for imp in &idx.table.impls {
-            if imp.trait_name.is_some() || imp.type_name != e.name {
+            if imp.type_name != e.name {
                 continue;
             }
             for &fn_id in &imp.fn_ids {
@@ -165,37 +149,51 @@ pub fn check_inferred_workspace(
                 let Some((open, close)) = f.body else {
                     continue;
                 };
-                let codec_ft = &idx.files[f.file_idx];
-                if codec_ft.is_suppressed(RULE, codec_ft.toks[open].line) {
-                    continue;
-                }
-                let mut named = std::collections::BTreeSet::new();
-                for i in codec_ft.all_code_indices() {
-                    if i > open
-                        && i < close
-                        && codec_ft.toks[i].kind == crate::lexer::TokKind::Ident
-                    {
-                        named.insert(codec_ft.toks[i].text.as_str());
-                    }
-                }
-                for v in &variants {
-                    if !named.contains(v.as_str()) {
-                        out.push(Violation {
-                            file: codec_ft.path.clone(),
-                            line: codec_ft.toks[open].line,
-                            rule: RULE,
-                            message: format!(
-                                "`{}::{}` has no arm naming `{}::{v}`; \
-                                 a wildcard arm would hide it on the wire",
-                                e.name, f.name, e.name
-                            ),
-                        });
-                    }
-                }
+                out.extend(unnamed_variants(
+                    &idx.files[f.file_idx],
+                    (open, close),
+                    &format!("{}::{}", e.name, f.name),
+                    &e.name,
+                    &variants,
+                ));
             }
         }
     }
     out
+}
+
+/// One violation per variant of `enum_name` that the `codec` fn body
+/// between tokens `open` and `close` never names, unless suppressed.
+fn unnamed_variants(
+    codec_ft: &FileTokens,
+    (open, close): (usize, usize),
+    codec: &str,
+    enum_name: &str,
+    variants: &[String],
+) -> Vec<Violation> {
+    let line = codec_ft.toks[open].line;
+    if codec_ft.is_suppressed(RULE, line) {
+        return Vec::new();
+    }
+    let named: std::collections::BTreeSet<&str> = codec_ft
+        .all_code_indices()
+        .into_iter()
+        .filter(|&i| i > open && i < close && codec_ft.toks[i].kind == TokKind::Ident)
+        .map(|i| codec_ft.toks[i].text.as_str())
+        .collect();
+    variants
+        .iter()
+        .filter(|v| !named.contains(v.as_str()))
+        .map(|v| Violation {
+            file: codec_ft.path.clone(),
+            line,
+            rule: RULE,
+            message: format!(
+                "`{codec}` has no arm naming `{enum_name}::{v}`; \
+                 a wildcard arm would hide it on the wire"
+            ),
+        })
+        .collect()
 }
 
 fn find_impls_named(ft: &FileTokens, name: &str) -> Vec<crate::scan::ItemSpan> {
@@ -339,6 +337,19 @@ mod tests {
         let v = check_pairing(&p, &f, &f);
         assert_eq!(v.len(), 2); // neither Full nor Draining is named in Msg::encode
         assert!(v[0].message.contains("`Reason::Full`"));
+    }
+
+    #[test]
+    fn trait_impl_codecs_are_inferred() {
+        let src = "pub enum E { A, B }\n\
+            impl Wire for E {\n\
+                fn encode_wire(&self) -> u8 { match self { E::A => 0, E::B => 1 } }\n\
+                fn decode_wire(b: u8) -> E { match b { 0 => E::A, _ => E::A } }\n\
+            }";
+        let v = infer(&[("f.rs", src)]);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].message.contains("`E::decode_wire`"));
+        assert!(v[0].message.contains("`E::B`"));
     }
 
     #[test]

@@ -227,7 +227,7 @@ fn parse_allow(rest: &str) -> Option<(&str, &str)> {
     Some((rule, reason))
 }
 
-/// An inherent `impl Name { … }` or `enum Name { … }` span, as token
+/// An `impl … Name { … }` or `enum Name { … }` span, as token
 /// indices into the owning file's stream.
 #[derive(Debug, Clone, Copy)]
 pub struct ItemSpan {
@@ -245,29 +245,38 @@ pub fn find_enums(ft: &FileTokens) -> Vec<(String, ItemSpan)> {
     find_items(ft, "enum")
 }
 
-/// Finds all inherent `impl <name> { … }` blocks, by name. Trait impls
-/// (`impl Trait for Name`) are skipped: codec arms live in inherent
-/// impls here, and trait impls would only add noise.
+/// Finds all `impl <name> { … }` and `impl <Trait> for <name> { … }`
+/// blocks, by the implementing type's name: a codec may live in an
+/// inherent impl or in a trait impl such as `impl Wire for Spec`.
 #[must_use]
 pub fn find_impls(ft: &FileTokens) -> Vec<(String, ItemSpan)> {
     find_items(ft, "impl")
 }
 
+/// Finds `<keyword> <header> { … }` items named by their header: the
+/// ident after `for` in `impl Trait for Name`, else a lone ident.
 fn find_items(ft: &FileTokens, keyword: &str) -> Vec<(String, ItemSpan)> {
     let code = ft.all_code_indices();
     let mut out = Vec::new();
     let mut c = 0usize;
-    while c + 2 < code.len() {
-        let kw = &ft.toks[code[c]];
-        if kw.is_ident(keyword) {
-            let name = &ft.toks[code[c + 1]];
-            let brace = &ft.toks[code[c + 2]];
-            if name.kind == TokKind::Ident && brace.is_punct('{') {
-                if let Some(close) = match_brace(ft, &code, c + 2) {
+    while c < code.len() {
+        if ft.toks[code[c]].is_ident(keyword) {
+            let end = (c + 1..code.len())
+                .find(|&h| ft.toks[code[h]].is_punct('{') || ft.toks[code[h]].is_punct(';'));
+            if let Some(b) = end.filter(|&b| ft.toks[code[b]].is_punct('{')) {
+                let header = &code[c + 1..b];
+                let name = match header.iter().position(|&i| ft.toks[i].is_ident("for")) {
+                    Some(f) => header.get(f + 1),
+                    None if header.len() == 1 => header.first(),
+                    None => None,
+                }
+                .map(|&i| &ft.toks[i])
+                .filter(|t| t.kind == TokKind::Ident);
+                if let (Some(name), Some(close)) = (name, match_brace(ft, &code, b)) {
                     out.push((
                         name.text.clone(),
                         ItemSpan {
-                            open: code[c + 2],
+                            open: code[b],
                             close: code[close],
                             line: name.line,
                         },
@@ -484,11 +493,15 @@ mod tests {
     }
 
     #[test]
-    fn trait_impls_are_not_inherent_impls() {
-        let f =
-            ft("impl std::fmt::Display for E { fn fmt(&self) {} }\nimpl E { fn own(&self) {} }");
+    fn trait_impls_are_found_by_their_type() {
+        let f = ft("impl std::fmt::Display for E { fn fmt(&self) {} }\n\
+             impl E { fn own(&self) {} }\n\
+             fn f(x: impl Fn() -> u8) -> u8 { x() }\n\
+             impl<'a> Reader<'a> { fn g(&self) {} }");
         let impls = find_impls(&f);
-        assert_eq!(impls.len(), 1);
-        assert_eq!(impls[0].0, "E");
+        let names: Vec<&str> = impls.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names, ["E", "E"]);
+        let fns = find_fn_bodies(&f, impls[0].1);
+        assert_eq!(fns[0].0, "fmt");
     }
 }

@@ -129,12 +129,22 @@ fn fixture_wire_missing_is_caught() {
 }
 
 #[test]
+fn fixture_wire_trait_impl_missing_arm_is_caught() {
+    let v = lint_fixture("wire_trait_missing.rs");
+    assert_eq!(count_rule(&v, "wire-completeness"), 1, "{v:?}");
+    assert!(
+        v.iter().any(|x| x.message.contains("Signal::Halt")),
+        "{v:?}"
+    );
+}
+
+#[test]
 fn fixture_wire_missing_algorithm_arm_is_caught() {
     // The workspace pairing for `AlgorithmSpec` is cross-file
     // (factory.rs ↔ wire.rs); this fixture seeds the same omission —
-    // `decode_wire` wildcarding away `Agreement` — where same-file
-    // inference can catch it, proving the pass sees the algorithm spec
-    // shape and not just the schedule/fault ones.
+    // `decode_wire` wildcarding away `Agreement` — in one file, proving
+    // the pass sees the algorithm spec shape and not just the
+    // schedule/fault ones.
     let v = lint_fixture("wire_missing_algo.rs");
     assert_eq!(count_rule(&v, "wire-completeness"), 1, "{v:?}");
     assert!(
@@ -145,18 +155,38 @@ fn fixture_wire_missing_algorithm_arm_is_caught() {
 }
 
 #[test]
-fn the_algorithm_wire_pairing_is_configured() {
-    // If the scheduler↔wire table drops the `AlgorithmSpec` row (or the
-    // `algo` crate leaves determinism scope), a new algorithm variant
-    // could ship without codec arms and no lint would object.
-    let pairings = lint::config::wire_pairings();
-    assert!(
-        pairings
-            .iter()
-            .any(|p| p.enum_name == "AlgorithmSpec"
-                && p.codec_file == "crates/scheduler/src/wire.rs"),
-        "AlgorithmSpec missing from the wire-completeness table"
-    );
+fn the_algorithm_wire_pairing_is_inferred() {
+    // `AlgorithmSpec` is declared in `scheduler::factory` and encoded by
+    // `impl Wire for AlgorithmSpec` in `scheduler::wire`. Inference must
+    // pair the two across files, and no row of the real table may
+    // shadow it — else a new algorithm variant could ship without codec
+    // arms and no lint would object. The `algo` crate must also stay in
+    // determinism scope.
+    let idx = lint::WorkspaceIndex::from_sources(&[
+        (
+            "crates/scheduler/src/factory.rs",
+            "pub enum AlgorithmSpec { Flood { initiator: usize }, Election, Agreement { inputs: u64 } }",
+        ),
+        (
+            "crates/scheduler/src/wire.rs",
+            "impl Wire for AlgorithmSpec {\n\
+                 fn encode_wire(&self, out: &mut Vec<u8>) { match *self {\n\
+                     AlgorithmSpec::Flood { .. } => out.push(0),\n\
+                     AlgorithmSpec::Election => out.push(1),\n\
+                     AlgorithmSpec::Agreement { .. } => out.push(2),\n\
+                 } }\n\
+                 fn decode_wire(r: &mut Reader<'_>) -> Result<Self, WireError> { Ok(match r.u8()? {\n\
+                     0 => AlgorithmSpec::Flood { initiator: 0 },\n\
+                     _ => AlgorithmSpec::Election,\n\
+                 }) }\n\
+             }",
+        ),
+    ]);
+    let v =
+        lint::rules::wire_complete::check_inferred_workspace(&idx, &lint::config::wire_pairings());
+    assert_eq!(v.len(), 1, "{v:?}");
+    assert_eq!(v[0].file, "crates/scheduler/src/wire.rs");
+    assert!(v[0].message.contains("AlgorithmSpec::Agreement"), "{v:?}");
     assert!(lint::config::DETERMINISTIC_CRATES.contains(&"algo"));
 }
 

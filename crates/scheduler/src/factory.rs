@@ -8,6 +8,11 @@
 //! *inside* its own thread. Building from the spec is deterministic, so a
 //! session is pinned by `(spec, seed)` no matter which worker runs it —
 //! the property the fleet runtime's determinism guarantee rests on.
+//!
+//! Each spec also owns its validity rule: `validate(cohort)` states
+//! exactly the `# Panics` contract of the constructors it builds, so a
+//! server can reject a spec at admission instead of panicking a session.
+//! Its wire codec lives in [`crate::wire`].
 
 use crate::activation::ActivationSet;
 use crate::adversary::{Bursty, CrashFiltered, FaultPlan, LaggingRobot, WorstCaseFair};
@@ -88,6 +93,69 @@ pub enum ScheduleSpec {
 }
 
 impl ScheduleSpec {
+    /// Checks the spec against the `# Panics` contract of the schedule it
+    /// builds — [`FairAsync::new`], [`SingleActive::new`],
+    /// [`LaggingRobot::new`], [`Bursty::new`], [`WorstCaseFair::new`] and
+    /// [`Scripted::new`] — plus the rule that every robot it names lies
+    /// in a cohort of `cohort`. A spec that passes builds and runs for
+    /// that cohort without panicking.
+    ///
+    /// # Errors
+    ///
+    /// A human-readable description of the first broken rule.
+    pub fn validate(&self, cohort: usize) -> Result<(), String> {
+        let positive = |what: &str, x: u64| {
+            if x == 0 {
+                Err(format!("{} {what} must be positive", self.name()))
+            } else {
+                Ok(())
+            }
+        };
+        match self {
+            ScheduleSpec::Synchronous | ScheduleSpec::RoundRobin => Ok(()),
+            ScheduleSpec::FairAsync { p, max_gap, .. } => {
+                if !(*p > 0.0 && *p <= 1.0) {
+                    return Err(format!("fair-async p {p} outside (0, 1]"));
+                }
+                positive("max_gap", *max_gap)
+            }
+            ScheduleSpec::SingleActive { max_gap, .. }
+            | ScheduleSpec::LaggingReceiver { max_gap }
+            | ScheduleSpec::WorstCaseFair { max_gap } => positive("max_gap", *max_gap),
+            ScheduleSpec::Lagging { victim, max_gap } => {
+                if *victim >= cohort {
+                    return Err(format!("lagging victim {victim} outside cohort {cohort}"));
+                }
+                positive("max_gap", *max_gap)
+            }
+            ScheduleSpec::Bursty {
+                burst_len,
+                lull_len,
+                ..
+            } => {
+                positive("burst_len", *burst_len)?;
+                positive("lull_len", *lull_len)
+            }
+            ScheduleSpec::Scripted { script } => {
+                if script.is_empty() {
+                    return Err("scripted schedule has no steps".into());
+                }
+                for (t, step) in script.iter().enumerate() {
+                    if step.is_empty() {
+                        return Err(format!("scripted step {t} activates no robot"));
+                    }
+                    if let Some(&robot) = step.iter().find(|&&r| r >= cohort) {
+                        return Err(format!(
+                            "scripted step {t} activates robot {robot} outside cohort {cohort}"
+                        ));
+                    }
+                }
+                Ok(())
+            }
+            ScheduleSpec::CrashFiltered { inner } => inner.validate(cohort),
+        }
+    }
+
     /// Builds the described schedule for a cohort of `n` robots.
     ///
     /// [`ScheduleSpec::CrashFiltered`] builds with an **empty** fault
@@ -185,6 +253,53 @@ pub enum FaultSpec {
 }
 
 impl FaultSpec {
+    /// Checks the spec against the `# Panics` contract of
+    /// [`FaultPlan::non_rigid`] (δ in `(0, 1]`, probability in `[0, 1]`)
+    /// and [`FaultPlan::observation_dropout`] (probability in `[0, 1]`),
+    /// plus the rule that a crashed robot lies in a cohort of `cohort`.
+    /// A spec that passes builds a plan for that cohort without
+    /// panicking.
+    ///
+    /// # Errors
+    ///
+    /// A human-readable description of the first broken rule.
+    pub fn validate(&self, cohort: usize) -> Result<(), String> {
+        let delta = |what: &str, x: f64| {
+            if x > 0.0 && x <= 1.0 {
+                Ok(())
+            } else {
+                Err(format!("{what} {x} outside (0, 1]"))
+            }
+        };
+        let prob = |what: &str, x: f64| {
+            if (0.0..=1.0).contains(&x) {
+                Ok(())
+            } else {
+                Err(format!("{what} {x} outside [0, 1]"))
+            }
+        };
+        match *self {
+            FaultSpec::Benign => Ok(()),
+            FaultSpec::NonRigid { delta: d, prob: p } => {
+                delta("non-rigid delta", d)?;
+                prob("non-rigid prob", p)
+            }
+            FaultSpec::Dropout { prob: p } => prob("dropout prob", p),
+            FaultSpec::Crash {
+                robot,
+                delta: d,
+                prob: p,
+                ..
+            } => {
+                if robot >= cohort {
+                    return Err(format!("crash robot {robot} outside cohort {cohort}"));
+                }
+                delta("crash delta", d)?;
+                prob("crash prob", p)
+            }
+        }
+    }
+
     /// Builds the described plan with the given seed.
     #[must_use]
     pub fn plan(&self, seed: u64) -> FaultPlan {
@@ -227,9 +342,8 @@ impl FaultSpec {
 /// Like [`ScheduleSpec`] and [`FaultSpec`], this is plain data: the fleet
 /// runtime ships it to worker threads, which instantiate the live
 /// algorithm sessions deterministically from `(spec, seed)`. The
-/// scheduler crate owns the type (rather than `crates/algo`) so the wire
-/// codec lives next to the other spec codecs and stiglint's
-/// wire-completeness pass covers all three enums from one table.
+/// scheduler crate owns the type (rather than `crates/algo`) so its wire
+/// codec and validity rule live next to the other specs'.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AlgorithmSpec {
     /// Flooding broadcast with convergecast ack aggregation
@@ -253,6 +367,27 @@ pub enum AlgorithmSpec {
 }
 
 impl AlgorithmSpec {
+    /// Checks the spec against a cohort of `cohort` robots: the flood
+    /// initiator must be one of them, and agreement may set no input bit
+    /// beyond them.
+    ///
+    /// # Errors
+    ///
+    /// A human-readable description of the broken rule.
+    pub fn validate(&self, cohort: usize) -> Result<(), String> {
+        match *self {
+            AlgorithmSpec::Flood { initiator } if initiator >= cohort => Err(format!(
+                "flood initiator {initiator} outside cohort {cohort}"
+            )),
+            AlgorithmSpec::Agreement { inputs } if cohort < 64 && inputs >> cohort != 0 => Err(
+                format!("agreement inputs {inputs:#x} has bits beyond cohort {cohort}"),
+            ),
+            AlgorithmSpec::Flood { .. }
+            | AlgorithmSpec::Election
+            | AlgorithmSpec::Agreement { .. } => Ok(()),
+        }
+    }
+
     /// A short name for reports and bench suites.
     #[must_use]
     pub fn name(&self) -> &'static str {
@@ -271,9 +406,9 @@ impl AlgorithmSpec {
 /// Like the other specs this is plain data: the fleet runtime ships it to
 /// worker threads, which instantiate the paced multi-level protocols (or
 /// the historical binary ones) deterministically from the spec. The
-/// scheduler crate owns the type so the wire codec lives next to the other
-/// spec codecs and stiglint's wire-completeness pass covers the whole spec
-/// family from one table.
+/// scheduler crate owns the type so its wire codec lives next to the other
+/// specs'; its validity rule is `fleet::paced_config`, which builds the
+/// paced channel from it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CodingSpec {
     /// The historical one-bit-per-excursion channel. Default; produces

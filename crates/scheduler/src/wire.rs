@@ -1,19 +1,23 @@
-//! Canonical wire encoding for the Send-safe spec enums.
+//! The [`Wire`] trait and the canonical wire encoding of the Send-safe specs.
 //!
-//! The network gateway ships [`ScheduleSpec`]s and [`FaultSpec`]s between
-//! processes, and the vendored serde shim never serializes at runtime, so
-//! the specs carry their own hand-rolled byte format: tag byte per
-//! variant, little-endian `u64` integers, IEEE-754 bit patterns for
-//! floats (so encode→decode is the identity on every representable
-//! value, NaN excluded), and `u32` length prefixes for sequences. The
-//! round-trip property — every `ScheduleSpec × FaultSpec` survives
-//! encode→decode unchanged — is pinned by proptest in
-//! `tests/wire_roundtrip.rs`.
+//! The network gateway ships specs between processes, and the vendored
+//! serde shim never serializes at runtime, so every type that crosses the
+//! wire implements [`Wire`]: one `encode_wire`/`decode_wire` pair per
+//! type, next to the spec it encodes. The format is a tag byte per
+//! variant, little-endian `u64` integers (a `usize` travels as a `u64`),
+//! IEEE-754 bit patterns for floats (so encode→decode is the identity on
+//! every representable value, NaN excluded), and `u32` length prefixes for
+//! sequences ([`put_seq`]/[`get_seq`]). The round-trip property — every
+//! `ScheduleSpec × FaultSpec` survives encode→decode unchanged — is pinned
+//! by proptest in `tests/wire_roundtrip.rs`, and whole gateway frames are
+//! pinned byte for byte under `tests/golden/`.
 //!
 //! Integrity is the caller's concern: the gateway wraps whole frames in a
 //! CRC-8 trailer (`stigmergy-coding::checksum`), so this layer only
-//! validates structure (tags, lengths, finiteness) and reports a typed
-//! [`WireError`] instead of panicking on malformed input.
+//! validates structure (tags, lengths, finiteness, nesting depth) and
+//! reports a typed [`WireError`] instead of panicking on malformed input.
+//! Whether a well-formed spec is *legal* is a separate question, answered
+//! by each spec's `validate` in [`crate::factory`].
 
 use crate::factory::{AlgorithmSpec, CodingSpec, FaultSpec, ScheduleSpec};
 
@@ -22,8 +26,9 @@ use crate::factory::{AlgorithmSpec, CodingSpec, FaultSpec, ScheduleSpec};
 pub const MAX_SEQ: u32 = 1 << 20;
 
 /// Upper bound on nested-spec recursion (e.g. stacked
-/// [`ScheduleSpec::CrashFiltered`] wrappers) accepted by the decoder — a
-/// malicious tag chain must fail, not blow the stack.
+/// [`ScheduleSpec::CrashFiltered`] wrappers) accepted by
+/// [`Reader::nested`] — a malicious tag chain must fail, not blow the
+/// stack.
 pub const MAX_NEST: u32 = 8;
 
 /// Structural decode failure.
@@ -62,6 +67,14 @@ pub enum WireError {
     },
 }
 
+impl WireError {
+    /// [`WireError::BadTag`]: `tag` names no `what` variant.
+    #[must_use]
+    pub fn bad_tag(what: &'static str, tag: u8) -> Self {
+        WireError::BadTag { what, tag }
+    }
+}
+
 impl std::fmt::Display for WireError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -81,17 +94,53 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
+/// A value with one canonical wire encoding.
+pub trait Wire: Sized {
+    /// Appends the canonical encoding of `self`.
+    fn encode_wire(&self, out: &mut Vec<u8>);
+
+    /// Decodes one value from the reader.
+    ///
+    /// # Errors
+    ///
+    /// Any [`WireError`] on malformed input.
+    fn decode_wire(r: &mut Reader<'_>) -> Result<Self, WireError>;
+
+    /// The canonical encoding as a fresh buffer.
+    #[must_use]
+    fn to_wire(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.encode_wire(&mut out);
+        out
+    }
+
+    /// Decodes a value that must span the whole buffer.
+    ///
+    /// # Errors
+    ///
+    /// Any [`WireError`], including [`WireError::Trailing`] on excess
+    /// bytes.
+    fn from_wire(buf: &[u8]) -> Result<Self, WireError> {
+        let mut r = Reader::new(buf);
+        let value = Self::decode_wire(&mut r)?;
+        r.finish()?;
+        Ok(value)
+    }
+}
+
 /// Cursor over an encoded buffer.
 #[derive(Debug, Clone)]
 pub struct Reader<'a> {
     buf: &'a [u8],
+    /// [`Reader::nested`] layers currently open.
+    depth: u32,
 }
 
 impl<'a> Reader<'a> {
     /// A reader over the whole buffer.
     #[must_use]
     pub fn new(buf: &'a [u8]) -> Self {
-        Self { buf }
+        Self { buf, depth: 0 }
     }
 
     /// Bytes not yet consumed.
@@ -113,6 +162,27 @@ impl<'a> Reader<'a> {
                 extra: self.buf.len(),
             })
         }
+    }
+
+    /// Runs `decode` one nesting layer deeper — the recursion guard for
+    /// self-referential specs.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::TooDeep`] once [`MAX_NEST`] layers are open, else
+    /// whatever `decode` returns.
+    pub fn nested<T>(
+        &mut self,
+        what: &'static str,
+        decode: impl FnOnce(&mut Self) -> Result<T, WireError>,
+    ) -> Result<T, WireError> {
+        if self.depth >= MAX_NEST {
+            return Err(WireError::TooDeep { what });
+        }
+        self.depth += 1;
+        let value = decode(self);
+        self.depth -= 1;
+        value
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
@@ -213,6 +283,16 @@ pub fn put_f64(out: &mut Vec<u8>, x: f64) {
     put_u64(out, x.to_bits());
 }
 
+/// Appends the `u32` length prefix of a sequence of `len` items — the
+/// one length-prefix encoder every sequence shares.
+///
+/// # Panics
+///
+/// Panics if `len` does not fit a `u32`.
+pub fn put_len(out: &mut Vec<u8>, len: usize) {
+    put_u32(out, u32::try_from(len).expect("sequence fits u32"));
+}
+
 /// Appends a `u32`-prefixed byte string.
 ///
 /// # Panics
@@ -220,15 +300,68 @@ pub fn put_f64(out: &mut Vec<u8>, x: f64) {
 /// Panics if `bytes` is longer than [`MAX_SEQ`] — encoding something the
 /// decoder is required to reject is a logic error at the call site.
 pub fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
-    let len = u32::try_from(bytes.len()).expect("sequence fits u32");
-    assert!(len <= MAX_SEQ, "sequence exceeds the wire cap");
-    put_u32(out, len);
+    assert!(
+        bytes.len() <= MAX_SEQ as usize,
+        "sequence exceeds the wire cap"
+    );
+    put_len(out, bytes.len());
     out.extend_from_slice(bytes);
 }
 
-impl ScheduleSpec {
-    /// Appends the canonical encoding of `self`.
-    pub fn encode_wire(&self, out: &mut Vec<u8>) {
+/// Appends a `u32`-prefixed sequence of values. A list past [`MAX_SEQ`]
+/// encodes, but [`get_seq`] rejects it.
+///
+/// # Panics
+///
+/// As [`put_len`].
+pub fn put_seq<T: Wire>(out: &mut Vec<u8>, items: &[T]) {
+    put_len(out, items.len());
+    for item in items {
+        item.encode_wire(out);
+    }
+}
+
+/// Reads a sequence written by [`put_seq`].
+///
+/// # Errors
+///
+/// [`WireError::Oversize`] past [`MAX_SEQ`], else any error of an item.
+pub fn get_seq<T: Wire>(r: &mut Reader<'_>, what: &'static str) -> Result<Vec<T>, WireError> {
+    let n = r.seq_len(what)?;
+    // Every item takes at least one byte, so a lying prefix cannot
+    // reserve more than the buffer could hold.
+    let mut items = Vec::with_capacity(n.min(r.remaining()));
+    for _ in 0..n {
+        items.push(T::decode_wire(r)?);
+    }
+    Ok(items)
+}
+
+impl Wire for u64 {
+    fn encode_wire(&self, out: &mut Vec<u8>) {
+        put_u64(out, *self);
+    }
+
+    fn decode_wire(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        r.u64()
+    }
+}
+
+/// An index or count, carried as a `u64`.
+impl Wire for usize {
+    fn encode_wire(&self, out: &mut Vec<u8>) {
+        put_u64(out, *self as u64);
+    }
+
+    fn decode_wire(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        usize::try_from(r.u64()?).map_err(|_| WireError::BadValue {
+            what: "index exceeds usize",
+        })
+    }
+}
+
+impl Wire for ScheduleSpec {
+    fn encode_wire(&self, out: &mut Vec<u8>) {
         match *self {
             ScheduleSpec::Synchronous => put_u8(out, 0),
             ScheduleSpec::RoundRobin => put_u8(out, 1),
@@ -249,7 +382,7 @@ impl ScheduleSpec {
             }
             ScheduleSpec::Lagging { victim, max_gap } => {
                 put_u8(out, 5);
-                put_u64(out, victim as u64);
+                victim.encode_wire(out);
                 put_u64(out, max_gap);
             }
             ScheduleSpec::Bursty {
@@ -268,14 +401,9 @@ impl ScheduleSpec {
             }
             ScheduleSpec::Scripted { ref script } => {
                 put_u8(out, 8);
-                let steps = u32::try_from(script.len()).expect("script fits u32");
-                put_u32(out, steps);
+                put_len(out, script.len());
                 for step in script {
-                    let robots = u32::try_from(step.len()).expect("step fits u32");
-                    put_u32(out, robots);
-                    for &robot in step {
-                        put_u64(out, robot as u64);
-                    }
+                    put_seq(out, step);
                 }
             }
             ScheduleSpec::CrashFiltered { ref inner } => {
@@ -285,23 +413,9 @@ impl ScheduleSpec {
         }
     }
 
-    /// Decodes one spec from the reader.
-    ///
-    /// # Errors
-    ///
-    /// Any [`WireError`] on malformed input, including
-    /// [`WireError::TooDeep`] past [`MAX_NEST`] nested wrappers.
-    pub fn decode_wire(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Self::decode_nested(r, 0)
-    }
-
-    /// Depth-tracking decode body behind [`ScheduleSpec::decode_wire`].
-    fn decode_nested(r: &mut Reader<'_>, depth: u32) -> Result<Self, WireError> {
-        if depth > MAX_NEST {
-            return Err(WireError::TooDeep {
-                what: "schedule spec",
-            });
-        }
+    /// Stacked [`ScheduleSpec::CrashFiltered`] layers past [`MAX_NEST`]
+    /// fail with [`WireError::TooDeep`].
+    fn decode_wire(r: &mut Reader<'_>) -> Result<Self, WireError> {
         Ok(match r.u8()? {
             0 => ScheduleSpec::Synchronous,
             1 => ScheduleSpec::RoundRobin,
@@ -316,7 +430,7 @@ impl ScheduleSpec {
             },
             4 => ScheduleSpec::LaggingReceiver { max_gap: r.u64()? },
             5 => ScheduleSpec::Lagging {
-                victim: decode_index(r)?,
+                victim: usize::decode_wire(r)?,
                 max_gap: r.u64()?,
             },
             6 => ScheduleSpec::Bursty {
@@ -327,54 +441,22 @@ impl ScheduleSpec {
             7 => ScheduleSpec::WorstCaseFair { max_gap: r.u64()? },
             8 => {
                 let steps = r.seq_len("script")?;
-                let mut script = Vec::with_capacity(steps);
+                let mut script = Vec::with_capacity(steps.min(r.remaining()));
                 for _ in 0..steps {
-                    let robots = r.seq_len("script step")?;
-                    let mut step = Vec::with_capacity(robots);
-                    for _ in 0..robots {
-                        step.push(decode_index(r)?);
-                    }
-                    script.push(step);
+                    script.push(get_seq(r, "script step")?);
                 }
                 ScheduleSpec::Scripted { script }
             }
             9 => ScheduleSpec::CrashFiltered {
-                inner: Box::new(Self::decode_nested(r, depth + 1)?),
+                inner: Box::new(r.nested("schedule spec", Self::decode_wire)?),
             },
-            tag => {
-                return Err(WireError::BadTag {
-                    what: "schedule spec",
-                    tag,
-                })
-            }
+            tag => return Err(WireError::bad_tag("schedule spec", tag)),
         })
-    }
-
-    /// The canonical encoding as a fresh buffer.
-    #[must_use]
-    pub fn to_wire(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.encode_wire(&mut out);
-        out
-    }
-
-    /// Decodes a spec that must span the whole buffer.
-    ///
-    /// # Errors
-    ///
-    /// Any [`WireError`], including [`WireError::Trailing`] on excess
-    /// bytes.
-    pub fn from_wire(buf: &[u8]) -> Result<Self, WireError> {
-        let mut r = Reader::new(buf);
-        let spec = Self::decode_wire(&mut r)?;
-        r.finish()?;
-        Ok(spec)
     }
 }
 
-impl FaultSpec {
-    /// Appends the canonical encoding of `self`.
-    pub fn encode_wire(&self, out: &mut Vec<u8>) {
+impl Wire for FaultSpec {
+    fn encode_wire(&self, out: &mut Vec<u8>) {
         match *self {
             FaultSpec::Benign => put_u8(out, 0),
             FaultSpec::NonRigid { delta, prob } => {
@@ -393,7 +475,7 @@ impl FaultSpec {
                 prob,
             } => {
                 put_u8(out, 3);
-                put_u64(out, robot as u64);
+                robot.encode_wire(out);
                 put_u64(out, time);
                 put_f64(out, delta);
                 put_f64(out, prob);
@@ -401,12 +483,7 @@ impl FaultSpec {
         }
     }
 
-    /// Decodes one spec from the reader.
-    ///
-    /// # Errors
-    ///
-    /// Any [`WireError`] on malformed input.
-    pub fn decode_wire(r: &mut Reader<'_>) -> Result<Self, WireError> {
+    fn decode_wire(r: &mut Reader<'_>) -> Result<Self, WireError> {
         Ok(match r.u8()? {
             0 => FaultSpec::Benign,
             1 => FaultSpec::NonRigid {
@@ -417,49 +494,22 @@ impl FaultSpec {
                 prob: r.f64("dropout prob")?,
             },
             3 => FaultSpec::Crash {
-                robot: decode_index(r)?,
+                robot: usize::decode_wire(r)?,
                 time: r.u64()?,
                 delta: r.f64("crash delta")?,
                 prob: r.f64("crash prob")?,
             },
-            tag => {
-                return Err(WireError::BadTag {
-                    what: "fault spec",
-                    tag,
-                })
-            }
+            tag => return Err(WireError::bad_tag("fault spec", tag)),
         })
-    }
-
-    /// The canonical encoding as a fresh buffer.
-    #[must_use]
-    pub fn to_wire(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.encode_wire(&mut out);
-        out
-    }
-
-    /// Decodes a spec that must span the whole buffer.
-    ///
-    /// # Errors
-    ///
-    /// Any [`WireError`], including [`WireError::Trailing`] on excess
-    /// bytes.
-    pub fn from_wire(buf: &[u8]) -> Result<Self, WireError> {
-        let mut r = Reader::new(buf);
-        let spec = Self::decode_wire(&mut r)?;
-        r.finish()?;
-        Ok(spec)
     }
 }
 
-impl AlgorithmSpec {
-    /// Appends the canonical encoding of `self`.
-    pub fn encode_wire(&self, out: &mut Vec<u8>) {
+impl Wire for AlgorithmSpec {
+    fn encode_wire(&self, out: &mut Vec<u8>) {
         match *self {
             AlgorithmSpec::Flood { initiator } => {
                 put_u8(out, 0);
-                put_u64(out, initiator as u64);
+                initiator.encode_wire(out);
             }
             AlgorithmSpec::Election => put_u8(out, 1),
             AlgorithmSpec::Agreement { inputs } => {
@@ -469,52 +519,20 @@ impl AlgorithmSpec {
         }
     }
 
-    /// Decodes one spec from the reader.
-    ///
-    /// # Errors
-    ///
-    /// Any [`WireError`] on malformed input.
-    pub fn decode_wire(r: &mut Reader<'_>) -> Result<Self, WireError> {
+    fn decode_wire(r: &mut Reader<'_>) -> Result<Self, WireError> {
         Ok(match r.u8()? {
             0 => AlgorithmSpec::Flood {
-                initiator: decode_index(r)?,
+                initiator: usize::decode_wire(r)?,
             },
             1 => AlgorithmSpec::Election,
             2 => AlgorithmSpec::Agreement { inputs: r.u64()? },
-            tag => {
-                return Err(WireError::BadTag {
-                    what: "algorithm spec",
-                    tag,
-                })
-            }
+            tag => return Err(WireError::bad_tag("algorithm spec", tag)),
         })
-    }
-
-    /// The canonical encoding as a fresh buffer.
-    #[must_use]
-    pub fn to_wire(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.encode_wire(&mut out);
-        out
-    }
-
-    /// Decodes a spec that must span the whole buffer.
-    ///
-    /// # Errors
-    ///
-    /// Any [`WireError`], including [`WireError::Trailing`] on excess
-    /// bytes.
-    pub fn from_wire(buf: &[u8]) -> Result<Self, WireError> {
-        let mut r = Reader::new(buf);
-        let spec = Self::decode_wire(&mut r)?;
-        r.finish()?;
-        Ok(spec)
     }
 }
 
-impl CodingSpec {
-    /// Appends the canonical encoding of `self`.
-    pub fn encode_wire(&self, out: &mut Vec<u8>) {
+impl Wire for CodingSpec {
+    fn encode_wire(&self, out: &mut Vec<u8>) {
         match *self {
             CodingSpec::Binary => put_u8(out, 0),
             CodingSpec::MultiLevel { levels, dwell } => {
@@ -530,12 +548,7 @@ impl CodingSpec {
         }
     }
 
-    /// Decodes one spec from the reader.
-    ///
-    /// # Errors
-    ///
-    /// Any [`WireError`] on malformed input.
-    pub fn decode_wire(r: &mut Reader<'_>) -> Result<Self, WireError> {
+    fn decode_wire(r: &mut Reader<'_>) -> Result<Self, WireError> {
         Ok(match r.u8()? {
             0 => CodingSpec::Binary,
             1 => CodingSpec::MultiLevel {
@@ -546,42 +559,9 @@ impl CodingSpec {
                 levels: r.u8()?,
                 dwell: r.u8()?,
             },
-            tag => {
-                return Err(WireError::BadTag {
-                    what: "coding spec",
-                    tag,
-                })
-            }
+            tag => return Err(WireError::bad_tag("coding spec", tag)),
         })
     }
-
-    /// The canonical encoding as a fresh buffer.
-    #[must_use]
-    pub fn to_wire(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.encode_wire(&mut out);
-        out
-    }
-
-    /// Decodes a spec that must span the whole buffer.
-    ///
-    /// # Errors
-    ///
-    /// Any [`WireError`], including [`WireError::Trailing`] on excess
-    /// bytes.
-    pub fn from_wire(buf: &[u8]) -> Result<Self, WireError> {
-        let mut r = Reader::new(buf);
-        let spec = Self::decode_wire(&mut r)?;
-        r.finish()?;
-        Ok(spec)
-    }
-}
-
-/// Decodes a robot/step index stored as `u64` back into `usize`.
-fn decode_index(r: &mut Reader<'_>) -> Result<usize, WireError> {
-    usize::try_from(r.u64()?).map_err(|_| WireError::BadValue {
-        what: "index exceeds usize",
-    })
 }
 
 #[cfg(test)]

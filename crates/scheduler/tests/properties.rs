@@ -1,14 +1,83 @@
 //! Property-based tests for schedulers: the SSM contract (non-empty
 //! activations), fairness bounds, determinism, and audit consistency.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
 use proptest::prelude::*;
 use stigmergy_scheduler::{
-    audit_fairness, ActivationSet, FairAsync, RoundRobin, Schedule, Scripted, SingleActive,
-    Synchronous, WakeAllFirst,
+    audit_fairness, ActivationSet, FairAsync, FaultPlan, FaultSpec, RoundRobin, Schedule,
+    ScheduleSpec, Scripted, SingleActive, Synchronous, WakeAllFirst,
 };
 
 fn record(s: &mut dyn Schedule, n: usize, steps: u64) -> Vec<ActivationSet> {
     (0..steps).map(|t| s.activations(t, n)).collect()
+}
+
+/// Every `ScheduleSpec` variant, optionally under a `CrashFiltered`
+/// wrapper, with gaps and phases drawn from {0, 1, 2, 7}, `p` from
+/// around the unit interval (NaN included), robots from `0..6` and
+/// script steps that may be empty.
+fn any_schedule() -> impl Strategy<Value = ScheduleSpec> {
+    (
+        0usize..9,
+        any::<bool>(),
+        any::<u64>(),
+        prop::sample::select(vec![-0.5, 0.0, 0.35, 1.0, 1.5, f64::NAN]),
+        prop::sample::select(vec![0u64, 1, 2, 7]),
+        prop::sample::select(vec![0u64, 1, 2, 7]),
+        0usize..6,
+        prop::collection::vec(prop::collection::vec(0usize..6, 0..3), 0..3),
+    )
+        .prop_map(|(variant, wrap, seed, p, gap, len, robot, script)| {
+            let spec = match variant {
+                0 => ScheduleSpec::Synchronous,
+                1 => ScheduleSpec::RoundRobin,
+                2 => ScheduleSpec::FairAsync {
+                    seed,
+                    p,
+                    max_gap: gap,
+                },
+                3 => ScheduleSpec::SingleActive { seed, max_gap: gap },
+                4 => ScheduleSpec::LaggingReceiver { max_gap: gap },
+                5 => ScheduleSpec::Lagging {
+                    victim: robot,
+                    max_gap: gap,
+                },
+                6 => ScheduleSpec::Bursty {
+                    seed,
+                    burst_len: gap,
+                    lull_len: len,
+                },
+                7 => ScheduleSpec::WorstCaseFair { max_gap: gap },
+                _ => ScheduleSpec::Scripted { script },
+            };
+            if wrap {
+                ScheduleSpec::CrashFiltered {
+                    inner: Box::new(spec),
+                }
+            } else {
+                spec
+            }
+        })
+}
+
+/// Every `FaultSpec` variant, with δ and probabilities drawn from around
+/// the unit interval (0.0, 1.0, above 1 and NaN included).
+fn any_fault() -> impl Strategy<Value = FaultSpec> {
+    let unitish = || prop::sample::select(vec![-0.5, 0.0, 0.35, 1.0, 1.5, f64::NAN]);
+    (0usize..4, unitish(), unitish(), 0usize..6, 0u64..64).prop_map(
+        |(variant, delta, prob, robot, time)| match variant {
+            0 => FaultSpec::Benign,
+            1 => FaultSpec::NonRigid { delta, prob },
+            2 => FaultSpec::Dropout { prob },
+            _ => FaultSpec::Crash {
+                robot,
+                time,
+                delta,
+                prob,
+            },
+        },
+    )
 }
 
 proptest! {
@@ -99,5 +168,35 @@ proptest! {
             }
         }
         prop_assert!(seen.iter().all(|&b| b));
+    }
+
+    /// `validate` is the constructors' contract: a spec it accepts for a
+    /// cohort builds, arms its plan and runs there without panicking,
+    /// and — away from the cohort-relative rules — one it rejects is one
+    /// a constructor would panic on.
+    #[test]
+    fn validated_specs_build_and_run_without_panicking(
+        schedule in any_schedule(),
+        fault in any_fault(),
+        n in 1usize..5,
+        seed in any::<u64>(),
+    ) {
+        let plan = catch_unwind(|| fault.plan(seed));
+        if fault.validate(n).is_ok() {
+            prop_assert!(plan.is_ok(), "{fault:?} passed validate({n}) but panicked");
+        }
+        prop_assert_eq!(fault.validate(usize::MAX).is_ok(), plan.is_ok(), "{:?}", fault);
+        let plan = plan.unwrap_or_else(|_| FaultPlan::new(seed));
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            let mut built = schedule.build_faulted(n, &plan);
+            for t in 0..32 {
+                built.activations(t, n);
+            }
+        }));
+        if schedule.validate(n).is_ok() && fault.validate(n).is_ok() {
+            prop_assert!(run.is_ok(), "{schedule:?} under {fault:?} passed validate({n}) but panicked");
+        }
+        let built = catch_unwind(|| drop(schedule.build_faulted(usize::MAX, &FaultPlan::new(seed))));
+        prop_assert_eq!(schedule.validate(usize::MAX).is_ok(), built.is_ok(), "{:?}", schedule);
     }
 }
