@@ -276,6 +276,35 @@ impl AdaptiveBudget {
     }
 }
 
+/// Test support for Lemma 4.1's premise: every change of a robot
+/// follows an observation of its peers. Returns how many activations
+/// observation dropout blinded in `trace`, and on how many of those the
+/// robot's position changed anyway (bitwise).
+#[cfg(test)]
+pub(crate) fn blind_activations(trace: &stigmergy_robots::Trace) -> (usize, usize) {
+    use stigmergy_robots::FaultEvent;
+    let blind: std::collections::BTreeSet<(usize, usize)> = trace
+        .faults()
+        .iter()
+        .filter_map(|fault| match *fault {
+            FaultEvent::ObservationDropout { time, observer, .. } => {
+                Some((usize::try_from(time).expect("short trace"), observer))
+            }
+            _ => None,
+        })
+        .collect();
+    let moved = blind
+        .iter()
+        .filter(|&&(t, robot)| {
+            let before = trace.position_at(robot, t.checked_sub(1));
+            let after = trace.position_at(robot, Some(t));
+            before.map(|p| (p.x.to_bits(), p.y.to_bits()))
+                != after.map(|p| (p.x.to_bits(), p.y.to_bits()))
+        })
+        .count();
+    (blind.len(), moved)
+}
+
 #[cfg(test)]
 mod adaptive_tests {
     use super::*;

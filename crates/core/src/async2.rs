@@ -9,7 +9,11 @@
 //!
 //! * **Horizon walk** — while idle (and between bits), walk along the
 //!   horizon line `H` through the two initial positions, away from the
-//!   peer (`North_r`). A robot *always* moves when active (Remark 4.3).
+//!   peer (`North_r`). A robot *always* moves when active (Remark 4.3),
+//!   with one exception: an activation whose view lost the peer to
+//!   observation dropout stays put. Lemma 4.1's premise is that every
+//!   change of a robot follows an observation of its peer; a move made
+//!   blind would read to the peer as an acknowledgement it never gave.
 //! * **Signal** — to send `0` (`1`), step off `H` to the East (West) side
 //!   with respect to `North_r` and keep stepping until the peer has been
 //!   seen to change twice — the peer is then guaranteed to have seen the
@@ -302,12 +306,15 @@ impl MovementProtocol for Async2 {
         }
 
         // Observe: acknowledgement counting + decoding. A transiently
-        // hidden peer yields no observation this instant; change counts
-        // and zone state simply carry over.
-        if let Some(peer_pos) = peer {
-            self.tracker.observe(0, peer_pos);
-            self.decode(peer_pos);
-        }
+        // hidden peer yields no observation this instant, so the robot
+        // stays put: Lemma 4.1 needs every change of mine to follow an
+        // observation of the peer, or the peer would count a move made
+        // blind as an acknowledgement.
+        let Some(peer_pos) = peer else {
+            return own;
+        };
+        self.tracker.observe(0, peer_pos);
+        self.decode(peer_pos);
 
         match self.phase {
             Phase::North => {
@@ -358,7 +365,9 @@ impl MovementProtocol for Async2 {
 mod tests {
     use super::*;
     use stigmergy_robots::Engine;
-    use stigmergy_scheduler::{FairAsync, RoundRobin, Scripted, SingleActive, WakeAllFirst};
+    use stigmergy_scheduler::{
+        FairAsync, FaultPlan, RoundRobin, Scripted, SingleActive, WakeAllFirst,
+    };
 
     fn engine<S: stigmergy_scheduler::Schedule + 'static>(
         schedule: S,
@@ -502,6 +511,23 @@ mod tests {
         assert!(e.trace().move_count(0) > 0);
         assert!(e.trace().move_count(1) > 0);
         assert!(e.protocol(0).is_drained());
+    }
+
+    #[test]
+    fn a_robot_that_cannot_see_its_peer_stays_put() {
+        let mut e = Engine::builder()
+            .positions([Point::new(0.0, 0.0), Point::new(16.0, 0.0)])
+            .protocols([Async2::default(), Async2::default()])
+            .schedule(WakeAllFirst::new(FairAsync::new(5, 0.5, 8)))
+            .faults(FaultPlan::new(5).observation_dropout(0.3))
+            .frame_seed(5)
+            .build()
+            .unwrap();
+        e.protocol_mut(0).send(b"blind");
+        e.run(3_000).unwrap();
+        let (blind, moved) = crate::ack::blind_activations(e.trace());
+        assert!(blind > 100, "dropout blinded only {blind} activations");
+        assert_eq!(moved, 0, "moves made without seeing the peer");
     }
 
     #[test]

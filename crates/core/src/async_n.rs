@@ -8,7 +8,9 @@
 //!
 //! * **κ oscillation** — a robot with nothing to say shuffles along κ,
 //!   reversing direction each time it has seen *every* other robot change
-//!   position twice. It always moves (Remark 4.3) and never reaches the
+//!   position twice. It always moves (Remark 4.3) unless observation
+//!   dropout hid part of the cohort — a move made blind would read as an
+//!   acknowledgement the hidden robot never gave — and never reaches the
 //!   granular border or centre: each step is a fraction of the room left
 //!   (the paper's "divide the covered distance by `x > 1`").
 //! * **Signal** — to send a bit to the robot labelled `j`, walk back to
@@ -370,12 +372,19 @@ impl MovementProtocol for AsyncSwarm {
                 Err(e) => self.init_error = Some(e),
             }
         }
-        if self.geometry.is_none() {
+        let Some(cohort) = self.geometry.as_ref().map(SwarmGeometry::cohort) else {
             return view.own_position();
-        }
+        };
 
         self.observe_and_decode(view);
         let own = view.own_position();
+        // A robot that does not see its whole cohort stays put: Lemma
+        // 4.1 needs every change of mine to follow an observation of
+        // each peer, or a hidden peer would count it as an
+        // acknowledgement.
+        if view.others().len() + 1 < cohort {
+            return own;
+        }
 
         match self.phase {
             Phase::Kappa { outward } => {
@@ -446,7 +455,7 @@ impl Default for AsyncSwarm {
 mod tests {
     use super::*;
     use stigmergy_robots::{Capabilities, Engine};
-    use stigmergy_scheduler::{FairAsync, RoundRobin, SingleActive, WakeAllFirst};
+    use stigmergy_scheduler::{FairAsync, FaultPlan, RoundRobin, SingleActive, WakeAllFirst};
 
     fn ring(n: usize) -> Vec<Point> {
         (0..n)
@@ -471,6 +480,26 @@ mod tests {
             .frame_seed(seed)
             .build()
             .unwrap()
+    }
+
+    #[test]
+    fn a_robot_that_misses_part_of_its_cohort_stays_put() {
+        let mut e = Engine::builder()
+            .positions(ring(4))
+            .protocols((0..4).map(|_| AsyncSwarm::anonymous()))
+            .capabilities(Capabilities::anonymous())
+            .schedule(WakeAllFirst::new(FairAsync::new(5, 0.5, 8)))
+            .frame_seed(5)
+            .build()
+            .unwrap();
+        // The t0 preprocessing view is complete (§4.2); dropout starts
+        // after it.
+        e.step().unwrap();
+        e.set_fault_plan(FaultPlan::new(5).observation_dropout(0.1));
+        e.run(3_000).unwrap();
+        let (blind, moved) = crate::ack::blind_activations(e.trace());
+        assert!(blind > 100, "dropout blinded only {blind} activations");
+        assert_eq!(moved, 0, "moves made without seeing the whole cohort");
     }
 
     /// Local home index of engine robot `target` from `observer`'s

@@ -5,12 +5,15 @@
 //! updates the pin here, in the same commit, where review sees it.
 //!
 //! Batch rows run at `workers = 2`: the pool must never change the work.
-//! Each row checks `delivered` first, as a one-sided ratchet, so a lost
-//! session fails by name (`delivered fell 633 -> 631`) instead of as
-//! one drifted counter among many. Then every counter must match
-//! exactly, and one failure lists every counter that drifted. `fold` is
-//! FNV-1a over each run's `(trace_hash, trace_len)` in report order, so
-//! one changed trace byte anywhere in a batch shows up too.
+//! Every batch row first requires `corrupt == 0` — a frame is corrected
+//! or rejected, never surfaced as a different payload — so `corrupt` is
+//! asserted, never pinned. Each row then checks `delivered`, as a
+//! one-sided ratchet, so a lost session fails by name (`delivered fell
+//! 661 -> 659`) instead of as one drifted counter among many. Then every
+//! counter must match exactly, and one failure lists every counter that
+//! drifted. `fold` is FNV-1a over each run's `(trace_hash, trace_len)`
+//! in report order, so one changed trace byte anywhere in a batch shows
+//! up too.
 //!
 //! The two full-size rows take seconds in release and minutes in debug,
 //! so they are `#[ignore]`d; CI's `work-counters` job runs them in
@@ -52,10 +55,12 @@ fn assert_pinned(row: &str, actual: &[(&str, u64)], pinned: &[(&str, u64)]) {
     );
 }
 
-/// Runs `spec` at `workers = 2` and reads its counters in pin order.
-fn batch_counters(spec: &BatchSpec) -> Counters {
+/// Runs `spec` at `workers = 2`, requires that no session surfaced a
+/// corrupt payload, and reads its counters in pin order.
+fn batch_counters(row: &str, spec: &BatchSpec) -> Counters {
     let report = run_batch(spec, 2);
     let m = &report.metrics;
+    assert_eq!(m.corrupt, 0, "{row}: corrupt payloads surfaced");
     let mut counters = vec![
         ("sessions", m.sessions),
         ("delivered", m.delivered),
@@ -64,7 +69,6 @@ fn batch_counters(spec: &BatchSpec) -> Counters {
         ("activations", m.activations),
         ("faults", m.faults),
         ("retransmissions", m.retransmissions),
-        ("corrupt", m.corrupt),
         ("delivered_bits", m.delivered_bits),
         ("fec_corrected", m.fec_corrected),
         ("fec_rejected", m.fec_rejected),
@@ -136,20 +140,19 @@ fn micro_counters(protocol: ProtocolKind) -> Counters {
 fn capped_sweep_864() {
     assert_pinned(
         "capped-sweep-864",
-        &batch_counters(&capped_sweep(16)),
+        &batch_counters("capped-sweep-864", &capped_sweep(16)),
         &[
             ("sessions", 864),
-            ("delivered", 633),
-            ("timed_out", 231),
-            ("steps", 895_838),
-            ("activations", 1_100_131),
-            ("faults", 308_547),
+            ("delivered", 661),
+            ("timed_out", 203),
+            ("steps", 894_525),
+            ("activations", 1_097_460),
+            ("faults", 309_344),
             ("retransmissions", 0),
-            ("corrupt", 2),
-            ("delivered_bits", 15_192),
+            ("delivered_bits", 15_864),
             ("fec_corrected", 18),
             ("fec_rejected", 58),
-            ("fold", 18_356_099_829_590_190_560),
+            ("fold", 6_105_108_190_969_046_780),
         ],
     );
 }
@@ -158,7 +161,10 @@ fn capped_sweep_864() {
 fn algo_matrix_16() {
     assert_pinned(
         "algo-matrix-16",
-        &batch_counters(&BatchSpec::algorithm_matrix((0..16).collect())),
+        &batch_counters(
+            "algo-matrix-16",
+            &BatchSpec::algorithm_matrix((0..16).collect()),
+        ),
         &[
             ("sessions", 192),
             ("delivered", 192),
@@ -167,7 +173,6 @@ fn algo_matrix_16() {
             ("activations", 359_116),
             ("faults", 141_116),
             ("retransmissions", 0),
-            ("corrupt", 0),
             ("delivered_bits", 0),
             ("fec_corrected", 0),
             ("fec_rejected", 0),
@@ -289,24 +294,26 @@ fn micro_per_protocol() {
 }
 
 #[test]
-#[ignore = "full budgets: about 10 s in release; CI runs it with --include-ignored"]
+#[ignore = "full budgets: about 2 s in release; CI runs it with --include-ignored"]
 fn sweep_864() {
     assert_pinned(
         "sweep-864",
-        &batch_counters(&BatchSpec::conformance_matrix((0..16).collect())),
+        &batch_counters(
+            "sweep-864",
+            &BatchSpec::conformance_matrix((0..16).collect()),
+        ),
         &[
             ("sessions", 864),
-            ("delivered", 633),
-            ("timed_out", 231),
-            ("steps", 24_833_838),
-            ("activations", 36_150_461),
-            ("faults", 5_918_218),
+            ("delivered", 662),
+            ("timed_out", 202),
+            ("steps", 5_690_533),
+            ("activations", 7_357_049),
+            ("faults", 1_605_802),
             ("retransmissions", 0),
-            ("corrupt", 2),
-            ("delivered_bits", 15_192),
+            ("delivered_bits", 15_888),
             ("fec_corrected", 18),
             ("fec_rejected", 58),
-            ("fold", 11_843_327_297_980_758_626),
+            ("fold", 6_892_154_924_966_971_917),
         ],
     );
 }
@@ -316,40 +323,39 @@ fn sweep_864() {
 fn sweep_wide_100008() {
     assert_pinned(
         "sweep-wide-100008",
-        &batch_counters(&capped_sweep(1_852)),
+        &batch_counters("sweep-wide-100008", &capped_sweep(1_852)),
         &[
             ("sessions", 100_008),
-            ("delivered", 73_072),
-            ("timed_out", 26_936),
-            ("steps", 103_951_255),
-            ("activations", 127_543_548),
-            ("faults", 35_786_839),
+            ("delivered", 76_394),
+            ("timed_out", 23_614),
+            ("steps", 103_414_781),
+            ("activations", 126_670_298),
+            ("faults", 35_765_691),
             ("retransmissions", 0),
-            ("corrupt", 165),
-            ("delivered_bits", 1_753_728),
+            ("delivered_bits", 1_833_456),
             ("fec_corrected", 1_858),
             ("fec_rejected", 6_671),
-            ("fold", 1_315_537_922_933_930_433),
+            ("fold", 4_673_685_771_417_647_311),
         ],
     );
 }
 
 #[test]
-#[should_panic(expected = "capped-sweep-864: delivered fell 633 -> 631")]
+#[should_panic(expected = "capped-sweep-864: delivered fell 661 -> 659")]
 fn a_delivery_loss_is_named() {
     assert_pinned(
         "capped-sweep-864",
-        &[("delivered", 631), ("steps", 895_838)],
-        &[("delivered", 633), ("steps", 895_838)],
+        &[("delivered", 659), ("steps", 894_525)],
+        &[("delivered", 661), ("steps", 894_525)],
     );
 }
 
 #[test]
-#[should_panic(expected = "steps = 895839, pinned 895838")]
+#[should_panic(expected = "steps = 894526, pinned 894525")]
 fn any_counter_off_by_one_fails() {
     assert_pinned(
         "capped-sweep-864",
-        &[("delivered", 633), ("steps", 895_839)],
-        &[("delivered", 633), ("steps", 895_838)],
+        &[("delivered", 661), ("steps", 894_526)],
+        &[("delivered", 661), ("steps", 894_525)],
     );
 }
