@@ -141,6 +141,19 @@ impl PacedConfig {
         }
     }
 
+    /// Own activations a sender spends on one `payload` message: each
+    /// data symbol and the terminator held for `dwell`, then the silent
+    /// gap at home. The job ticks on every activation of the sender,
+    /// whatever it observes, so with nothing else queued
+    /// [`Paced2::is_drained`] and [`PacedSwarm::is_drained`] first hold
+    /// after this many activations, counted from the one that starts the
+    /// message.
+    #[must_use]
+    pub fn sender_activations(&self, payload: &[u8]) -> u64 {
+        let symbols = self.symbols_for(payload).len() as u64;
+        (symbols + 1) * u64::from(self.dwell) + u64::from(GAP_ACTIVATIONS)
+    }
+
     /// The terminator level: maximal magnitude, for the strongest
     /// possible final side flip.
     fn terminator_level(&self) -> u16 {
@@ -865,7 +878,7 @@ impl MovementProtocol for PacedSwarm {
 mod tests {
     use super::*;
     use stigmergy_robots::{Capabilities, Engine};
-    use stigmergy_scheduler::{FaultSpec, ScheduleSpec, Synchronous, WakeAllFirst};
+    use stigmergy_scheduler::{FaultSpec, RoundRobin, ScheduleSpec, Synchronous, WakeAllFirst};
 
     fn config(levels: usize, fec: bool) -> PacedConfig {
         PacedConfig::new(levels, 10, fec).unwrap()
@@ -926,6 +939,58 @@ mod tests {
         assert!(out.satisfied);
         assert_eq!(e.protocol(1).inbox()[0], b"fwd".to_vec());
         assert_eq!(e.protocol(0).inbox()[0], b"rev".to_vec());
+    }
+
+    /// Steps `e` until `drained(sender)` holds, counting robot 0's
+    /// activations; fails once `limit` of them pass without it.
+    fn activations_to_drain<P: MovementProtocol>(
+        e: &mut Engine<P>,
+        drained: impl Fn(&P) -> bool,
+        limit: u64,
+    ) -> u64 {
+        let mut activations = 0;
+        while !drained(e.protocol(0)) {
+            assert!(
+                activations < limit,
+                "still sending after {limit} activations"
+            );
+            activations += u64::from(e.step().unwrap().active.contains(0));
+        }
+        activations
+    }
+
+    #[test]
+    fn sender_activations_is_when_the_sender_drains() {
+        let payloads: [&[u8]; 5] = [b"", b"a", b"adv", b"paced!", b"twenty-four bytes, fixed"];
+        for payload in payloads {
+            for (levels, fec) in [(2, false), (8, false), (8, true), (16, true)] {
+                let cfg = config(levels, fec);
+                let want = cfg.sender_activations(payload);
+                // Round-robin: the sender's activations are not instants.
+                let mut pair = Engine::builder()
+                    .positions([Point::new(0.0, 0.0), Point::new(14.0, 0.0)])
+                    .protocols([Paced2::new(cfg), Paced2::new(cfg)])
+                    .schedule(WakeAllFirst::new(RoundRobin))
+                    .build()
+                    .unwrap();
+                pair.step().unwrap();
+                pair.protocol_mut(0).send(payload);
+                let got = activations_to_drain(&mut pair, Paced2::is_drained, want);
+                assert_eq!(got, want, "pair: {payload:?} levels={levels} fec={fec}");
+
+                let mut swarm = ring_engine(
+                    3,
+                    Capabilities::anonymous_with_direction(),
+                    || PacedSwarm::anonymous_with_direction(cfg),
+                    9,
+                );
+                swarm.step().unwrap();
+                let label = label_of(&swarm, 0, 2);
+                swarm.protocol_mut(0).send_label(label, payload);
+                let got = activations_to_drain(&mut swarm, PacedSwarm::is_drained, want);
+                assert_eq!(got, want, "swarm: {payload:?} levels={levels} fec={fec}");
+            }
+        }
     }
 
     #[test]
