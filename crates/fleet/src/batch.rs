@@ -281,8 +281,9 @@ impl BatchSpec {
                     prob: 0.5,
                 },
                 FaultSpec::Dropout { prob: 0.1 },
-                // Robot 1 crash-stops mid-run: the receiver in a pair, an
-                // essential bystander in a swarm, so senders stall.
+                // Robot 1 crash-stops mid-run: the receiver in a pair, so
+                // nothing can deliver; a bystander in a swarm, which the
+                // engine's failure detector reports to the survivors.
                 FaultSpec::Crash {
                     robot: 1,
                     time: 35,
@@ -508,9 +509,10 @@ impl SessionSpec {
     ///
     /// A crash plan lowers the default to 20,000 instants. That is a
     /// ceiling, not a proof: the crash cells that deliver do so far
-    /// inside it, and the asynchronous swarm, whose §4.2 ack rule waits
-    /// on a crashed bystander, delivers none of its crash cells in the
-    /// conformance sweep. Two caps are proofs, from the spec alone:
+    /// inside it. The asynchronous swarm is among them — the engine's
+    /// failure detector lists a crashed bystander in every live view,
+    /// and the survivors drop it from the §4.2 ack rule. Two caps are
+    /// proofs, from the spec alone:
     ///
     /// * **The receiver crashes** at instant `t`: the budget ends at
     ///   `t`. A crashed robot is never activated again, so its inbox is
@@ -1141,11 +1143,12 @@ fn enqueue_frames(
 /// The driver is the glue `DESIGN.md` §13 specifies: it builds each
 /// robot's [`NodeStack`], translates engine indices into each robot's
 /// local home indices, pumps delivered inbox frames into the stacks, and
-/// acts as the perfect failure detector — when the fault plan's
-/// crash-stop instant has passed, every surviving robot gets `suspect`
-/// (unwedging the §4.2 implicit-ack rule) and `on_crash` (unwedging the
-/// algorithm), in fixed robot order. The run ends when every live
-/// robot's stack is terminal, or the budget expires.
+/// relays the engine's failure detector to the algorithm — when the
+/// fault plan's crash-stop instant has passed, every surviving robot's
+/// stack gets `on_crash`, in fixed robot order. (The movement channel
+/// needs no relay: every view lists the crashed peers, and `AsyncSwarm`
+/// excludes them from its implicit-ack rule itself.) The run ends when
+/// every live robot's stack is terminal, or the budget expires.
 #[allow(clippy::too_many_lines)]
 fn run_algo_session(spec: &SessionSpec, algorithm: AlgorithmSpec) -> RunReport {
     let n = spec.cohort;
@@ -1283,9 +1286,7 @@ fn run_algo_session(spec: &SessionSpec, algorithm: AlgorithmSpec) -> RunReport {
                     if i == robot || !live[i] {
                         continue;
                     }
-                    let h = home[i][robot];
-                    engine.protocol_mut(i).suspect(h);
-                    let out = stacks[i].on_crash(h);
+                    let out = stacks[i].on_crash(home[i][robot]);
                     algo.bits += enqueue_frames(&mut engine, i, &labels[i], out);
                 }
             }

@@ -145,16 +145,16 @@ fn capped_sweep_864() {
         &batch_counters("capped-sweep-864", &capped_sweep(16)),
         &[
             ("sessions", 864),
-            ("delivered", 661),
-            ("timed_out", 203),
-            ("steps", 705_885),
-            ("activations", 960_244),
-            ("faults", 275_014),
+            ("delivered", 709),
+            ("timed_out", 155),
+            ("steps", 663_694),
+            ("activations", 918_604),
+            ("faults", 264_635),
             ("retransmissions", 0),
-            ("delivered_bits", 15_864),
+            ("delivered_bits", 17_016),
             ("fec_corrected", 18),
             ("fec_rejected", 58),
-            ("fold", 17_943_727_193_154_333_475),
+            ("fold", 13_085_934_866_553_205_660),
         ],
     );
 }
@@ -305,16 +305,16 @@ fn sweep_864() {
         ),
         &[
             ("sessions", 864),
-            ("delivered", 662),
-            ("timed_out", 202),
-            ("steps", 1_751_433),
-            ("activations", 2_152_511),
-            ("faults", 550_374),
+            ("delivered", 710),
+            ("timed_out", 154),
+            ("steps", 845_242),
+            ("activations", 1_260_551),
+            ("faults", 327_356),
             ("retransmissions", 0),
-            ("delivered_bits", 15_888),
+            ("delivered_bits", 17_040),
             ("fec_corrected", 18),
             ("fec_rejected", 58),
-            ("fold", 4_722_778_208_204_975_061),
+            ("fold", 16_453_196_972_963_416_743),
         ],
     );
 }
@@ -327,16 +327,16 @@ fn sweep_wide_100008() {
         &batch_counters("sweep-wide-100008", &capped_sweep(1_852)),
         &[
             ("sessions", 100_008),
-            ("delivered", 76_394),
-            ("timed_out", 23_614),
-            ("steps", 81_579_701),
-            ("activations", 110_787_546),
-            ("faults", 31_798_229),
+            ("delivered", 81_950),
+            ("timed_out", 18_058),
+            ("steps", 76_678_753),
+            ("activations", 105_951_180),
+            ("faults", 30_588_015),
             ("retransmissions", 0),
-            ("delivered_bits", 1_833_456),
+            ("delivered_bits", 1_966_800),
             ("fec_corrected", 1_858),
             ("fec_rejected", 6_671),
-            ("fold", 15_594_005_985_607_794_082),
+            ("fold", 4_418_623_278_419_830_413),
         ],
     );
 }
