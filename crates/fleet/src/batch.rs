@@ -518,13 +518,16 @@ impl SessionSpec {
     ///   `t`. A crashed robot is never activated again, so its inbox is
     ///   final.
     /// * **A paced sender drains.** On a synchronous channel with paced
-    ///   coding, a plan that never crashes robot 0 and a schedule with
-    ///   gap bound `G` ([`ScheduleSpec::gap_bound`]), the budget ends at
-    ///   `S·(G+1)`, `S` = [`PacedConfig::sender_activations`]. The
-    ///   sender ticks its job on every own activation and has one in
-    ///   every `G + 1` instants, so by then it is home and idle; the
-    ///   channel is open-loop and silence never commits a symbol, so no
-    ///   later observation completes the frame.
+    ///   coding, a plan that never crashes robot 0 (the sender) and a
+    ///   schedule that bounds robot 0's own gap by `G`
+    ///   ([`ScheduleSpec::gap_bound`]), the budget ends at `S·(G+1)`,
+    ///   `S` = [`PacedConfig::sender_activations`]. The sender ticks its
+    ///   job on every own activation and has one in every `G + 1`
+    ///   instants, so by then it is home and idle; the channel is
+    ///   open-loop and silence never commits a symbol, so no later
+    ///   observation completes the frame. Only the sender's gap counts:
+    ///   a starved receiver that has not yet seen the frame's end never
+    ///   will, however late it wakes.
     ///
     /// Algorithm sessions take per-algorithm budgets and neither cap:
     /// crash-stop is exactly the regime they must *terminate* under, not
@@ -564,7 +567,7 @@ impl SessionSpec {
         let paced = paced_config(self.coding).ok().flatten();
         let sender_drained = paced
             .filter(|_| synchronous && crash.is_none_or(|(robot, _)| robot != 0))
-            .zip(self.schedule.gap_bound(cohort))
+            .zip(self.schedule.gap_bound(cohort, 0))
             .map(|(config, gap)| {
                 config
                     .sender_activations(&self.payload)
@@ -969,20 +972,17 @@ fn start<P: MovementProtocol + 'static>(
     (engine, encoder, error)
 }
 
-/// Runs a chat session: robot 0 queues the payload for the last robot,
-/// addressed in `naming` (a pair has one peer), and the engine runs to
-/// delivery or budget exhaustion. Inbox entries that differ from the
-/// payload count as corrupt — detect-or-reject demands that stays 0.
-fn run_chat<P: Chat + 'static>(
+/// [`start`]s a chat session and, if preprocessing succeeded, has robot 0
+/// queue the payload for the last robot, addressed in `naming` (a pair
+/// has one peer).
+fn start_chat<P: Chat + 'static>(
     spec: &SessionSpec,
     naming: Option<NamingScheme>,
     make: impl Fn() -> P,
-) -> RunReport {
-    let (mut engine, encoder, mut error) = start(spec, naming, make);
-    let n = engine.cohort();
-    let receiver = n - 1;
-    let mut steps_to_delivery = None;
+) -> (Engine<P>, Rc<RefCell<TraceEncoder>>, Option<String>) {
+    let (mut engine, encoder, error) = start(spec, naming, make);
     if error.is_none() {
+        let receiver = engine.cohort() - 1;
         let label = naming.map_or(0, |scheme| {
             let initial = engine.trace().initial();
             scheme
@@ -990,6 +990,23 @@ fn run_chat<P: Chat + 'static>(
                 .expect("receiver must be nameable")
         });
         engine.protocol_mut(0).queue(label, &spec.payload);
+    }
+    (engine, encoder, error)
+}
+
+/// Runs a chat session from [`start_chat`] to delivery or budget
+/// exhaustion. Inbox entries that differ from the payload count as
+/// corrupt — detect-or-reject demands that stays 0.
+fn run_chat<P: Chat + 'static>(
+    spec: &SessionSpec,
+    naming: Option<NamingScheme>,
+    make: impl Fn() -> P,
+) -> RunReport {
+    let (mut engine, encoder, mut error) = start_chat(spec, naming, make);
+    let n = engine.cohort();
+    let receiver = n - 1;
+    let mut steps_to_delivery = None;
+    if error.is_none() {
         let arrived = |e: &Engine<P>| e.protocol(receiver).payloads().any(|p| p == spec.payload);
         match engine.run_until(spec.budget(), arrived) {
             Ok(out) => steps_to_delivery = out.satisfied.then_some(out.steps_taken),
@@ -1559,21 +1576,42 @@ mod tests {
         binary.coding = CodingSpec::Binary;
         assert_eq!(binary.budget(), 20_000);
 
-        // A paced sender drains within S·(G+1) instants.
+        // A paced sender drains within S·(G+1) instants, G its own gap
+        // bound. The lagging receiver never delays the sender (G = 0).
         let paced = PacedConfig::new(8, 10, true).unwrap();
-        let drained = paced.sender_activations(DEFAULT_PAYLOAD) * (8 + 1);
-        assert_eq!(lagging.gap_bound(2), Some(8));
-        assert_eq!(drained, 5_130);
-        assert_eq!(spec(ProtocolKind::Sync2, dropout.clone()).budget(), drained);
+        let sender_activations = paced.sender_activations(DEFAULT_PAYLOAD);
+        assert_eq!(sender_activations, 570);
         assert_eq!(
-            spec(ProtocolKind::SyncSwarmRouted, crash(1)).budget(),
-            drained
+            spec(ProtocolKind::Sync2, dropout.clone()).budget(),
+            sender_activations
         );
+        assert_eq!(
+            spec(ProtocolKind::SyncSwarmLex, dropout.clone()).budget(),
+            sender_activations
+        );
+        // A crashed bystander leaves the sender's schedule as it was.
+        let mut filtered = spec(ProtocolKind::SyncSwarmRouted, crash(1));
+        filtered.schedule = ScheduleSpec::CrashFiltered {
+            inner: Box::new(lagging.clone()),
+        };
+        assert_eq!(filtered.budget(), sender_activations);
+        // A lagging sender waits up to G = 8 instants per activation.
+        let mut starved = spec(ProtocolKind::Sync2, dropout.clone());
+        starved.schedule = ScheduleSpec::Lagging {
+            victim: 0,
+            max_gap: 8,
+        };
+        assert_eq!(starved.budget(), 5_130);
+        starved.protocol = ProtocolKind::SyncSwarmSec;
+        assert_eq!(starved.budget(), 5_130);
         let mut binary = spec(ProtocolKind::Sync2, dropout.clone());
         binary.coding = CodingSpec::Binary;
         assert_eq!(binary.budget(), 40_000);
         let mut unbounded = spec(ProtocolKind::Sync2, dropout.clone());
-        unbounded.schedule = ScheduleSpec::LaggingReceiver { max_gap: u64::MAX };
+        unbounded.schedule = ScheduleSpec::Lagging {
+            victim: 0,
+            max_gap: u64::MAX,
+        };
         assert_eq!(unbounded.budget(), 40_000);
         // A crashed sender may never drain; the asynchronous channels
         // ignore the coding.
@@ -1597,6 +1635,98 @@ mod tests {
             900_000
         );
         assert_eq!(spec(ProtocolKind::Hardened, crash(2)).budget(), 4_000);
+    }
+
+    /// Runs one paced chat session the way [`run_chat`] does, to its
+    /// budget. If it did not deliver, requires that the sender is
+    /// drained, then keeps stepping to `horizon` and requires that the
+    /// receiver's inbox never changes. Returns whether it delivered.
+    fn outcome_is_fixed_at_budget<P: Chat + 'static>(
+        spec: &SessionSpec,
+        naming: Option<NamingScheme>,
+        make: impl Fn() -> P,
+        drained: impl Fn(&P) -> bool,
+        horizon: u64,
+    ) -> bool {
+        let (mut engine, _, error) = start_chat(spec, naming, make);
+        assert_eq!(error, None, "{spec:?}");
+        let receiver = engine.cohort() - 1;
+        let inbox = |e: &Engine<P>| -> Vec<Vec<u8>> {
+            e.protocol(receiver)
+                .payloads()
+                .map(<[u8]>::to_vec)
+                .collect()
+        };
+        let out = engine
+            .run_until(spec.budget(), |e| {
+                e.protocol(receiver).payloads().any(|p| p == spec.payload)
+            })
+            .unwrap();
+        if out.satisfied {
+            return true;
+        }
+        let seed = spec.seed;
+        let protocol = spec.protocol.name();
+        assert!(
+            drained(engine.protocol(0)),
+            "{protocol} seed {seed}: sender still sending at {}",
+            spec.budget()
+        );
+        let fixed = inbox(&engine);
+        for t in spec.budget()..horizon {
+            engine.step().unwrap();
+            assert_eq!(
+                inbox(&engine),
+                fixed,
+                "{protocol} seed {seed}: inbox changed {} instants past the budget",
+                t + 1 - spec.budget()
+            );
+        }
+        false
+    }
+
+    /// The sender's own gap bound is enough: in the four synchronous
+    /// lagging-receiver × dropout cells, every session still undelivered
+    /// at its 570-instant budget has a drained sender, and its receiver's
+    /// inbox stays as it is through the 5,130 instants the cohort-wide
+    /// gap bound (the receiver's 8) would have allowed.
+    #[test]
+    fn undelivered_paced_sessions_stay_undelivered_past_the_budget() {
+        let batch = BatchSpec {
+            protocols: vec![
+                ProtocolKind::Sync2,
+                ProtocolKind::SyncSwarmRouted,
+                ProtocolKind::SyncSwarmLex,
+                ProtocolKind::SyncSwarmSec,
+            ],
+            schedules: vec![ScheduleSpec::LaggingReceiver { max_gap: 8 }],
+            plans: vec![FaultSpec::Dropout { prob: 0.1 }],
+            ..BatchSpec::conformance_matrix((0..16).collect())
+        };
+        let cfg = paced_config(batch.coding).unwrap().unwrap();
+        let horizon = cfg.sender_activations(&batch.payload) * (8 + 1);
+        let mut undelivered = 0;
+        for spec in batch.sessions() {
+            assert_eq!(spec.budget(), 570);
+            let delivered = match spec.protocol.row().channel {
+                Channel::SyncN(scheme) => outcome_is_fixed_at_budget(
+                    &spec,
+                    Some(scheme),
+                    || PacedSwarm::with_scheme(scheme, cfg),
+                    PacedSwarm::is_drained,
+                    horizon,
+                ),
+                _ => outcome_is_fixed_at_budget(
+                    &spec,
+                    None,
+                    || Paced2::new(cfg),
+                    Paced2::is_drained,
+                    horizon,
+                ),
+            };
+            undelivered += u32::from(!delivered);
+        }
+        assert!(undelivered > 0, "no session exercised the cap");
     }
 
     #[test]
