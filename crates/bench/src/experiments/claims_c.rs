@@ -482,7 +482,7 @@ mod tests {
         assert_eq!(tables[0].len(), 3);
         // Rounds and movement instants per row, pinned exactly: one
         // round each (election and flood decide in a single exchange) and
-        // 1,932 instants in all.
+        // 1,291 instants in all.
         let work: Vec<[&str; 2]> = s
             .lines()
             .skip(3)
@@ -491,6 +491,6 @@ mod tests {
                 [cells[3], cells[4]]
             })
             .collect();
-        assert_eq!(work, [["1", "573"], ["1", "573"], ["1", "786"]], "{s}");
+        assert_eq!(work, [["1", "383"], ["1", "383"], ["1", "525"]], "{s}");
     }
 }

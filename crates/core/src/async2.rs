@@ -17,8 +17,11 @@
 //! * **Signal** — to send `0` (`1`), step off `H` to the East (West) side
 //!   with respect to `North_r` and keep stepping until the peer has been
 //!   seen to change twice — the peer is then guaranteed to have seen the
-//!   excursion. Return to `H`, then walk North until the peer changes
-//!   twice again, separating this bit from the next.
+//!   excursion. Return to `H` in one move, then walk North until the peer
+//!   changes twice again, separating this bit from the next. The return
+//!   runs straight across `H`, so a move cut short leaves the robot on
+//!   the excursion's side, which the peer already read as this bit; the
+//!   North phase finishes the landing (DESIGN.md §8).
 //!
 //! Decoding mirrors it: the receiver classifies every observation of the
 //! sender as on-`H` / East / West (relative to the *sender's* North) and
@@ -80,8 +83,6 @@ enum Phase {
     North,
     /// Holding an excursion for the given bit.
     Out(Bit),
-    /// Walking back to `H` after an acknowledged excursion.
-    Return(Bit),
 }
 
 /// The asynchronous two-robot protocol.
@@ -260,28 +261,20 @@ impl Async2 {
         }
     }
 
-    /// One westward (homeward) move of the return phase; lands exactly on
-    /// `H` when close enough and re-enters the horizon walk.
+    /// The move back onto `H`: straight along East/West, so a non-rigid
+    /// truncation stops the robot on the side of `H` it is leaving, which
+    /// the peer already read as this bit. The return from an excursion is
+    /// this one move; a shortened landing is finished by the North phase.
     ///
-    /// Return steps are **not** contracted: a geometrically shrinking
+    /// Return moves are **not** contracted: a geometrically shrinking
     /// sequence that already spent `s·(1 + 1/x + …)` going out can never
     /// cover that distance coming back. The contraction exists to bound
     /// the on-`H` drift (where robots can approach each other); the return
     /// leg is perpendicular to `H`, collision-free, and bounded by the
-    /// excursion itself, so full-size steps are safe.
-    fn return_move(&mut self, own: Point, bit: Bit) -> Point {
-        let dir = self.out_dir(bit);
-        let offset = (own - self.home.expect("initialized")).dot(dir);
-        let step = self.base_step;
-        if offset <= step {
-            // Land exactly on H; the next activation starts the North
-            // walk, whose acknowledgement count starts fresh.
-            self.phase = Phase::North;
-            self.tracker.reset();
-            own + dir * (-offset)
-        } else {
-            own + dir * (-step)
-        }
+    /// excursion itself.
+    fn to_horizon(&self, own: Point) -> Point {
+        let lateral = (own - self.home.expect("initialized")).dot(self.east);
+        own - self.east * lateral
     }
 }
 
@@ -328,7 +321,7 @@ impl MovementProtocol for Async2 {
                 let lateral = (own - self.home.expect("initialized")).dot(self.east);
                 if lateral.abs() > self.zone_tol {
                     self.tracker.reset();
-                    return own - self.east * lateral;
+                    return self.to_horizon(own);
                 }
                 if self.tracker.changed_at_least(0, 2) {
                     if let Some(bit) = self.outgoing.dequeue() {
@@ -349,14 +342,15 @@ impl MovementProtocol for Async2 {
             }
             Phase::Out(bit) => {
                 if self.tracker.changed_at_least(0, 2) {
-                    // Acknowledged: head back to H.
-                    self.phase = Phase::Return(bit);
-                    return self.return_move(own, bit);
+                    // Acknowledged: land back on H. The North walk that
+                    // follows counts its acknowledgements afresh.
+                    self.phase = Phase::North;
+                    self.tracker.reset();
+                    return self.to_horizon(own);
                 }
                 let step = self.take_step();
                 own + self.out_dir(bit) * step
             }
-            Phase::Return(bit) => self.return_move(own, bit),
         }
     }
 }
@@ -366,7 +360,7 @@ mod tests {
     use super::*;
     use stigmergy_robots::Engine;
     use stigmergy_scheduler::{
-        FairAsync, FaultPlan, RoundRobin, Scripted, SingleActive, WakeAllFirst,
+        FairAsync, FaultPlan, RoundRobin, Scripted, SingleActive, Synchronous, WakeAllFirst,
     };
 
     fn engine<S: stigmergy_scheduler::Schedule + 'static>(
@@ -543,6 +537,66 @@ mod tests {
             .unwrap();
         assert!(out.satisfied);
         assert_eq!(e.protocol(1).inbox()[0], b"burst".to_vec());
+    }
+
+    #[test]
+    fn truncated_returns_stay_on_their_side() {
+        // The return is one move straight across H, so wherever non-rigid
+        // motion stops it the peer still reads the excursion's side (the
+        // bit it already has) or H: never the other side, which would
+        // forge a bit.
+        let mut truncated = 0;
+        for seed in 0..64 {
+            let mut e = engine(FairAsync::new(seed, 0.5, 8), DriftPolicy::Diverge, seed);
+            e.step().unwrap();
+            e.set_fault_plan(FaultPlan::new(seed).non_rigid(0.35, 0.5));
+            e.protocol_mut(0).send(b"leg");
+            let mut side = None;
+            while !e.protocol(0).is_drained() || e.protocol(1).inbox().is_empty() {
+                assert!(e.time() < 40_000, "seed {seed}: not delivered");
+                e.step().unwrap();
+                if let Phase::Out(bit) = e.protocol(0).phase {
+                    side = Some(if bit.as_bool() {
+                        HZone::West
+                    } else {
+                        HZone::East
+                    });
+                }
+                let local = e.frames()[1].to_local(e.positions()[0]);
+                let zone = e.protocol(1).classify_peer(local);
+                assert!(
+                    zone == HZone::On || Some(zone) == side,
+                    "seed {seed}, t {}: peer reads {zone:?} after an excursion to {side:?}",
+                    e.time()
+                );
+            }
+            assert_eq!(e.protocol(1).inbox()[0], b"leg".to_vec(), "seed {seed}");
+            truncated += e.stats().faults_injected;
+        }
+        assert!(truncated > 10_000, "only {truncated} moves were truncated");
+    }
+
+    #[test]
+    fn each_return_is_one_activation() {
+        // Synchronous and fault-free: the activation that sees the
+        // acknowledgement lands back on H, so the sender is off H only
+        // while an excursion is held.
+        let mut e = engine(Synchronous, DriftPolicy::Diverge, 11);
+        e.protocol_mut(0).send(b"1");
+        let mut returns = 0;
+        while !e.protocol(0).is_drained() || e.protocol(1).inbox().is_empty() {
+            assert!(e.time() < 10_000, "not delivered");
+            let was_out = matches!(e.protocol(0).phase, Phase::Out(_));
+            e.step().unwrap();
+            let local = e.frames()[1].to_local(e.positions()[0]);
+            let on_h = e.protocol(1).classify_peer(local) == HZone::On;
+            if e.protocol(0).phase == Phase::North {
+                assert!(on_h, "t {}: still off H after the return", e.time());
+                returns += u64::from(was_out);
+            }
+        }
+        assert_eq!(e.protocol(0).bits_sent(), 24);
+        assert_eq!(returns, 24);
     }
 
     #[test]

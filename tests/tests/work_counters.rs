@@ -156,18 +156,18 @@ fn capped_sweep_864() {
         &batch_counters("capped-sweep-864", &capped_sweep(16)),
         &[
             ("sessions", 864),
-            ("delivered", 709),
-            ("timed_out", 155),
-            ("steps", 580_754),
-            ("activations", 762_362),
-            ("faults", 235_341),
+            ("delivered", 710),
+            ("timed_out", 154),
+            ("steps", 517_535),
+            ("activations", 686_426),
+            ("faults", 212_438),
             ("retransmissions", 0),
-            ("delivered_bits", 17_016),
+            ("delivered_bits", 17_040),
             ("fec_corrected", 18),
             // Frames still mid-flight when the sender drained are not
             // counted: see the module doc on `fec_rejected`.
             ("fec_rejected", 55),
-            ("fold", 5_793_138_950_003_420_601),
+            ("fold", 17_268_538_306_576_721_543),
         ],
     );
 }
@@ -184,9 +184,9 @@ fn algo_matrix_16() {
             ("sessions", 192),
             ("delivered", 192),
             ("timed_out", 0),
-            ("steps", 432_458),
-            ("activations", 359_116),
-            ("faults", 141_116),
+            ("steps", 313_916),
+            ("activations", 262_434),
+            ("faults", 104_190),
             ("retransmissions", 0),
             ("delivered_bits", 0),
             ("fec_corrected", 0),
@@ -194,8 +194,8 @@ fn algo_matrix_16() {
             ("algo_rounds", 224),
             ("algo_bits", 31_232),
             ("algo_decided", 192),
-            ("activations_to_decision", 359_116),
-            ("fold", 12_537_759_552_659_345_913),
+            ("activations_to_decision", 262_434),
+            ("fold", 12_719_018_520_862_654_765),
         ],
     );
 }
@@ -221,16 +221,16 @@ fn micro_per_protocol() {
         (
             "async2",
             [
-                ("steps", 1_769),
-                ("activations", 1_991),
-                ("moves", 1_991),
-                ("faults", 986),
+                ("steps", 1_265),
+                ("activations", 1_424),
+                ("moves", 1_424),
+                ("faults", 717),
                 ("delivered", 1),
                 ("delivered_bits", 24),
                 ("fec_corrected", 0),
                 ("fec_rejected", 0),
-                ("trace_len", 100_360),
-                ("trace_hash", 14_482_933_609_544_458_169),
+                ("trace_len", 72_031),
+                ("trace_hash", 16_414_110_043_923_538_389),
             ],
         ),
         (
@@ -281,16 +281,16 @@ fn micro_per_protocol() {
         (
             "async-swarm",
             [
-                ("steps", 1_321),
-                ("activations", 2_808),
-                ("moves", 2_808),
-                ("faults", 1_421),
+                ("steps", 1_281),
+                ("activations", 2_723),
+                ("moves", 2_723),
+                ("faults", 1_377),
                 ("delivered", 1),
                 ("delivered_bits", 24),
                 ("fec_corrected", 0),
                 ("fec_rejected", 0),
-                ("trace_len", 110_487),
-                ("trace_hash", 4_272_648_983_932_034_129),
+                ("trace_len", 107_123),
+                ("trace_hash", 6_383_340_670_323_539_142),
             ],
         ),
     ];
@@ -320,16 +320,16 @@ fn sweep_864() {
             ("sessions", 864),
             ("delivered", 710),
             ("timed_out", 154),
-            ("steps", 580_762),
-            ("activations", 762_371),
-            ("faults", 235_341),
+            ("steps", 517_535),
+            ("activations", 686_426),
+            ("faults", 212_438),
             ("retransmissions", 0),
             ("delivered_bits", 17_040),
             ("fec_corrected", 18),
             // Frames still mid-flight when the sender drained are not
             // counted: see the module doc on `fec_rejected`.
             ("fec_rejected", 55),
-            ("fold", 1_111_585_711_072_863_350),
+            ("fold", 17_268_538_306_576_721_543),
         ],
     );
 }
@@ -342,18 +342,18 @@ fn sweep_wide_100008() {
         &batch_counters("sweep-wide-100008", &capped_sweep(1_852)),
         &[
             ("sessions", 100_008),
-            ("delivered", 81_950),
-            ("timed_out", 18_058),
-            ("steps", 67_182_123),
-            ("activations", 88_167_291),
-            ("faults", 27_292_734),
+            ("delivered", 82_246),
+            ("timed_out", 17_762),
+            ("steps", 59_890_601),
+            ("activations", 79_379_323),
+            ("faults", 24_657_856),
             ("retransmissions", 0),
-            ("delivered_bits", 1_966_800),
+            ("delivered_bits", 1_973_904),
             ("fec_corrected", 1_858),
             // Frames still mid-flight when the sender drained are not
             // counted: see the module doc on `fec_rejected`.
             ("fec_rejected", 5_691),
-            ("fold", 17_138_764_972_919_787_502),
+            ("fold", 12_200_926_836_221_744_497),
         ],
     );
 }
