@@ -121,6 +121,17 @@ impl ChangeTracker {
     pub fn last_position(&self, i: usize) -> Option<Point> {
         self.last[i]
     }
+
+    /// Whether some peer was last observed at exactly `pos`, bit for bit.
+    /// Observing that peer there again is no change: it moves neither a
+    /// count nor a last position.
+    #[must_use]
+    pub fn is_last_position(&self, pos: Point) -> bool {
+        self.last
+            .iter()
+            .flatten()
+            .any(|p| p.x.to_bits() == pos.x.to_bits() && p.y.to_bits() == pos.y.to_bits())
+    }
 }
 
 /// A bounded retransmission schedule with exponential backoff.
@@ -420,6 +431,22 @@ mod tests {
         assert_eq!(t.count(0), 2);
         assert!(t.changed_at_least(0, 2));
         assert!(!t.changed_at_least(0, 3));
+    }
+
+    #[test]
+    fn last_positions_match_bit_for_bit() {
+        let mut t = ChangeTracker::new(2);
+        t.observe(0, Point::new(0.0, 1.0));
+        t.observe(1, Point::new(3.0, 4.0));
+        t.observe(0, Point::new(0.0, 2.0));
+        assert!(t.is_last_position(Point::new(0.0, 2.0)));
+        assert!(t.is_last_position(Point::new(3.0, 4.0)));
+        // A superseded position, and a sign-of-zero twin, are not last.
+        assert!(!t.is_last_position(Point::new(0.0, 1.0)));
+        assert!(!t.is_last_position(Point::new(-0.0, 2.0)));
+        // A reset keeps the last positions.
+        t.reset();
+        assert!(t.is_last_position(Point::new(3.0, 4.0)));
     }
 
     #[test]
