@@ -39,6 +39,7 @@
 //! E3 quantifies both policies.
 
 use crate::ack::ChangeTracker;
+use crate::session::Chat;
 use serde::{Deserialize, Serialize};
 use stigmergy_coding::bits::BitQueue;
 use stigmergy_coding::framing::{encode_frame, FrameDecoder};
@@ -352,6 +353,18 @@ impl MovementProtocol for Async2 {
                 own + self.out_dir(bit) * step
             }
         }
+    }
+}
+
+impl Chat for Async2 {
+    fn queue(&mut self, _label: usize, payload: &[u8]) {
+        self.send(payload);
+    }
+    fn queue_broadcast(&mut self, payload: &[u8]) {
+        self.send(payload);
+    }
+    fn payloads(&self) -> impl Iterator<Item = &[u8]> {
+        self.inbox().iter().map(Vec::as_slice)
     }
 }
 

@@ -35,11 +35,9 @@
 //! also runs with IDs or sense of direction (§4.2's remark).
 
 use crate::ack::ChangeTracker;
-use crate::decode::{InboxEntry, MessageStreams, OverheardEntry, ZoneTracker};
+use crate::decode::{Dest, InboxEntry, OverheardEntry, SwarmMailbox, ZoneTracker};
 use crate::preprocess::{NamingScheme, SwarmGeometry};
-use std::collections::VecDeque;
-use stigmergy_coding::bits::BitQueue;
-use stigmergy_coding::framing::encode_frame;
+use crate::session::Chat;
 use stigmergy_geometry::granular::SliceSide;
 use stigmergy_geometry::{Point, Vec2};
 use stigmergy_robots::{MovementProtocol, View, VisibleId};
@@ -60,14 +58,6 @@ const ROOM_FRACTION: f64 = 0.25;
 /// at its granular centre.
 const CENTER_EPS: f64 = 1e-9;
 
-/// How a queued message names its destination.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Dest {
-    Label(usize),
-    Id(VisibleId),
-    Broadcast,
-}
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Phase {
     /// Shuffling on κ; `outward` is the current direction.
@@ -83,9 +73,7 @@ enum Phase {
 /// The asynchronous swarm protocol.
 #[derive(Debug, Clone)]
 pub struct AsyncSwarm {
-    scheme: NamingScheme,
-    geometry: Option<SwarmGeometry>,
-    init_error: Option<crate::CoreError>,
+    mailbox: SwarmMailbox,
     phase: Phase,
     tracker: ChangeTracker,
     /// Home indices excluded from the acknowledgement condition: always
@@ -96,11 +84,8 @@ pub struct AsyncSwarm {
     /// are permanent, so only a longer list can name a new one.
     crashed_seen: usize,
     stint_ready: bool,
-    pending: VecDeque<(Dest, Vec<u8>)>,
-    current: Option<(usize, SliceSide, BitQueue)>,
     bits_sent: u64,
     zones: ZoneTracker,
-    streams: MessageStreams,
 }
 
 impl AsyncSwarm {
@@ -109,19 +94,14 @@ impl AsyncSwarm {
     #[must_use]
     pub fn with_scheme(scheme: NamingScheme) -> Self {
         Self {
-            scheme,
-            geometry: None,
-            init_error: None,
+            mailbox: SwarmMailbox::new(scheme, true),
             phase: Phase::Kappa { outward: true },
             tracker: ChangeTracker::new(0),
             excluded: vec![0],
             crashed_seen: 0,
             stint_ready: false,
-            pending: VecDeque::new(),
-            current: None,
             bits_sent: 0,
             zones: ZoneTracker::new(),
-            streams: MessageStreams::new(),
         }
     }
 
@@ -147,50 +127,47 @@ impl AsyncSwarm {
     /// Queues a message for the robot labelled `dest_label` under this
     /// robot's naming.
     pub fn send_label(&mut self, dest_label: usize, payload: &[u8]) {
-        self.pending
-            .push_back((Dest::Label(dest_label), payload.to_vec()));
+        self.mailbox.post(Dest::Label(dest_label), payload);
     }
 
     /// Queues a message for the robot with visible ID `dest`.
     pub fn send_id(&mut self, dest: VisibleId, payload: &[u8]) {
-        self.pending.push_back((Dest::Id(dest), payload.to_vec()));
+        self.mailbox.post(Dest::Id(dest), payload);
     }
 
     /// Queues a broadcast (§5 one-to-all).
     pub fn send_broadcast(&mut self, payload: &[u8]) {
-        self.pending.push_back((Dest::Broadcast, payload.to_vec()));
+        self.mailbox.post(Dest::Broadcast, payload);
     }
 
     /// Messages addressed to this robot.
     #[must_use]
     pub fn inbox(&self) -> &[InboxEntry] {
-        self.streams.inbox()
+        self.mailbox.streams().inbox()
     }
 
     /// Every decoded message (redundancy log).
     #[must_use]
     pub fn overheard(&self) -> &[OverheardEntry] {
-        self.streams.overheard()
+        self.mailbox.streams().overheard()
     }
 
     /// The preprocessed geometry, once built.
     #[must_use]
     pub fn geometry(&self) -> Option<&SwarmGeometry> {
-        self.geometry.as_ref()
+        self.mailbox.geometry()
     }
 
     /// A degenerate-configuration failure, if preprocessing failed.
     #[must_use]
     pub fn init_error(&self) -> Option<&crate::CoreError> {
-        self.init_error.as_ref()
+        self.mailbox.init_error()
     }
 
     /// Whether all queued traffic has been sent and acknowledged.
     #[must_use]
     pub fn is_drained(&self) -> bool {
-        self.pending.is_empty()
-            && self.current.is_none()
-            && matches!(self.phase, Phase::Kappa { .. })
+        self.mailbox.is_drained() && matches!(self.phase, Phase::Kappa { .. })
     }
 
     /// Excursions launched so far. The count rises when the robot leaves
@@ -229,48 +206,6 @@ impl AsyncSwarm {
         &self.excluded
     }
 
-    fn resolve_slice(&self, dest: &Dest) -> Option<(usize, usize)> {
-        let g = self.geometry.as_ref()?;
-        let label = match dest {
-            Dest::Label(l) => *l,
-            Dest::Id(id) => {
-                let home = (0..g.cohort()).find(|&h| g.id_of(h) == Some(*id))?;
-                g.label_for(0, home)
-            }
-            Dest::Broadcast => g.label_for(0, 0),
-        };
-        if label >= g.cohort() {
-            return None;
-        }
-        Some((label, g.slice_for_label(label)))
-    }
-
-    /// Pops the next queued bit, starting a new message if needed.
-    fn next_bit(&mut self) -> Option<(usize, SliceSide)> {
-        loop {
-            if let Some((slice, _side, q)) = self.current.as_mut() {
-                let slice = *slice;
-                if let Some(bit) = q.dequeue() {
-                    let side = SliceSide::from_bit(bit.as_bool());
-                    if q.is_empty() {
-                        self.current = None;
-                    } else if let Some((_, s, _)) = self.current.as_mut() {
-                        *s = side;
-                    }
-                    return Some((slice, side));
-                }
-                self.current = None;
-            }
-            let (dest, payload) = self.pending.pop_front()?;
-            if let Some((_label, slice)) = self.resolve_slice(&dest) {
-                let mut q = BitQueue::new();
-                q.enqueue(&encode_frame(&payload));
-                self.current = Some((slice, SliceSide::Zero, q));
-            }
-            // Unresolvable destinations are dropped (sessions validate).
-        }
-    }
-
     /// Everyone (but me and the suspected crashed peers) has changed at
     /// least twice this stint.
     fn acked(&self) -> bool {
@@ -278,7 +213,7 @@ impl AsyncSwarm {
     }
 
     fn observe_and_decode(&mut self, view: &View) {
-        let Some(g) = self.geometry.as_ref() else {
+        let Some((g, streams)) = self.mailbox.decoding() else {
             return;
         };
         for o in view.others() {
@@ -293,7 +228,7 @@ impl AsyncSwarm {
             };
             self.tracker.observe(home, o.position);
             if let Some((slice, side)) = self.zones.observe(g, home, o.position) {
-                self.streams.on_signal(g, home, slice, side);
+                streams.on_signal(g, home, slice, side);
             }
         }
     }
@@ -301,7 +236,7 @@ impl AsyncSwarm {
     /// κ direction: outward is the zero side of slice κ (the SEC radius
     /// through this robot, pointing away from the SEC centre).
     fn kappa_dir(&self, outward: bool) -> Vec2 {
-        let g = self.geometry.as_ref().expect("initialized");
+        let g = self.mailbox.geometry().expect("initialized");
         let kappa = g.kappa_slice().expect("async keyboards have kappa");
         let d = g
             .keyboard(0)
@@ -316,7 +251,7 @@ impl AsyncSwarm {
 
     /// One constrained κ move from the current radial distance `d`.
     fn kappa_move(&self, own: Point, outward: bool) -> Point {
-        let g = self.geometry.as_ref().expect("initialized");
+        let g = self.mailbox.geometry().expect("initialized");
         let radius = g.keyboard(0).radius();
         let d = own.distance(g.home(0));
         let room = if outward {
@@ -335,7 +270,7 @@ impl AsyncSwarm {
     }
 
     fn at_center(&self, own: Point) -> bool {
-        let g = self.geometry.as_ref().expect("initialized");
+        let g = self.mailbox.geometry().expect("initialized");
         own.distance(g.home(0)) < g.keyboard(0).radius() * CENTER_EPS
     }
 
@@ -343,7 +278,7 @@ impl AsyncSwarm {
     /// half-slice — in one move. A move cut short stays on the same
     /// radius, in the zone it is leaving (module docs, *Travel legs*).
     fn center_move(&self) -> Point {
-        self.geometry.as_ref().expect("initialized").home(0)
+        self.mailbox.geometry().expect("initialized").home(0)
     }
 
     /// One outward move on an addressing slice: first stride to half the
@@ -356,7 +291,7 @@ impl AsyncSwarm {
     /// would then re-issue the identical jump target forever — a frozen
     /// sender that also wedges every peer waiting on its double-change.
     fn slice_move(&self, own: Point, slice: usize, side: SliceSide) -> Point {
-        let g = self.geometry.as_ref().expect("initialized");
+        let g = self.mailbox.geometry().expect("initialized");
         let radius = g.keyboard(0).radius();
         let d = own.distance(g.home(0));
         if d < radius * (0.5 - 1e-9) {
@@ -376,23 +311,18 @@ impl AsyncSwarm {
 
 impl MovementProtocol for AsyncSwarm {
     fn on_activate(&mut self, view: &View) -> Point {
-        if self.geometry.is_none() && self.init_error.is_none() {
-            match SwarmGeometry::build(view, self.scheme, true) {
-                Ok(g) => {
-                    self.tracker = ChangeTracker::new(g.cohort());
-                    self.geometry = Some(g);
-                }
-                Err(e) => self.init_error = Some(e),
-            }
-        }
-        let Some(cohort) = self.geometry.as_ref().map(SwarmGeometry::cohort) else {
+        let fresh = self.mailbox.geometry().is_none();
+        let Some(cohort) = self.mailbox.prepare(view).map(SwarmGeometry::cohort) else {
             return view.own_position();
         };
+        if fresh {
+            self.tracker = ChangeTracker::new(cohort);
+        }
         let crashed = view.crashed();
         if crashed.len() > self.crashed_seen {
             self.crashed_seen = crashed.len();
             for &p in crashed {
-                if let Some(home) = self.geometry.as_ref().and_then(|g| g.identify(p)) {
+                if let Some(home) = self.mailbox.geometry().and_then(|g| g.identify(p)) {
                     self.suspect(home);
                 }
             }
@@ -414,7 +344,8 @@ impl MovementProtocol for AsyncSwarm {
                     self.stint_ready = true;
                 }
                 if self.stint_ready {
-                    if let Some((slice, side)) = self.next_bit() {
+                    if let Some((slice, bit)) = self.mailbox.next_bit() {
+                        let side = SliceSide::from_bit(bit.as_bool());
                         // Head for the centre to start the excursion.
                         self.stint_ready = false;
                         self.phase = Phase::GoCenter { slice, side };
@@ -470,6 +401,24 @@ impl AsyncSwarm {
 impl Default for AsyncSwarm {
     fn default() -> Self {
         Self::anonymous()
+    }
+}
+
+impl Chat for AsyncSwarm {
+    fn queue(&mut self, label: usize, payload: &[u8]) {
+        self.send_label(label, payload);
+    }
+    fn queue_broadcast(&mut self, payload: &[u8]) {
+        self.send_broadcast(payload);
+    }
+    fn inbox_entries(&self) -> &[InboxEntry] {
+        self.inbox()
+    }
+    fn swarm_geometry(&self) -> Option<&SwarmGeometry> {
+        self.geometry()
+    }
+    fn failure(&self) -> Option<&crate::CoreError> {
+        self.init_error()
     }
 }
 
@@ -555,6 +504,19 @@ mod tests {
             })
             .unwrap();
         assert!(out.satisfied, "not delivered");
+    }
+
+    #[test]
+    fn unresolvable_label_is_dropped_not_stuck() {
+        let mut e = engine(3, FairAsync::new(53, 0.5, 8), 14);
+        e.step().unwrap();
+        let good = label_of(&e, 0, 1);
+        crate::decode::tests::unresolvable_label_is_dropped_not_stuck(
+            &mut e,
+            AsyncSwarm::overheard,
+            good,
+            60_000,
+        );
     }
 
     #[test]

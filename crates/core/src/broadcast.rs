@@ -7,17 +7,19 @@
 //! * **one-to-all** — the *self-slice convention*: a robot never needs to
 //!   address itself, so an excursion on its own diameter is free to mean
 //!   "to everyone". Every observer already decodes every stream
-//!   (redundancy), so a broadcast costs exactly one unicast's moves. This
-//!   is wired into [`MessageStreams`](crate::decode::MessageStreams) and
-//!   exposed as `send_broadcast` on the swarm protocols and
-//!   [`Network::broadcast`](crate::session::Network::broadcast).
+//!   (redundancy), so a broadcast costs exactly one unicast's moves. Each
+//!   swarm protocol's mailbox resolves a broadcast to the sender's own
+//!   slice, and [`MessageStreams`](crate::decode::MessageStreams) files
+//!   it in every observer's inbox. It is exposed as `send_broadcast` on
+//!   the swarm protocols, [`Chat::queue_broadcast`], and
+//!   [`Network::broadcast`].
 //! * **one-to-many** — [`multicast`]: address each recipient in turn. A
 //!   smarter encoding (group labels) would need a naming of robot
 //!   *subsets*, which the paper does not develop; repeated unicast keeps
 //!   the decoder unchanged and the cost transparent (`|targets|` × one
 //!   unicast).
 
-use crate::session::{Network, SwarmProtocol};
+use crate::session::{Chat, Network};
 use crate::CoreError;
 
 /// Sends `payload` from `from` to every robot in `targets`.
@@ -29,7 +31,7 @@ use crate::CoreError;
 ///
 /// Propagates the first [`Network::send`] failure; messages queued before
 /// the failure remain queued.
-pub fn multicast<P: SwarmProtocol>(
+pub fn multicast<P: Chat>(
     net: &mut Network<P>,
     from: usize,
     targets: &[usize],

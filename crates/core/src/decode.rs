@@ -15,13 +15,22 @@
 //!   a new bit is an entry into an addressing half-slice from any other
 //!   zone, which the sender's hold-until-acknowledged discipline makes
 //!   unambiguous.
+//!
+//! The swarm protocols (P2–P4, their paced variant, and P6) share
+//! everything but their signalling: each holds one crate-private
+//! `SwarmMailbox` with the naming scheme, the t0 geometry, the outgoing
+//! queue and these streams.
 
-use crate::preprocess::SwarmGeometry;
+use crate::preprocess::{NamingScheme, SwarmGeometry};
+use crate::CoreError;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
-use stigmergy_coding::framing::FrameDecoder;
+use std::collections::{BTreeMap, VecDeque};
+use stigmergy_coding::bits::BitQueue;
+use stigmergy_coding::framing::{encode_frame, FrameDecoder};
+use stigmergy_coding::Bit;
 use stigmergy_geometry::granular::{SliceSide, SliceZone};
 use stigmergy_geometry::Point;
+use stigmergy_robots::{View, VisibleId};
 
 /// A message delivered to this observer.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -73,25 +82,47 @@ impl MessageStreams {
         slice: usize,
         side: SliceSide,
     ) -> Option<OverheardEntry> {
-        let label = geometry.label_for_slice(slice)?;
-        let dest = geometry.home_for(sender, label)?;
-        let bit = stigmergy_coding::Bit::from_bool(side.bit());
+        let dest = addressee(geometry, sender, slice)?;
         let payload = self
             .decoders
             .entry((sender, dest))
             .or_default()
-            .push_bit(bit)?;
-        let entry = OverheardEntry {
-            sender,
-            dest,
-            payload: payload.clone(),
-        };
-        self.overheard.push(entry.clone());
+            .push_bit(Bit::from_bool(side.bit()))?;
+        Some(self.route(sender, dest, payload).clone())
+    }
+
+    /// Files a whole message `sender` signalled on `slice`, decoded by
+    /// the protocol's own coding, under the same routing as
+    /// [`MessageStreams::on_signal`]. A slice that names nobody is
+    /// dropped.
+    pub(crate) fn deliver(
+        &mut self,
+        geometry: &SwarmGeometry,
+        sender: usize,
+        slice: usize,
+        payload: Vec<u8>,
+    ) {
+        if let Some(dest) = addressee(geometry, sender, slice) {
+            self.route(sender, dest, payload);
+        }
+    }
+
+    /// Logs a completed message as overheard and, if it is for this
+    /// observer, files it in the inbox.
+    fn route(&mut self, sender: usize, dest: usize, payload: Vec<u8>) -> &OverheardEntry {
         // dest == 0: unicast to me. dest == sender: broadcast convention.
         if dest == 0 || dest == sender {
-            self.inbox.push(InboxEntry { sender, payload });
+            self.inbox.push(InboxEntry {
+                sender,
+                payload: payload.clone(),
+            });
         }
-        Some(entry)
+        self.overheard.push(OverheardEntry {
+            sender,
+            dest,
+            payload,
+        });
+        self.overheard.last().expect("just pushed")
     }
 
     /// Messages addressed to this observer, in arrival order.
@@ -110,6 +141,143 @@ impl MessageStreams {
     #[must_use]
     pub fn pending_bits(&self) -> usize {
         self.decoders.values().map(FrameDecoder::pending_bits).sum()
+    }
+}
+
+/// The home index `sender` addresses by signalling on `slice`, or `None`
+/// for κ and slices beyond the addressing range.
+fn addressee(geometry: &SwarmGeometry, sender: usize, slice: usize) -> Option<usize> {
+    geometry.home_for(sender, geometry.label_for_slice(slice)?)
+}
+
+/// How a queued swarm message names its destination.
+#[derive(Debug, Clone)]
+pub(crate) enum Dest {
+    /// A label under this robot's naming.
+    Label(usize),
+    /// A visible ID (identified systems only).
+    Id(VisibleId),
+    /// Everyone: "send to self" on the wire (§5 one-to-all).
+    Broadcast,
+}
+
+/// The half of a swarm protocol that does not depend on how a bit is
+/// signalled: the naming scheme, the geometry built at the first
+/// activation (or the failure to build it), the queue of outgoing
+/// messages, and the decoded streams with their inbox/overheard routing.
+#[derive(Debug, Clone)]
+pub(crate) struct SwarmMailbox {
+    scheme: NamingScheme,
+    kappa: bool,
+    geometry: Option<SwarmGeometry>,
+    init_error: Option<CoreError>,
+    pending: VecDeque<(Dest, Vec<u8>)>,
+    /// The slice and remaining bits of the frame [`SwarmMailbox::next_bit`]
+    /// is sending.
+    current: Option<(usize, BitQueue)>,
+    streams: MessageStreams,
+}
+
+impl SwarmMailbox {
+    /// An empty mailbox naming peers by `scheme`, on keyboards with the
+    /// extra slice κ when `kappa` is set.
+    pub(crate) fn new(scheme: NamingScheme, kappa: bool) -> Self {
+        Self {
+            scheme,
+            kappa,
+            geometry: None,
+            init_error: None,
+            pending: VecDeque::new(),
+            current: None,
+            streams: MessageStreams::new(),
+        }
+    }
+
+    /// Queues `payload` for `dest`; it is resolved when it is sent.
+    pub(crate) fn post(&mut self, dest: Dest, payload: &[u8]) {
+        self.pending.push_back((dest, payload.to_vec()));
+    }
+
+    /// Runs the t0 preprocessing on the first view it is given and keeps
+    /// the geometry, or the failure, for good. Returns the geometry; `None`
+    /// means the configuration was degenerate and the robot stays put.
+    pub(crate) fn prepare(&mut self, view: &View) -> Option<&SwarmGeometry> {
+        if self.geometry.is_none() && self.init_error.is_none() {
+            match SwarmGeometry::build(view, self.scheme, self.kappa) {
+                Ok(g) => self.geometry = Some(g),
+                Err(e) => self.init_error = Some(e),
+            }
+        }
+        self.geometry.as_ref()
+    }
+
+    /// The preprocessed geometry, once built.
+    pub(crate) fn geometry(&self) -> Option<&SwarmGeometry> {
+        self.geometry.as_ref()
+    }
+
+    /// The preprocessing failure, if the first view was degenerate.
+    pub(crate) fn init_error(&self) -> Option<&CoreError> {
+        self.init_error.as_ref()
+    }
+
+    /// Whether every queued message has left the queue, and every bit of
+    /// the frame [`SwarmMailbox::next_bit`] was sending.
+    pub(crate) fn is_drained(&self) -> bool {
+        self.pending.is_empty() && self.current.is_none()
+    }
+
+    /// Pops queued messages until one resolves, and returns the keyboard
+    /// slice that addresses it with its payload. A label beyond the
+    /// cohort or an unknown ID is dropped (sessions validate destinations
+    /// up front, so this is defensive). Nothing is popped before the
+    /// geometry exists.
+    pub(crate) fn next_message(&mut self) -> Option<(usize, Vec<u8>)> {
+        let g: &SwarmGeometry = self.geometry.as_ref()?;
+        while let Some((dest, payload)) = self.pending.pop_front() {
+            let label = match dest {
+                Dest::Label(l) => Some(l),
+                Dest::Id(id) => (0..g.cohort())
+                    .find(|&h| g.id_of(h) == Some(id))
+                    .map(|home| g.label_for(0, home)),
+                // Broadcast: my own slice (label of self in my naming).
+                Dest::Broadcast => Some(g.label_for(0, 0)),
+            };
+            if let Some(label) = label.filter(|&l| l < g.cohort()) {
+                return Some((g.slice_for_label(label), payload));
+            }
+        }
+        None
+    }
+
+    /// The next bit of the framed outgoing stream and the slice it rides
+    /// on, starting the next resolvable message when the last frame is
+    /// done.
+    pub(crate) fn next_bit(&mut self) -> Option<(usize, Bit)> {
+        if self.current.is_none() {
+            let (slice, payload) = self.next_message()?;
+            let mut q = BitQueue::new();
+            q.enqueue(&encode_frame(&payload));
+            self.current = Some((slice, q));
+        }
+        let (slice, q) = self.current.as_mut()?;
+        let slice = *slice;
+        let bit = q.dequeue().expect("a frame is never empty");
+        if q.is_empty() {
+            self.current = None;
+        }
+        Some((slice, bit))
+    }
+
+    /// The geometry and the streams to decode into, once the geometry
+    /// exists.
+    pub(crate) fn decoding(&mut self) -> Option<(&SwarmGeometry, &mut MessageStreams)> {
+        Some((self.geometry.as_ref()?, &mut self.streams))
+    }
+
+    /// The decoded streams: this robot's inbox and overheard log.
+    pub(crate) fn streams(&self) -> &MessageStreams {
+        &self.streams
     }
 }
 
@@ -177,33 +345,159 @@ impl ZoneTracker {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::preprocess::NamingScheme;
-    use stigmergy_coding::framing::encode_frame;
-    use stigmergy_robots::{Observed, View};
+    use crate::session::Chat;
+    use stigmergy_robots::{Engine, Observed};
+
+    /// Robot 0 of a preprocessed engine queues a message to label 99,
+    /// beyond any test cohort, then one to robot 1 under `label`: the
+    /// first is dropped — nobody overhears it — and does not block the
+    /// second.
+    pub(crate) fn unresolvable_label_is_dropped_not_stuck<P: Chat>(
+        e: &mut Engine<P>,
+        overheard: fn(&P) -> &[OverheardEntry],
+        label: usize,
+        max_steps: u64,
+    ) {
+        e.protocol_mut(0).queue(99, b"void");
+        e.protocol_mut(0).queue(label, b"real");
+        let out = e
+            .run_until(max_steps, |e| {
+                e.protocol(1).payloads().any(|p| p == b"real")
+            })
+            .unwrap();
+        assert!(out.satisfied, "queue must not wedge on a bad label");
+        for i in 0..e.cohort() {
+            assert!(
+                overheard(e.protocol(i))
+                    .iter()
+                    .all(|m| m.payload != b"void"),
+                "robot {i} decoded the dropped message"
+            );
+        }
+    }
+
+    const TRIANGLE: [Point; 3] = [
+        Point::new(0.0, 0.0),
+        Point::new(10.0, 0.0),
+        Point::new(0.0, 10.0),
+    ];
+
+    /// The view of the robot at `pts[0]`; `ids[k]` is robot `k`'s
+    /// visible identifier, if any.
+    fn view(pts: &[Point], ids: &[Option<u32>]) -> View {
+        let observed = |k: usize| Observed {
+            position: pts[k],
+            id: ids.get(k).copied().flatten().map(VisibleId::new),
+        };
+        View::new(observed(0), (1..pts.len()).map(observed).collect(), 1.0)
+    }
 
     fn geometry(kappa: bool) -> SwarmGeometry {
-        let pts = [
-            Point::new(0.0, 0.0),
-            Point::new(10.0, 0.0),
-            Point::new(0.0, 10.0),
-        ];
-        let view = View::new(
-            Observed {
-                position: pts[0],
-                id: None,
-            },
-            pts[1..]
-                .iter()
-                .map(|&p| Observed {
-                    position: p,
-                    id: None,
-                })
-                .collect(),
-            1.0,
+        SwarmGeometry::build(&view(&TRIANGLE, &[]), NamingScheme::ByLex, kappa).unwrap()
+    }
+
+    /// Drains `mailbox` through [`SwarmMailbox::next_message`].
+    fn sent(mailbox: &mut SwarmMailbox) -> Vec<(usize, Vec<u8>)> {
+        std::iter::from_fn(|| mailbox.next_message()).collect()
+    }
+
+    #[test]
+    fn mailbox_resolves_labels_ids_and_broadcasts() {
+        let mut mailbox = SwarmMailbox::new(NamingScheme::ById, false);
+        let ids = [Some(7), Some(3), Some(9)];
+        let g = mailbox.prepare(&view(&TRIANGLE, &ids)).unwrap().clone();
+        mailbox.post(Dest::Label(1), b"label");
+        mailbox.post(Dest::Id(VisibleId::new(9)), b"id");
+        mailbox.post(Dest::Broadcast, b"all");
+        let home_of_9 = (0..3)
+            .find(|&h| g.id_of(h) == Some(VisibleId::new(9)))
+            .unwrap();
+        assert_eq!(
+            sent(&mut mailbox),
+            vec![
+                (g.slice_for_label(1), b"label".to_vec()),
+                (g.slice_for_label(g.label_for(0, home_of_9)), b"id".to_vec()),
+                (g.slice_for_label(g.label_for(0, 0)), b"all".to_vec()),
+            ]
         );
-        SwarmGeometry::build(&view, NamingScheme::ByLex, kappa).unwrap()
+        assert!(mailbox.is_drained());
+    }
+
+    #[test]
+    fn mailbox_drops_unresolvable_destinations_in_queue_order() {
+        let mut mailbox = SwarmMailbox::new(NamingScheme::ById, false);
+        mailbox.post(Dest::Label(0), b"a");
+        mailbox.post(Dest::Label(3), b"beyond the cohort");
+        mailbox.post(Dest::Id(VisibleId::new(4)), b"unknown id");
+        mailbox.post(Dest::Label(2), b"b");
+        // Nothing resolves, and nothing is dropped, before t0.
+        assert_eq!(mailbox.next_message(), None);
+        let g = mailbox
+            .prepare(&view(&TRIANGLE, &[Some(1), Some(2), Some(3)]))
+            .unwrap()
+            .clone();
+        assert_eq!(
+            sent(&mut mailbox),
+            vec![
+                (g.slice_for_label(0), b"a".to_vec()),
+                (g.slice_for_label(2), b"b".to_vec()),
+            ]
+        );
+    }
+
+    #[test]
+    fn mailbox_frames_each_message_bit_by_bit() {
+        let mut mailbox = SwarmMailbox::new(NamingScheme::ByLex, false);
+        let g = mailbox.prepare(&view(&TRIANGLE, &[])).unwrap().clone();
+        mailbox.post(Dest::Label(9), b"dropped");
+        mailbox.post(Dest::Label(1), b"x");
+        mailbox.post(Dest::Label(2), b"");
+        let mut bits = Vec::new();
+        while let Some((slice, bit)) = mailbox.next_bit() {
+            bits.push((slice, bit));
+        }
+        let expect: Vec<_> = (encode_frame(b"x").iter())
+            .map(|b| (g.slice_for_label(1), b))
+            .chain(encode_frame(b"").iter().map(|b| (g.slice_for_label(2), b)))
+            .collect();
+        assert_eq!(bits, expect);
+        assert!(mailbox.is_drained());
+    }
+
+    #[test]
+    fn mailbox_builds_the_geometry_once() {
+        let mut mailbox = SwarmMailbox::new(NamingScheme::ByLex, true);
+        let first = mailbox.prepare(&view(&TRIANGLE, &[])).unwrap().clone();
+        assert!(first.has_kappa());
+        let moved = [
+            Point::new(1.0, 1.0),
+            Point::new(30.0, 0.0),
+            Point::new(0.0, -7.0),
+        ];
+        assert_eq!(mailbox.prepare(&view(&moved, &[])), Some(&first));
+        assert_eq!(mailbox.geometry(), Some(&first));
+        assert_eq!(mailbox.init_error(), None);
+    }
+
+    #[test]
+    fn mailbox_keeps_the_preprocessing_error() {
+        // The observer sits at the SEC centre: SEC naming is undefined.
+        let degenerate = [
+            Point::new(0.0, 0.0),
+            Point::new(0.0, 5.0),
+            Point::new(0.0, -5.0),
+        ];
+        let mut mailbox = SwarmMailbox::new(NamingScheme::BySec, false);
+        mailbox.post(Dest::Broadcast, b"never");
+        assert_eq!(mailbox.prepare(&view(&degenerate, &[])), None);
+        let error = mailbox.init_error().cloned().expect("preprocessing failed");
+        // A later, well-formed view does not retry.
+        assert_eq!(mailbox.prepare(&view(&TRIANGLE, &[])), None);
+        assert_eq!(mailbox.init_error(), Some(&error));
+        assert_eq!(mailbox.next_message(), None);
+        assert!(!mailbox.is_drained(), "the message stays queued");
     }
 
     #[test]

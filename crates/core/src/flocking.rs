@@ -13,8 +13,6 @@
 //! The composition is *synchronous-only*: the displacement is `t·v`, and
 //! counting instants requires being active at every one of them.
 
-use crate::session::SwarmProtocol;
-use crate::SwarmGeometry;
 use stigmergy_geometry::{Point, Vec2};
 use stigmergy_robots::{MovementProtocol, View};
 
@@ -87,24 +85,6 @@ impl<P: MovementProtocol> MovementProtocol for Flocking<P> {
         self.instants += 1;
         // Re-apply the drift, plus this instant's flocking move.
         target + self.velocity * (self.instants as f64)
-    }
-}
-
-impl<P: SwarmProtocol> SwarmProtocol for Flocking<P> {
-    fn queue_label(&mut self, label: usize, payload: &[u8]) {
-        self.inner.queue_label(label, payload);
-    }
-    fn queue_broadcast(&mut self, payload: &[u8]) {
-        self.inner.queue_broadcast(payload);
-    }
-    fn inbox_entries(&self) -> &[crate::decode::InboxEntry] {
-        self.inner.inbox_entries()
-    }
-    fn swarm_geometry(&self) -> Option<&SwarmGeometry> {
-        self.inner.swarm_geometry()
-    }
-    fn failure(&self) -> Option<&crate::CoreError> {
-        self.inner.failure()
     }
 }
 

@@ -41,10 +41,12 @@
 //! sustained-silence window between messages — that window re-arms the
 //! decoder and keeps back-to-back messages aligned.
 //!
-//! [`CodingSpec::Fec`]: ../../stigmergy_scheduler/factory/enum.CodingSpec.html
+//! [`CodingSpec::Fec`]: stigmergy_scheduler::CodingSpec::Fec
 
-use crate::decode::{InboxEntry, OverheardEntry};
+use crate::decode::{Dest, InboxEntry, OverheardEntry, SwarmMailbox};
 use crate::preprocess::{NamingScheme, SwarmGeometry};
+use crate::session::Chat;
+use crate::sync2::PairFrame;
 use std::collections::{BTreeMap, VecDeque};
 use stigmergy_coding::alphabet::MagnitudeAlphabet;
 use stigmergy_coding::checksum::{protect, verify};
@@ -52,7 +54,7 @@ use stigmergy_coding::fec::{SymbolFec, BLOCK_LEN};
 use stigmergy_coding::framing::{encode_frame, FrameDecoder};
 use stigmergy_coding::{Bit, CodingError};
 use stigmergy_geometry::granular::{SliceSide, SliceZone};
-use stigmergy_geometry::{Point, Vec2};
+use stigmergy_geometry::Point;
 use stigmergy_robots::{MovementProtocol, View, VisibleId};
 
 /// The fraction of the granular radius a maximal swarm excursion uses —
@@ -395,6 +397,43 @@ struct SendJob {
 }
 
 impl SendJob {
+    fn new(symbols: Vec<u16>, slice: usize, config: &PacedConfig) -> Self {
+        Self {
+            symbols,
+            slice,
+            at: 0,
+            left: config.dwell,
+        }
+    }
+
+    /// Spends one sender activation on the job in `slot`. Returns the
+    /// excursion to hold — the job's slice, whether it is on the one
+    /// side, and its fraction of a full excursion — or `None` in the
+    /// silent gap or with no job. A symbol's first activation counts in
+    /// `signals_sent`; the slot empties when the gap is over.
+    fn advance(
+        slot: &mut Option<Self>,
+        config: &PacedConfig,
+        signals_sent: &mut u64,
+    ) -> Option<(usize, bool, f64)> {
+        let job = slot.as_mut()?;
+        let fresh = job.left == config.dwell;
+        let excursion = job.current(config).map(|(level, parity)| {
+            if fresh {
+                *signals_sent += 1;
+            }
+            let fraction = config
+                .alphabet
+                .fraction(usize::from(level))
+                .expect("queued symbols are in range");
+            (job.slice, parity != 0, fraction)
+        });
+        if !job.tick(config) {
+            *slot = None;
+        }
+        excursion
+    }
+
     /// The symbol and side parity of the current slot, or `None` in the
     /// gap.
     fn current(&self, config: &PacedConfig) -> Option<(u16, u8)> {
@@ -428,11 +467,9 @@ impl SendJob {
 #[derive(Debug, Clone)]
 pub struct Paced2 {
     config: PacedConfig,
-    home: Option<Point>,
-    peer_home: Option<Point>,
-    my_right: Option<Vec2>,
-    peer_right: Option<Vec2>,
-    lateral_step: f64,
+    /// Unset until the first two-robot activation; `Some(None)` if the
+    /// peer was hidden then.
+    frame: Option<Option<PairFrame>>,
     queue: VecDeque<Vec<u16>>,
     job: Option<SendJob>,
     tracker: RunTracker,
@@ -448,11 +485,7 @@ impl Paced2 {
         Self {
             sink: SymbolSink::new(&config),
             config,
-            home: None,
-            peer_home: None,
-            my_right: None,
-            peer_right: None,
-            lateral_step: 0.0,
+            frame: None,
             queue: VecDeque::new(),
             job: None,
             tracker: RunTracker::default(),
@@ -503,12 +536,9 @@ impl Paced2 {
         self.sink.rejected
     }
 
-    fn decode_peer(&mut self, peer_pos: Point) {
-        let (Some(peer_home), Some(right)) = (self.peer_home, self.peer_right) else {
-            return;
-        };
-        let u = (peer_pos - peer_home).dot(right);
-        let fraction = u.abs() / self.lateral_step;
+    fn decode_peer(&mut self, frame: &PairFrame, peer_pos: Point) {
+        let u = (peer_pos - frame.peer_home).dot(frame.peer_right);
+        let fraction = u.abs() / frame.lateral_step;
         let obs = match self.config.alphabet.classify(fraction) {
             None => Observation::Silence,
             Some(level) => Observation::Symbol {
@@ -521,81 +551,50 @@ impl Paced2 {
         }
     }
 
-    fn sender_target(&mut self, home: Point) -> Point {
+    fn sender_target(&mut self, frame: &PairFrame) -> Point {
         if self.job.is_none() {
-            let Some(symbols) = self.queue.pop_front() else {
-                return home;
-            };
-            self.job = Some(SendJob {
-                symbols,
-                slice: 0,
-                at: 0,
-                left: self.config.dwell,
-            });
+            let config = &self.config;
+            self.job = self
+                .queue
+                .pop_front()
+                .map(|symbols| SendJob::new(symbols, 0, config));
         }
-        let job = self.job.as_mut().expect("job was just ensured");
-        let fresh = job.left == self.config.dwell;
-        let target = match job.current(&self.config) {
-            Some((level, parity)) => {
-                if fresh {
-                    self.signals_sent += 1;
-                }
-                let right = self.my_right.expect("homes are distinct");
-                let dir = if parity == 0 { right } else { -right };
-                let fraction = self
-                    .config
-                    .alphabet
-                    .fraction(usize::from(level))
-                    .expect("queued symbols are in range");
-                home + dir * (self.lateral_step * fraction)
-            }
-            None => home, // the silent gap
-        };
-        if !job.tick(&self.config) {
-            self.job = None;
+        match SendJob::advance(&mut self.job, &self.config, &mut self.signals_sent) {
+            Some((_, one_side, fraction)) => frame.excursion(one_side, fraction),
+            None => frame.home, // idle, or the silent gap
         }
-        target
     }
 }
 
 impl MovementProtocol for Paced2 {
     fn on_activate(&mut self, view: &View) -> Point {
-        if self.home.is_none() {
-            // Two-robot protocol: any other cohort size is a spec error —
-            // freeze rather than mis-signal (as Sync2 does).
-            if view.cohort() != 2 {
-                return view.own_position();
-            }
-            self.home = Some(view.own_position());
-            let peer = view.others().first().map(|o| o.position);
-            self.peer_home = peer;
-            if let (Some(h), Some(p)) = (self.home, peer) {
-                self.lateral_step = (h.distance(p) / 4.0).min(view.sigma());
-                self.my_right = (p - h).normalized().ok().map(Vec2::perp_cw);
-                self.peer_right = (h - p).normalized().ok().map(Vec2::perp_cw);
-            }
-        }
-        let Some(home) = self.home.filter(|_| self.peer_home.is_some()) else {
+        // Any other cohort size is a spec error: freeze rather than
+        // mis-signal (as Sync2 does).
+        let Some(frame) = PairFrame::fix(&mut self.frame, view) else {
             return view.own_position();
         };
         // Decode on *every* activation — pacing, not activation parity,
         // delimits symbols.
         if let Some(peer) = view.others().first() {
-            self.decode_peer(peer.position);
+            self.decode_peer(&frame, peer.position);
         }
-        self.sender_target(home)
+        self.sender_target(&frame)
     }
 }
 
-/// How a queued swarm message names its destination.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Dest {
-    /// A label under this robot's naming.
-    Label(usize),
-    /// A visible ID (identified systems only).
-    Id(VisibleId),
-    /// Everyone: "send to self" on the wire (§5 one-to-all).
-    Broadcast,
+impl Chat for Paced2 {
+    fn queue(&mut self, _label: usize, payload: &[u8]) {
+        self.send(payload);
+    }
+    fn queue_broadcast(&mut self, payload: &[u8]) {
+        self.send(payload);
+    }
+    fn payloads(&self) -> impl Iterator<Item = &[u8]> {
+        self.inbox().iter().map(Vec::as_slice)
+    }
+    fn fec_stats(&self) -> (u64, u64) {
+        (self.fec_corrected(), self.fec_rejected())
+    }
 }
 
 /// Per-sender receive state.
@@ -613,15 +612,10 @@ struct SenderState {
 /// carries `log2 L` bits per symbol and the side paces the stream.
 #[derive(Debug, Clone)]
 pub struct PacedSwarm {
-    scheme: NamingScheme,
     config: PacedConfig,
-    geometry: Option<SwarmGeometry>,
-    init_error: Option<crate::CoreError>,
-    pending: VecDeque<(Dest, Vec<u8>)>,
+    mailbox: SwarmMailbox,
     job: Option<SendJob>,
     senders: BTreeMap<usize, SenderState>,
-    inbox: Vec<InboxEntry>,
-    overheard: Vec<OverheardEntry>,
     signals_sent: u64,
 }
 
@@ -630,15 +624,10 @@ impl PacedSwarm {
     #[must_use]
     pub fn with_scheme(scheme: NamingScheme, config: PacedConfig) -> Self {
         Self {
-            scheme,
             config,
-            geometry: None,
-            init_error: None,
-            pending: VecDeque::new(),
+            mailbox: SwarmMailbox::new(scheme, false),
             job: None,
             senders: BTreeMap::new(),
-            inbox: Vec::new(),
-            overheard: Vec::new(),
             signals_sent: 0,
         }
     }
@@ -664,42 +653,41 @@ impl PacedSwarm {
     /// Queues a message for the robot labelled `dest_label` under this
     /// robot's naming.
     pub fn send_label(&mut self, dest_label: usize, payload: &[u8]) {
-        self.pending
-            .push_back((Dest::Label(dest_label), payload.to_vec()));
+        self.mailbox.post(Dest::Label(dest_label), payload);
     }
 
     /// Queues a message for the robot with visible identifier `dest`.
     pub fn send_id(&mut self, dest: VisibleId, payload: &[u8]) {
-        self.pending.push_back((Dest::Id(dest), payload.to_vec()));
+        self.mailbox.post(Dest::Id(dest), payload);
     }
 
     /// Queues a broadcast to every robot.
     pub fn send_broadcast(&mut self, payload: &[u8]) {
-        self.pending.push_back((Dest::Broadcast, payload.to_vec()));
+        self.mailbox.post(Dest::Broadcast, payload);
     }
 
     /// Messages addressed to this robot, in arrival order.
     #[must_use]
     pub fn inbox(&self) -> &[InboxEntry] {
-        &self.inbox
+        self.mailbox.streams().inbox()
     }
 
     /// Every message this robot decoded, including other pairs' traffic.
     #[must_use]
     pub fn overheard(&self) -> &[OverheardEntry] {
-        &self.overheard
+        self.mailbox.streams().overheard()
     }
 
     /// The preprocessed geometry (available after the first activation).
     #[must_use]
     pub fn geometry(&self) -> Option<&SwarmGeometry> {
-        self.geometry.as_ref()
+        self.mailbox.geometry()
     }
 
     /// Whether all queued traffic has been put on the wire.
     #[must_use]
     pub fn is_drained(&self) -> bool {
-        self.pending.is_empty() && self.job.is_none()
+        self.mailbox.is_drained() && self.job.is_none()
     }
 
     /// Symbols put on the wire so far (terminators included).
@@ -712,7 +700,7 @@ impl PacedSwarm {
     /// degenerate. Such a robot stays put forever.
     #[must_use]
     pub fn init_error(&self) -> Option<&crate::CoreError> {
-        self.init_error.as_ref()
+        self.mailbox.init_error()
     }
 
     /// FEC blocks repaired across all observed senders.
@@ -727,24 +715,8 @@ impl PacedSwarm {
         self.senders.values().map(|s| s.sink.rejected).sum()
     }
 
-    fn resolve_slice(&self, dest: &Dest) -> Option<usize> {
-        let g = self.geometry.as_ref()?;
-        let label = match dest {
-            Dest::Label(l) => *l,
-            Dest::Id(id) => {
-                let home = (0..g.cohort()).find(|&h| g.id_of(h) == Some(*id))?;
-                g.label_for(0, home)
-            }
-            Dest::Broadcast => g.label_for(0, 0),
-        };
-        if label >= g.cohort() {
-            return None;
-        }
-        Some(g.slice_for_label(label))
-    }
-
     fn decode_snapshot(&mut self, view: &View) {
-        let Some(g) = self.geometry.take() else {
+        let Some((g, streams)) = self.mailbox.decoding() else {
             return;
         };
         for o in view.others() {
@@ -789,88 +761,63 @@ impl PacedSwarm {
                 state.slice = slice;
             }
             if let Some(payload) = state.tracker.observe(&mut state.sink, obs) {
-                if let Some(label) = g.label_for_slice(state.slice) {
-                    if let Some(dest) = g.home_for(home, label) {
-                        self.overheard.push(OverheardEntry {
-                            sender: home,
-                            dest,
-                            payload: payload.clone(),
-                        });
-                        if dest == 0 || dest == home {
-                            self.inbox.push(InboxEntry {
-                                sender: home,
-                                payload,
-                            });
-                        }
-                    }
-                }
+                streams.deliver(g, home, state.slice, payload);
             }
         }
-        self.geometry = Some(g);
     }
 
     fn sender_target(&mut self, home: Point) -> Point {
         if self.job.is_none() {
-            while let Some((dest, payload)) = self.pending.pop_front() {
-                if let Some(slice) = self.resolve_slice(&dest) {
-                    self.job = Some(SendJob {
-                        symbols: self.config.symbols_for(&payload),
-                        slice,
-                        at: 0,
-                        left: self.config.dwell,
-                    });
-                    break;
-                }
-                // Unresolvable destination: drop (sessions validate
-                // destinations up front, so this is defensive).
-            }
+            let config = &self.config;
+            self.job = self
+                .mailbox
+                .next_message()
+                .map(|(slice, payload)| SendJob::new(config.symbols_for(&payload), slice, config));
         }
-        let Some(job) = self.job.as_mut() else {
-            return home;
+        let Some((slice, one_side, fraction)) =
+            SendJob::advance(&mut self.job, &self.config, &mut self.signals_sent)
+        else {
+            return home; // idle, or the silent gap
         };
-        let fresh = job.left == self.config.dwell;
-        let target = match job.current(&self.config) {
-            Some((level, parity)) => {
-                if fresh {
-                    self.signals_sent += 1;
-                }
-                let g = self.geometry.as_ref().expect("geometry initialized");
-                let fraction = self
-                    .config
-                    .alphabet
-                    .fraction(usize::from(level))
-                    .expect("queued symbols are in range");
-                g.keyboard(0)
-                    .target(
-                        job.slice,
-                        SliceSide::from_bit(parity != 0),
-                        SIGNAL_FRACTION * fraction,
-                    )
-                    .unwrap_or(home)
-            }
-            None => home,
-        };
-        let config = self.config;
-        if !job.tick(&config) {
-            self.job = None;
-        }
-        target
+        let g = self.mailbox.geometry().expect("geometry initialized");
+        g.keyboard(0)
+            .target(
+                slice,
+                SliceSide::from_bit(one_side),
+                SIGNAL_FRACTION * fraction,
+            )
+            .unwrap_or(home)
     }
 }
 
 impl MovementProtocol for PacedSwarm {
     fn on_activate(&mut self, view: &View) -> Point {
-        if self.geometry.is_none() && self.init_error.is_none() {
-            match SwarmGeometry::build(view, self.scheme, false) {
-                Ok(g) => self.geometry = Some(g),
-                Err(e) => self.init_error = Some(e),
-            }
-        }
-        let Some(home) = self.geometry.as_ref().map(|g| g.home(0)) else {
+        let Some(home) = self.mailbox.prepare(view).map(|g| g.home(0)) else {
             return view.own_position();
         };
         self.decode_snapshot(view);
         self.sender_target(home)
+    }
+}
+
+impl Chat for PacedSwarm {
+    fn queue(&mut self, label: usize, payload: &[u8]) {
+        self.send_label(label, payload);
+    }
+    fn queue_broadcast(&mut self, payload: &[u8]) {
+        self.send_broadcast(payload);
+    }
+    fn inbox_entries(&self) -> &[InboxEntry] {
+        self.inbox()
+    }
+    fn swarm_geometry(&self) -> Option<&SwarmGeometry> {
+        self.geometry()
+    }
+    fn failure(&self) -> Option<&crate::CoreError> {
+        self.init_error()
+    }
+    fn fec_stats(&self) -> (u64, u64) {
+        (self.fec_corrected(), self.fec_rejected())
     }
 }
 
@@ -1287,6 +1234,24 @@ mod tests {
             })
             .unwrap();
         assert!(out.satisfied, "bystander crash must not kill the channel");
+    }
+
+    #[test]
+    fn swarm_unresolvable_label_is_dropped_not_stuck() {
+        let mut e = ring_engine(
+            3,
+            Capabilities::anonymous_with_direction(),
+            || PacedSwarm::anonymous_with_direction(config(8, true)),
+            36,
+        );
+        e.step().unwrap();
+        let good = label_of(&e, 0, 1);
+        crate::decode::tests::unresolvable_label_is_dropped_not_stuck(
+            &mut e,
+            PacedSwarm::overheard,
+            good,
+            40_000,
+        );
     }
 
     #[test]

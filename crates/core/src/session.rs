@@ -36,57 +36,40 @@ use stigmergy_geometry::Point;
 use stigmergy_robots::{Engine, MovementProtocol};
 use stigmergy_scheduler::{FairAsync, FaultPlan, Schedule, Synchronous, WakeAllFirst};
 
-/// The protocol-side interface a [`Network`] drives.
+/// What a session needs of a protocol: queue a message, read the inbox,
+/// count FEC work.
 ///
-/// Implemented by [`SyncSwarm`] and [`AsyncSwarm`]; sealed in spirit — the
-/// session layer is written against exactly these semantics.
-pub trait SwarmProtocol: MovementProtocol {
-    /// Queues a message for the robot labelled `label` (in this robot's
-    /// naming).
-    fn queue_label(&mut self, label: usize, payload: &[u8]);
-    /// Queues a broadcast.
+/// Every pair and swarm protocol implements it once, in its own module.
+/// [`Network`] drives the swarms through it, and so does the batch
+/// runner in `stigmergy-fleet`, which drives every pair and swarm.
+pub trait Chat: MovementProtocol {
+    /// Queues `payload` for the robot labelled `label` in this robot's
+    /// naming; a pair has one peer and ignores the label.
+    fn queue(&mut self, label: usize, payload: &[u8]);
+    /// Queues a broadcast (§5 one-to-all); a pair's one peer is everyone.
     fn queue_broadcast(&mut self, payload: &[u8]);
-    /// Messages received so far.
-    fn inbox_entries(&self) -> &[InboxEntry];
-    /// The preprocessed geometry, if built.
-    fn swarm_geometry(&self) -> Option<&SwarmGeometry>;
+    /// The payloads received so far, in arrival order.
+    fn payloads(&self) -> impl Iterator<Item = &[u8]> {
+        self.inbox_entries().iter().map(|m| m.payload.as_slice())
+    }
+    /// The messages received so far, each with its sender's home index in
+    /// [`Chat::swarm_geometry`]. Pairs build no geometry and list none
+    /// here; their messages are in [`Chat::payloads`].
+    fn inbox_entries(&self) -> &[InboxEntry] {
+        &[]
+    }
+    /// The preprocessed geometry, once built; pairs have none.
+    fn swarm_geometry(&self) -> Option<&SwarmGeometry> {
+        None
+    }
     /// A preprocessing failure, if any.
-    fn failure(&self) -> Option<&CoreError>;
-}
-
-impl SwarmProtocol for SyncSwarm {
-    fn queue_label(&mut self, label: usize, payload: &[u8]) {
-        self.send_label(label, payload);
-    }
-    fn queue_broadcast(&mut self, payload: &[u8]) {
-        self.send_broadcast(payload);
-    }
-    fn inbox_entries(&self) -> &[InboxEntry] {
-        self.inbox()
-    }
-    fn swarm_geometry(&self) -> Option<&SwarmGeometry> {
-        self.geometry()
-    }
     fn failure(&self) -> Option<&CoreError> {
-        self.init_error()
+        None
     }
-}
-
-impl SwarmProtocol for AsyncSwarm {
-    fn queue_label(&mut self, label: usize, payload: &[u8]) {
-        self.send_label(label, payload);
-    }
-    fn queue_broadcast(&mut self, payload: &[u8]) {
-        self.send_broadcast(payload);
-    }
-    fn inbox_entries(&self) -> &[InboxEntry] {
-        self.inbox()
-    }
-    fn swarm_geometry(&self) -> Option<&SwarmGeometry> {
-        self.geometry()
-    }
-    fn failure(&self) -> Option<&CoreError> {
-        self.init_error()
+    /// `(corrected, rejected)` FEC counters; protocols without a coded
+    /// channel report zeros.
+    fn fec_stats(&self) -> (u64, u64) {
+        (0, 0)
     }
 }
 
@@ -213,7 +196,7 @@ impl AsyncNetwork {
     }
 }
 
-impl<P: SwarmProtocol> Network<P> {
+impl<P: Chat> Network<P> {
     /// Number of robots.
     #[must_use]
     pub fn cohort(&self) -> usize {
@@ -255,7 +238,7 @@ impl<P: SwarmProtocol> Network<P> {
         }
         let initial = self.engine.trace().initial();
         let label = self.scheme.label_of(initial, self.engine.ids(), from, to)?;
-        self.engine.protocol_mut(from).queue_label(label, payload);
+        self.engine.protocol_mut(from).queue(label, payload);
         self.expectations.push((from, to, payload.to_vec()));
         Ok(())
     }
@@ -296,11 +279,7 @@ impl<P: SwarmProtocol> Network<P> {
         for step in 0..max_steps {
             self.engine.step()?;
             if step == 0 {
-                for i in 0..self.cohort() {
-                    if let Some(e) = self.engine.protocol(i).failure() {
-                        return Err(e.clone());
-                    }
-                }
+                self.preprocessing_failure()?;
             }
             if self.all_delivered() {
                 return Ok(step + 1);
@@ -310,6 +289,15 @@ impl<P: SwarmProtocol> Network<P> {
             Ok(max_steps)
         } else {
             Err(CoreError::Timeout { steps: max_steps })
+        }
+    }
+
+    /// The first robot's preprocessing failure, if any: surfaced after the
+    /// first instant, when every robot has run its t0 preprocessing.
+    fn preprocessing_failure(&self) -> Result<(), CoreError> {
+        match (0..self.cohort()).find_map(|i| self.engine.protocol(i).failure()) {
+            Some(e) => Err(e.clone()),
+            None => Ok(()),
         }
     }
 
@@ -691,11 +679,7 @@ impl HardenedSession {
                 total_steps += 1;
                 self.stats.movement_steps += 1;
                 if attempt == 0 && step == 0 {
-                    for i in 0..self.net.cohort() {
-                        if let Some(e) = self.net.engine().protocol(i).failure() {
-                            return Err(e.clone());
-                        }
-                    }
+                    self.net.preprocessing_failure()?;
                 }
                 if self.delivered_copies(from, to, payload) > baseline {
                     self.stats.movement_ok += 1;

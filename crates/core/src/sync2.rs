@@ -25,6 +25,7 @@
 //! Frames are padded to whole symbols; the receiver drops the tail of the
 //! symbol that completes a frame, so back-to-back messages stay aligned.
 
+use crate::session::Chat;
 use std::collections::VecDeque;
 use stigmergy_coding::alphabet::{Displacement, LevelAlphabet};
 use stigmergy_coding::framing::{encode_frame, FrameDecoder};
@@ -32,18 +33,72 @@ use stigmergy_coding::{Bit, BitString};
 use stigmergy_geometry::{Point, Tolerance, Vec2};
 use stigmergy_robots::{MovementProtocol, View};
 
+/// What a pair protocol ([`Sync2`], and [`Paced2`](crate::paced::Paced2))
+/// fixes at its first activation: t0 in the synchronous model, with both
+/// robots at their homes. Homes are fixed from then on, so both
+/// right-hand directions are too — computed once, not per signal/decode.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PairFrame {
+    pub(crate) home: Point,
+    pub(crate) peer_home: Point,
+    my_right: Vec2,
+    /// The peer's right-hand direction facing this robot: the direction
+    /// its zero-side displacements point to.
+    pub(crate) peer_right: Vec2,
+    /// The reach of a full excursion.
+    pub(crate) lateral_step: f64,
+}
+
+impl PairFrame {
+    /// Fixes `frame` at the first activation that sees a two-robot cohort
+    /// and returns it; `None` means stay put. With any other cohort size
+    /// the "direction given by the peer" is ill-defined, so the robot
+    /// waits (the swarm protocols handle n > 2). A peer hidden at that
+    /// first activation leaves the robot put for good.
+    pub(crate) fn fix(frame: &mut Option<Option<Self>>, view: &View) -> Option<Self> {
+        if frame.is_none() {
+            if view.cohort() != 2 {
+                return None;
+            }
+            *frame = Some(Self::at_t0(view));
+        }
+        (*frame).flatten()
+    }
+
+    fn at_t0(view: &View) -> Option<Self> {
+        let home = view.own_position();
+        let peer_home = view.others().first()?.position;
+        Some(Self {
+            home,
+            peer_home,
+            // A quarter of the separation keeps signals unambiguous and
+            // well within any sane σ; still capped by σ.
+            lateral_step: (home.distance(peer_home) / 4.0).min(view.sigma()),
+            my_right: (peer_home - home).normalized().ok()?.perp_cw(),
+            peer_right: (home - peer_home).normalized().ok()?.perp_cw(),
+        })
+    }
+
+    /// The point `fraction` of the lateral step from home, to this
+    /// robot's right facing its peer, or to its left when `one_side`.
+    pub(crate) fn excursion(&self, one_side: bool, fraction: f64) -> Point {
+        let dir = if one_side {
+            -self.my_right
+        } else {
+            self.my_right
+        };
+        self.home + dir * (self.lateral_step * fraction)
+    }
+}
+
 /// The two-robot synchronous movement-coding protocol.
 #[derive(Debug, Clone)]
 pub struct Sync2 {
     alphabet: LevelAlphabet,
     counter: u64,
-    home: Option<Point>,
-    peer_home: Option<Point>,
-    // Homes are fixed after the first activation, so both right-hand
-    // directions are too — computed once there, not per signal/decode.
-    my_right: Option<Vec2>,
-    peer_right: Option<Vec2>,
-    lateral_step: f64,
+    /// Unset until the first two-robot activation; `Some(None)` if the
+    /// peer was hidden then.
+    frame: Option<Option<PairFrame>>,
     outgoing: VecDeque<usize>,
     decoder: FrameDecoder,
     inbox: Vec<Vec<u8>>,
@@ -71,11 +126,7 @@ impl Sync2 {
         Self {
             alphabet,
             counter: 0,
-            home: None,
-            peer_home: None,
-            my_right: None,
-            peer_right: None,
-            lateral_step: 0.0,
+            frame: None,
             outgoing: VecDeque::new(),
             decoder: FrameDecoder::new(),
             inbox: Vec::new(),
@@ -127,21 +178,16 @@ impl Sync2 {
         self.signals_sent
     }
 
-    fn decode_peer(&mut self, peer_pos: Point) {
-        // `peer_right` is the peer's right-hand direction facing us — the
-        // direction its zero-side displacements point to.
-        let (Some(peer_home), Some(right)) = (self.peer_home, self.peer_right) else {
-            return;
-        };
-        let disp = peer_pos - peer_home;
+    fn decode_peer(&mut self, frame: &PairFrame, peer_pos: Point) {
+        let disp = peer_pos - frame.peer_home;
         let tol = Tolerance::default();
         if tol.zero(disp.norm()) {
             return; // silence
         }
-        let u = disp.dot(right);
+        let u = disp.dot(frame.peer_right);
         let d = Displacement {
             one_side: u < 0.0,
-            fraction: (u.abs() / self.lateral_step).clamp(0.0, 1.0),
+            fraction: (u.abs() / frame.lateral_step).clamp(0.0, 1.0),
         };
         let Ok(symbol) = self.alphabet.decode(d) else {
             return;
@@ -164,29 +210,10 @@ impl MovementProtocol for Sync2 {
         let c = self.counter;
         self.counter += 1;
 
-        if self.home.is_none() {
-            // Sync2 is the two-robot protocol: with any other cohort size
-            // the "direction given by the peer" is ill-defined, so stay
-            // put (the swarm protocols handle n > 2).
-            if view.cohort() != 2 {
-                return view.own_position();
-            }
-            // First activation = t0 in the synchronous model: both robots
-            // are at their homes.
-            self.home = Some(view.own_position());
-            let peer = view.others().first().map(|o| o.position);
-            self.peer_home = peer;
-            if let (Some(h), Some(p)) = (self.home, peer) {
-                // A quarter of the separation keeps signals unambiguous and
-                // well within any sane σ; still capped by σ below.
-                self.lateral_step = (h.distance(p) / 4.0).min(view.sigma());
-                self.my_right = (p - h).normalized().ok().map(Vec2::perp_cw);
-                self.peer_right = (h - p).normalized().ok().map(Vec2::perp_cw);
-            }
-        }
-        let (Some(home), Some(_)) = (self.home, self.peer_home) else {
+        let Some(frame) = PairFrame::fix(&mut self.frame, view) else {
             return view.own_position();
         };
+        let home = frame.home;
 
         if c.is_multiple_of(2) {
             // Signal instant.
@@ -198,17 +225,27 @@ impl MovementProtocol for Sync2 {
                 .alphabet
                 .encode(symbol)
                 .expect("queued symbols are in range");
-            let right = self.my_right.expect("homes are distinct");
-            let dir = if d.one_side { -right } else { right };
-            home + dir * (self.lateral_step * d.fraction)
+            frame.excursion(d.one_side, d.fraction)
         } else {
             // Return instant; the snapshot shows the peer's signal
             // position — decode it first.
             if let Some(peer) = view.others().first() {
-                self.decode_peer(peer.position);
+                self.decode_peer(&frame, peer.position);
             }
             home
         }
+    }
+}
+
+impl Chat for Sync2 {
+    fn queue(&mut self, _label: usize, payload: &[u8]) {
+        self.send(payload);
+    }
+    fn queue_broadcast(&mut self, payload: &[u8]) {
+        self.send(payload);
+    }
+    fn payloads(&self) -> impl Iterator<Item = &[u8]> {
+        self.inbox().iter().map(Vec::as_slice)
     }
 }
 

@@ -24,25 +24,12 @@
 //! one-to-all): your own slice is otherwise meaningless, and every observer
 //! can detect it.
 
-use crate::decode::{InboxEntry, MessageStreams, OverheardEntry};
+use crate::decode::{Dest, InboxEntry, OverheardEntry, SwarmMailbox};
 use crate::preprocess::{NamingScheme, SwarmGeometry};
-use std::collections::VecDeque;
-use stigmergy_coding::bits::BitQueue;
-use stigmergy_coding::framing::encode_frame;
+use crate::session::Chat;
 use stigmergy_geometry::granular::{SliceSide, SliceZone};
 use stigmergy_geometry::Point;
 use stigmergy_robots::{MovementProtocol, View, VisibleId};
-
-/// How a queued message names its destination.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Dest {
-    /// A label under this robot's naming (resolvable once geometry exists).
-    Label(usize),
-    /// A visible ID (identified systems only).
-    Id(VisibleId),
-    /// Everyone ("send to self" on the wire).
-    Broadcast,
-}
 
 /// The fraction of the granular radius used for signal excursions.
 const SIGNAL_FRACTION: f64 = 0.5;
@@ -52,16 +39,11 @@ const SIGNAL_FRACTION: f64 = 0.5;
 /// Use the constructors [`SyncSwarm::routed`],
 /// [`SyncSwarm::anonymous_with_direction`], [`SyncSwarm::anonymous`] — or
 /// the matching type aliases.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct SyncSwarm {
-    scheme: Option<NamingScheme>,
     counter: u64,
-    geometry: Option<SwarmGeometry>,
-    pending: VecDeque<(Dest, Vec<u8>)>,
-    current: Option<(usize, BitQueue)>,
-    streams: MessageStreams,
+    mailbox: SwarmMailbox,
     signals_sent: u64,
-    init_error: Option<crate::CoreError>,
 }
 
 /// P2: identified robots with sense of direction (§3.2).
@@ -73,13 +55,20 @@ pub type SyncAnonDir = SyncSwarm;
 /// P4: anonymous robots with chirality only (§3.4).
 pub type SyncAnonChir = SyncSwarm;
 
+impl Default for SyncSwarm {
+    fn default() -> Self {
+        Self::anonymous()
+    }
+}
+
 impl SyncSwarm {
     /// Routes by `scheme`; the named constructors below pick one each.
     #[must_use]
     pub fn with_scheme(scheme: NamingScheme) -> Self {
         Self {
-            scheme: Some(scheme),
-            ..Self::default()
+            counter: 0,
+            mailbox: SwarmMailbox::new(scheme, false),
+            signals_sent: 0,
         }
     }
 
@@ -104,43 +93,42 @@ impl SyncSwarm {
     /// Queues a message for the robot labelled `dest_label` under this
     /// robot's naming.
     pub fn send_label(&mut self, dest_label: usize, payload: &[u8]) {
-        self.pending
-            .push_back((Dest::Label(dest_label), payload.to_vec()));
+        self.mailbox.post(Dest::Label(dest_label), payload);
     }
 
     /// Queues a message for the robot with visible identifier `dest`
     /// (identified systems).
     pub fn send_id(&mut self, dest: VisibleId, payload: &[u8]) {
-        self.pending.push_back((Dest::Id(dest), payload.to_vec()));
+        self.mailbox.post(Dest::Id(dest), payload);
     }
 
     /// Queues a broadcast to every robot (§5 one-to-all).
     pub fn send_broadcast(&mut self, payload: &[u8]) {
-        self.pending.push_back((Dest::Broadcast, payload.to_vec()));
+        self.mailbox.post(Dest::Broadcast, payload);
     }
 
     /// Messages addressed to this robot, in arrival order.
     #[must_use]
     pub fn inbox(&self) -> &[InboxEntry] {
-        self.streams.inbox()
+        self.mailbox.streams().inbox()
     }
 
     /// Every message this robot decoded, including other pairs' traffic.
     #[must_use]
     pub fn overheard(&self) -> &[OverheardEntry] {
-        self.streams.overheard()
+        self.mailbox.streams().overheard()
     }
 
     /// The preprocessed geometry (available after the first activation).
     #[must_use]
     pub fn geometry(&self) -> Option<&SwarmGeometry> {
-        self.geometry.as_ref()
+        self.mailbox.geometry()
     }
 
     /// Whether all queued traffic has been put on the wire.
     #[must_use]
     pub fn is_drained(&self) -> bool {
-        self.pending.is_empty() && self.current.is_none()
+        self.mailbox.is_drained()
     }
 
     /// Signal moves made so far.
@@ -154,28 +142,11 @@ impl SyncSwarm {
     /// Such a robot stays put forever; sessions surface this error.
     #[must_use]
     pub fn init_error(&self) -> Option<&crate::CoreError> {
-        self.init_error.as_ref()
-    }
-
-    fn resolve_slice(&self, dest: &Dest) -> Option<usize> {
-        let g = self.geometry.as_ref()?;
-        let label = match dest {
-            Dest::Label(l) => *l,
-            Dest::Id(id) => {
-                let home = (0..g.cohort()).find(|&h| g.id_of(h) == Some(*id))?;
-                g.label_for(0, home)
-            }
-            // Broadcast: my own slice (label of self in my naming).
-            Dest::Broadcast => g.label_for(0, 0),
-        };
-        if label >= g.cohort() {
-            return None;
-        }
-        Some(g.slice_for_label(label))
+        self.mailbox.init_error()
     }
 
     fn decode_snapshot(&mut self, view: &View) {
-        let Some(g) = self.geometry.as_ref() else {
+        let Some((g, streams)) = self.mailbox.decoding() else {
             return;
         };
         for o in view.others() {
@@ -194,7 +165,7 @@ impl SyncSwarm {
                 if distance > g.keyboard(home).radius() * 1e-6
                     && deviation <= g.keyboard(home).decode_tolerance()
                 {
-                    self.streams.on_signal(g, home, slice, side);
+                    streams.on_signal(g, home, slice, side);
                 }
             }
         }
@@ -206,42 +177,17 @@ impl MovementProtocol for SyncSwarm {
         let c = self.counter;
         self.counter += 1;
 
-        if self.geometry.is_none() && self.init_error.is_none() {
-            let scheme = self.scheme.unwrap_or(NamingScheme::BySec);
-            match SwarmGeometry::build(view, scheme, false) {
-                Ok(g) => self.geometry = Some(g),
-                Err(e) => self.init_error = Some(e),
-            }
-        }
-        let Some(home) = self.geometry.as_ref().map(|g| g.home(0)) else {
+        let Some(home) = self.mailbox.prepare(view).map(|g| g.home(0)) else {
             return view.own_position();
         };
 
         if c.is_multiple_of(2) {
             // Signal instant: put the next queued bit on the wire.
-            if self.current.is_none() {
-                while let Some((dest, payload)) = self.pending.pop_front() {
-                    if let Some(slice) = self.resolve_slice(&dest) {
-                        let mut q = BitQueue::new();
-                        q.enqueue(&encode_frame(&payload));
-                        self.current = Some((slice, q));
-                        break;
-                    }
-                    // Unresolvable destination: drop (sessions validate
-                    // destinations up front, so this is defensive).
-                }
-            }
-            let Some((slice, q)) = self.current.as_mut() else {
+            let Some((slice, bit)) = self.mailbox.next_bit() else {
                 return home; // silent
             };
-            let slice = *slice;
-            let bit = q.dequeue().expect("current stream is never empty");
-            let done = q.is_empty();
-            if done {
-                self.current = None;
-            }
             self.signals_sent += 1;
-            let g = self.geometry.as_ref().expect("geometry initialized");
+            let g = self.mailbox.geometry().expect("geometry initialized");
             let side = SliceSide::from_bit(bit.as_bool());
             g.keyboard(0)
                 .target(slice, side, SIGNAL_FRACTION)
@@ -252,6 +198,24 @@ impl MovementProtocol for SyncSwarm {
             self.decode_snapshot(view);
             home
         }
+    }
+}
+
+impl Chat for SyncSwarm {
+    fn queue(&mut self, label: usize, payload: &[u8]) {
+        self.send_label(label, payload);
+    }
+    fn queue_broadcast(&mut self, payload: &[u8]) {
+        self.send_broadcast(payload);
+    }
+    fn inbox_entries(&self) -> &[InboxEntry] {
+        self.inbox()
+    }
+    fn swarm_geometry(&self) -> Option<&SwarmGeometry> {
+        self.geometry()
+    }
+    fn failure(&self) -> Option<&crate::CoreError> {
+        self.init_error()
     }
 }
 
@@ -509,20 +473,13 @@ mod tests {
             20,
         );
         e.step().unwrap();
-        e.protocol_mut(0).send_label(99, b"void");
         let good = label_of(&e, 0, 1);
-        e.protocol_mut(0).send_label(good, b"real");
-        let out = e
-            .run_until(600, |e| {
-                e.protocol(1).inbox().iter().any(|m| m.payload == b"real")
-            })
-            .unwrap();
-        assert!(out.satisfied, "queue must not wedge on a bad label");
-        assert!(e
-            .protocol(1)
-            .overheard()
-            .iter()
-            .all(|m| m.payload != b"void"));
+        crate::decode::tests::unresolvable_label_is_dropped_not_stuck(
+            &mut e,
+            SyncSwarm::overheard,
+            good,
+            600,
+        );
     }
 
     #[test]

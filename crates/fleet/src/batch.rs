@@ -25,7 +25,7 @@ use stigmergy::async_n::AsyncSwarm;
 use stigmergy::backup::Wireless;
 use stigmergy::election_signature;
 use stigmergy::paced::{Paced2, PacedConfig, PacedSwarm};
-use stigmergy::session::HardenedSession;
+use stigmergy::session::{Chat, HardenedSession};
 use stigmergy::sync2::Sync2;
 use stigmergy::sync_swarm::SyncSwarm;
 use stigmergy::NamingScheme;
@@ -1393,89 +1393,6 @@ fn run_algo_session(spec: &SessionSpec, algorithm: AlgorithmSpec) -> RunReport {
     );
     report.algo = Some(algo);
     report
-}
-
-/// What [`run_chat`] needs of a protocol: queue a message, read the
-/// inbox, count FEC work.
-trait Chat: MovementProtocol {
-    /// Queues `payload` for the robot labelled `label`; a pair has one
-    /// peer and ignores the label.
-    fn queue(&mut self, label: usize, payload: &[u8]);
-    /// The payloads received so far, in arrival order.
-    fn payloads(&self) -> impl Iterator<Item = &[u8]>;
-    /// `(corrected, rejected)` FEC counters; protocols without a coded
-    /// channel report zeros.
-    fn fec_stats(&self) -> (u64, u64) {
-        (0, 0)
-    }
-}
-
-impl Chat for Sync2 {
-    fn queue(&mut self, _label: usize, payload: &[u8]) {
-        self.send(payload);
-    }
-
-    fn payloads(&self) -> impl Iterator<Item = &[u8]> {
-        self.inbox().iter().map(Vec::as_slice)
-    }
-}
-
-impl Chat for Async2 {
-    fn queue(&mut self, _label: usize, payload: &[u8]) {
-        self.send(payload);
-    }
-
-    fn payloads(&self) -> impl Iterator<Item = &[u8]> {
-        self.inbox().iter().map(Vec::as_slice)
-    }
-}
-
-impl Chat for Paced2 {
-    fn queue(&mut self, _label: usize, payload: &[u8]) {
-        self.send(payload);
-    }
-
-    fn payloads(&self) -> impl Iterator<Item = &[u8]> {
-        self.inbox().iter().map(Vec::as_slice)
-    }
-
-    fn fec_stats(&self) -> (u64, u64) {
-        (self.fec_corrected(), self.fec_rejected())
-    }
-}
-
-impl Chat for SyncSwarm {
-    fn queue(&mut self, label: usize, payload: &[u8]) {
-        self.send_label(label, payload);
-    }
-
-    fn payloads(&self) -> impl Iterator<Item = &[u8]> {
-        self.inbox().iter().map(|m| m.payload.as_slice())
-    }
-}
-
-impl Chat for AsyncSwarm {
-    fn queue(&mut self, label: usize, payload: &[u8]) {
-        self.send_label(label, payload);
-    }
-
-    fn payloads(&self) -> impl Iterator<Item = &[u8]> {
-        self.inbox().iter().map(|m| m.payload.as_slice())
-    }
-}
-
-impl Chat for PacedSwarm {
-    fn queue(&mut self, label: usize, payload: &[u8]) {
-        self.send_label(label, payload);
-    }
-
-    fn payloads(&self) -> impl Iterator<Item = &[u8]> {
-        self.inbox().iter().map(|m| m.payload.as_slice())
-    }
-
-    fn fec_stats(&self) -> (u64, u64) {
-        (self.fec_corrected(), self.fec_rejected())
-    }
 }
 
 #[cfg(test)]
