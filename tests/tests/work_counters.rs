@@ -26,6 +26,17 @@
 //! worst gap to the sender's: 58 -> 55 on the two 864-session rows,
 //! 6,671 -> 5,691 on `sweep_wide_100008`.
 //!
+//! `sweep_864` and `algo_matrix_16` also pin their whole metrics JSON
+//! byte for byte in `tests/golden/metrics-*.json`: histogram bins and
+//! key order, which gateway clients and the benchmark parse, not only
+//! the scalar counters. CI's fleet-smoke job diffs the CLI's
+//! `batch --seeds 16` output against the same sweep file. Regenerate
+//! them only with an intended metrics change:
+//!
+//! ```text
+//! UPDATE_GOLDEN=1 cargo test -p stigmergy-integration --test work_counters
+//! ```
+//!
 //! `sweep_864` runs at full budgets, which end where each session's
 //! outcome is fixed (`SessionSpec::budget`), so it takes seconds even
 //! in debug. `sweep_wide_100008` takes seconds in release and minutes
@@ -34,7 +45,8 @@
 //! `crates/benchmark` (see `BENCHMARK.json`), not here.
 
 use stigmergy_fleet::{
-    run_batch, run_session, BatchSpec, ProtocolKind, SessionSpec, CONFORMANCE, DEFAULT_PAYLOAD,
+    run_batch, run_session, BatchReport, BatchSpec, ProtocolKind, SessionSpec, CONFORMANCE,
+    DEFAULT_PAYLOAD,
 };
 use stigmergy_integration::fingerprint;
 use stigmergy_scheduler::{CodingSpec, FaultSpec, ScheduleSpec};
@@ -68,10 +80,33 @@ fn assert_pinned(row: &str, actual: &[(&str, u64)], pinned: &[(&str, u64)]) {
     );
 }
 
+/// Requires `report`'s metrics JSON to equal `tests/golden/<name>.json`
+/// byte for byte (or rewrites the file under `UPDATE_GOLDEN`).
+fn assert_metrics_golden(name: &str, report: &BatchReport) {
+    let actual = report.metrics.to_json();
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("golden")
+        .join(format!("{name}.json"));
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::write(&path, &actual).unwrap();
+        return;
+    }
+    let expected = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("{name}: cannot read {} ({e})", path.display()));
+    assert_eq!(
+        actual, expected,
+        "{name}: metrics JSON drifted from its pin"
+    );
+}
+
 /// Runs `spec` at `workers = 2`, requires that no session surfaced a
-/// corrupt payload, and reads its counters in pin order.
-fn batch_counters(row: &str, spec: &BatchSpec) -> Counters {
+/// corrupt payload, checks the metrics JSON against the `golden` pin if
+/// one is named, and reads its counters in pin order.
+fn batch_counters(row: &str, spec: &BatchSpec, golden: Option<&str>) -> Counters {
     let report = run_batch(spec, 2);
+    if let Some(name) = golden {
+        assert_metrics_golden(name, &report);
+    }
     let m = &report.metrics;
     assert_eq!(m.corrupt, 0, "{row}: corrupt payloads surfaced");
     let mut counters = vec![
@@ -153,7 +188,7 @@ fn micro_counters(protocol: ProtocolKind) -> Counters {
 fn capped_sweep_864() {
     assert_pinned(
         "capped-sweep-864",
-        &batch_counters("capped-sweep-864", &capped_sweep(16)),
+        &batch_counters("capped-sweep-864", &capped_sweep(16), None),
         &[
             ("sessions", 864),
             ("delivered", 710),
@@ -179,6 +214,7 @@ fn algo_matrix_16() {
         &batch_counters(
             "algo-matrix-16",
             &BatchSpec::algorithm_matrix((0..16).collect()),
+            Some("metrics-algo-matrix-16"),
         ),
         &[
             ("sessions", 192),
@@ -315,6 +351,7 @@ fn sweep_864() {
         &batch_counters(
             "sweep-864",
             &BatchSpec::conformance_matrix((0..16).collect()),
+            Some("metrics-sweep-864"),
         ),
         &[
             ("sessions", 864),
@@ -339,7 +376,7 @@ fn sweep_864() {
 fn sweep_wide_100008() {
     assert_pinned(
         "sweep-wide-100008",
-        &batch_counters("sweep-wide-100008", &capped_sweep(1_852)),
+        &batch_counters("sweep-wide-100008", &capped_sweep(1_852), None),
         &[
             ("sessions", 100_008),
             ("delivered", 82_246),
