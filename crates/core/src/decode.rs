@@ -69,7 +69,9 @@ impl MessageStreams {
     }
 
     /// Feeds one decoded signal: `sender` pressed `(slice, side)` on its
-    /// keyboard. Returns a completed message, if this bit finished one.
+    /// keyboard. A bit that completes a message files it in
+    /// [`MessageStreams::overheard`] and, if it is for this observer, in
+    /// [`MessageStreams::inbox`].
     ///
     /// Signals on κ or outside the addressing range are ignored (they are
     /// pacing movements, not bits). A signal addressed to the sender's own
@@ -81,14 +83,14 @@ impl MessageStreams {
         sender: usize,
         slice: usize,
         side: SliceSide,
-    ) -> Option<OverheardEntry> {
-        let dest = addressee(geometry, sender, slice)?;
-        let payload = self
-            .decoders
-            .entry((sender, dest))
-            .or_default()
-            .push_bit(Bit::from_bool(side.bit()))?;
-        Some(self.route(sender, dest, payload).clone())
+    ) {
+        let Some(dest) = addressee(geometry, sender, slice) else {
+            return;
+        };
+        let decoder = self.decoders.entry((sender, dest)).or_default();
+        if let Some(payload) = decoder.push_bit(Bit::from_bool(side.bit())) {
+            self.route(sender, dest, payload);
+        }
     }
 
     /// Files a whole message `sender` signalled on `slice`, decoded by
@@ -109,7 +111,7 @@ impl MessageStreams {
 
     /// Logs a completed message as overheard and, if it is for this
     /// observer, files it in the inbox.
-    fn route(&mut self, sender: usize, dest: usize, payload: Vec<u8>) -> &OverheardEntry {
+    fn route(&mut self, sender: usize, dest: usize, payload: Vec<u8>) {
         // dest == 0: unicast to me. dest == sender: broadcast convention.
         if dest == 0 || dest == sender {
             self.inbox.push(InboxEntry {
@@ -122,7 +124,6 @@ impl MessageStreams {
             dest,
             payload,
         });
-        self.overheard.last().expect("just pushed")
     }
 
     /// Messages addressed to this observer, in arrival order.
@@ -507,18 +508,26 @@ pub(crate) mod tests {
         // Sender: home 1; addressee: home 0 (me). Label of home 0:
         let label_me = g.label_for(1, 0);
         let slice = g.slice_for_label(label_me);
-        let bits = encode_frame(b"ok");
-        let mut completed = None;
-        for bit in bits.iter() {
-            completed = streams.on_signal(&g, 1, slice, SliceSide::from_bit(bit.as_bool()));
+        let bits: Vec<Bit> = encode_frame(b"ok").iter().collect();
+        let (last, body) = bits.split_last().expect("a frame has bits");
+        for bit in body {
+            streams.on_signal(&g, 1, slice, SliceSide::from_bit(bit.as_bool()));
         }
-        let msg = completed.expect("last bit completes the frame");
+        assert!(streams.overheard().is_empty(), "the frame is not done yet");
+        streams.on_signal(&g, 1, slice, SliceSide::from_bit(last.as_bool()));
+        let [msg] = streams.overheard() else {
+            panic!("the last bit completes the frame");
+        };
         assert_eq!(msg.sender, 1);
         assert_eq!(msg.dest, 0);
         assert_eq!(msg.payload, b"ok");
-        assert_eq!(streams.inbox().len(), 1);
-        assert_eq!(streams.inbox()[0].sender, 1);
-        assert_eq!(streams.overheard().len(), 1);
+        assert_eq!(
+            streams.inbox(),
+            &[InboxEntry {
+                sender: 1,
+                payload: b"ok".to_vec()
+            }]
+        );
         assert_eq!(streams.pending_bits(), 0);
     }
 
@@ -562,7 +571,8 @@ pub(crate) mod tests {
     fn kappa_signals_are_ignored() {
         let g = geometry(true);
         let mut streams = MessageStreams::new();
-        assert!(streams.on_signal(&g, 1, 0, SliceSide::Zero).is_none());
+        streams.on_signal(&g, 1, 0, SliceSide::Zero);
+        assert!(streams.overheard().is_empty());
         assert_eq!(streams.pending_bits(), 0);
     }
 

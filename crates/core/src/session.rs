@@ -31,6 +31,7 @@ use crate::decode::InboxEntry;
 use crate::preprocess::{NamingScheme, SwarmGeometry};
 use crate::sync_swarm::SyncSwarm;
 use crate::CoreError;
+use std::collections::BTreeMap;
 use stigmergy_coding::fec::{protect_bytes, recover_bytes};
 use stigmergy_geometry::Point;
 use stigmergy_robots::{Engine, MovementProtocol};
@@ -73,34 +74,13 @@ pub trait Chat: MovementProtocol {
     }
 }
 
-/// A plain-data summary of a session: how much work the engine did and
-/// whether every queued message arrived.
-///
-/// Extracted via [`Network::report`] (and the façades' equivalents); all
-/// fields are order-independent sums or booleans, so reports aggregate
-/// the same way regardless of which worker thread ran the session.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SessionReport {
-    /// Number of robots.
-    pub cohort: usize,
-    /// Whether every queued expectation has been met.
-    pub delivered: bool,
-    /// Instants executed.
-    pub steps: u64,
-    /// Robot activations (after crash filtering).
-    pub activations: u64,
-    /// Activations that changed a position.
-    pub moves: u64,
-    /// Faults injected by the engine's plan.
-    pub faults_injected: u64,
-}
-
 /// A message-passing network over movement signals.
 #[derive(Debug)]
 pub struct Network<P> {
     engine: Engine<P>,
     scheme: NamingScheme,
-    expectations: Vec<(usize, usize, Vec<u8>)>,
+    /// Queued `(from, to, payload)` messages, each with its multiplicity.
+    expectations: BTreeMap<(usize, usize, Vec<u8>), usize>,
 }
 
 /// A synchronous network (protocols P1–P4 territory).
@@ -153,7 +133,7 @@ impl SyncNetwork {
         Ok(Self {
             engine,
             scheme,
-            expectations: Vec::new(),
+            expectations: BTreeMap::new(),
         })
     }
 }
@@ -191,7 +171,7 @@ impl AsyncNetwork {
         Ok(Self {
             engine,
             scheme,
-            expectations: Vec::new(),
+            expectations: BTreeMap::new(),
         })
     }
 }
@@ -239,7 +219,7 @@ impl<P: Chat> Network<P> {
         let initial = self.engine.trace().initial();
         let label = self.scheme.label_of(initial, self.engine.ids(), from, to)?;
         self.engine.protocol_mut(from).queue(label, payload);
-        self.expectations.push((from, to, payload.to_vec()));
+        self.expect(from, to, payload);
         Ok(())
     }
 
@@ -260,9 +240,16 @@ impl<P: Chat> Network<P> {
         }
         self.engine.protocol_mut(from).queue_broadcast(payload);
         for to in (0..self.cohort()).filter(|&i| i != from) {
-            self.expectations.push((from, to, payload.to_vec()));
+            self.expect(from, to, payload);
         }
         Ok(())
+    }
+
+    fn expect(&mut self, from: usize, to: usize, payload: &[u8]) {
+        *self
+            .expectations
+            .entry((from, to, payload.to_vec()))
+            .or_insert(0) += 1;
     }
 
     /// Runs until every queued message has been delivered.
@@ -314,48 +301,28 @@ impl<P: Chat> Network<P> {
     /// Whether every queued message has reached its addressee.
     ///
     /// Matching respects multiplicity: sending the same payload to the
-    /// same robot twice requires two inbox entries. Cost is linear in the
-    /// number of expectations plus inbox sizes (grouped counting), so it
-    /// is safe to call every instant of a long run.
+    /// same robot twice requires two inbox entries. Each check counts
+    /// inbox entries in place, with no copies, so it is safe to call
+    /// every instant of a long run.
     #[must_use]
     pub fn all_delivered(&self) -> bool {
-        use std::collections::BTreeMap;
-        if self.expectations.is_empty() {
-            return true;
-        }
-        let mut expected: BTreeMap<(usize, usize, &[u8]), usize> = BTreeMap::new();
-        for (from, to, payload) in &self.expectations {
-            *expected
-                .entry((*from, *to, payload.as_slice()))
-                .or_insert(0) += 1;
-        }
-        let mut inboxes: BTreeMap<usize, Vec<(usize, Vec<u8>)>> = BTreeMap::new();
-        expected.into_iter().all(|((from, to, payload), need)| {
-            let inbox = inboxes.entry(to).or_insert_with(|| self.inbox(to));
-            inbox
-                .iter()
-                .filter(|(s, p)| *s == from && p == payload)
-                .count()
-                >= need
-        })
+        self.expectations
+            .iter()
+            .all(|((from, to, payload), &need)| self.delivered_count(*from, *to, payload) >= need)
     }
 
-    /// Summarizes the session so far: cohort size, delivery status, and
-    /// the engine's cumulative counters.
-    ///
-    /// Plain copyable data, independent of trace recording — this is the
-    /// currency batch runtimes collect from finished sessions.
-    #[must_use]
-    pub fn report(&self) -> SessionReport {
-        let stats = self.engine.stats();
-        SessionReport {
-            cohort: self.cohort(),
-            delivered: self.all_delivered(),
-            steps: stats.steps,
-            activations: stats.activations,
-            moves: stats.moves,
-            faults_injected: stats.faults_injected,
-        }
+    /// How many entries of robot `to`'s inbox carry `payload` from robot
+    /// `from` (engine indices).
+    fn delivered_count(&self, from: usize, to: usize, payload: &[u8]) -> usize {
+        let protocol = self.engine.protocol(to);
+        let Some(g) = protocol.swarm_geometry() else {
+            return 0;
+        };
+        protocol
+            .inbox_entries()
+            .iter()
+            .filter(|e| e.payload == payload && self.home_to_engine(to, g, e.sender) == Some(from))
+            .count()
     }
 
     /// Robot `robot`'s inbox as `(sender_engine_index, payload)` pairs.
@@ -483,21 +450,6 @@ impl AsyncPair {
     pub fn engine(&self) -> &Engine<Async2> {
         &self.engine
     }
-
-    /// Summarizes the session so far. `delivered` here means both
-    /// endpoints have drained their outboxes (nothing still in flight).
-    #[must_use]
-    pub fn report(&self) -> SessionReport {
-        let stats = self.engine.stats();
-        SessionReport {
-            cohort: 2,
-            delivered: self.engine.protocol(0).is_drained() && self.engine.protocol(1).is_drained(),
-            steps: stats.steps,
-            activations: stats.activations,
-            moves: stats.moves,
-            faults_injected: stats.faults_injected,
-        }
-    }
 }
 
 /// Why a hardened session abandoned the movement channel for a message.
@@ -583,7 +535,6 @@ pub struct HardenedSession {
     secondary: Wireless,
     secondary_inbox: Vec<(usize, usize, Vec<u8>)>,
     stats: SessionStats,
-    sends: u64,
 }
 
 impl HardenedSession {
@@ -605,7 +556,6 @@ impl HardenedSession {
             secondary,
             secondary_inbox: Vec::new(),
             stats: SessionStats::default(),
-            sends: 0,
         })
     }
 
@@ -655,8 +605,7 @@ impl HardenedSession {
         if from == to {
             return Err(CoreError::SelfAddressed);
         }
-        self.sends += 1;
-        let baseline = self.delivered_copies(from, to, payload);
+        let baseline = self.net.delivered_count(from, to, payload);
         let mut total_steps = 0u64;
         for attempt in 0..self.adaptive.max_attempts() {
             if let Some(robot) = self.crashed_endpoint(from, to) {
@@ -681,7 +630,7 @@ impl HardenedSession {
                 if attempt == 0 && step == 0 {
                     self.net.preprocessing_failure()?;
                 }
-                if self.delivered_copies(from, to, payload) > baseline {
+                if self.net.delivered_count(from, to, payload) > baseline {
                     self.stats.movement_ok += 1;
                     return Ok(SessionRoute::Movement {
                         attempts: attempt + 1,
@@ -753,14 +702,6 @@ impl HardenedSession {
             .find(|&r| self.net.engine().is_crashed(r))
     }
 
-    fn delivered_copies(&self, from: usize, to: usize, payload: &[u8]) -> usize {
-        self.net
-            .inbox(to)
-            .iter()
-            .filter(|(s, p)| *s == from && p == payload)
-            .count()
-    }
-
     /// Robot `robot`'s combined inbox: movement deliveries first, then
     /// secondary-channel recoveries, each as `(sender, payload)`.
     #[must_use]
@@ -779,22 +720,6 @@ impl HardenedSession {
     #[must_use]
     pub fn stats(&self) -> SessionStats {
         self.stats
-    }
-
-    /// Summarizes the session: the movement engine's counters, with
-    /// `delivered` meaning every [`HardenedSession::send`] so far got its
-    /// payload through (over movement or the secondary channel).
-    #[must_use]
-    pub fn report(&self) -> SessionReport {
-        let stats = self.net.engine().stats();
-        SessionReport {
-            cohort: self.net.cohort(),
-            delivered: self.stats.movement_ok + self.stats.secondary_ok == self.sends,
-            steps: stats.steps,
-            activations: stats.activations,
-            moves: stats.moves,
-            faults_injected: stats.faults_injected,
-        }
     }
 
     /// The underlying movement network.
@@ -828,28 +753,6 @@ mod tests {
             Point::new(12.0, 0.0),
             Point::new(5.0, 9.0),
         ]
-    }
-
-    #[test]
-    fn report_summarizes_engine_work_and_delivery() {
-        let mut net = SyncNetwork::anonymous_with_direction(triangle(), 1).unwrap();
-        assert_eq!(
-            net.report(),
-            SessionReport {
-                cohort: 3,
-                delivered: true, // nothing queued yet
-                ..SessionReport::default()
-            }
-        );
-        net.send(0, 2, b"hi").unwrap();
-        let steps = net.run_until_delivered(5_000).unwrap();
-        let report = net.report();
-        assert!(report.delivered);
-        assert_eq!(report.cohort, 3);
-        assert_eq!(report.steps, steps);
-        assert_eq!(report.activations, steps * 3, "synchronous schedule");
-        assert!(report.moves > 0);
-        assert_eq!(report.faults_injected, 0);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! same cohorts, schedules, plans, and budgets as the hand-rolled loops
 //! it replaces.
 
-use crate::metrics::{FleetMetrics, MetricsSnapshot, SessionOutcome};
+use crate::metrics::MetricsSnapshot;
 use crate::pool::{run_indexed_observed, CancelToken};
 use crate::trace_codec::{encode, fnv1a64, TraceEncoder};
 use std::cell::RefCell;
@@ -716,39 +716,15 @@ impl RunReport {
             error: None,
         }
     }
-
-    fn outcome(&self) -> SessionOutcome {
-        SessionOutcome {
-            delivered: self.delivered,
-            steps_to_delivery: self.steps_to_delivery.unwrap_or(0),
-            steps: self.steps,
-            activations: self.activations,
-            faults: self.faults,
-            retransmissions: self.retransmissions,
-            corrupt: self.corrupt,
-            delivered_bits: self.delivered_bits,
-            fec_corrected: self.fec_corrected,
-            fec_rejected: self.fec_rejected,
-            algo_rounds: self.algo.map_or(0, |a| a.rounds),
-            algo_bits: self.algo.map_or(0, |a| a.bits),
-            algo_decided: self
-                .algo
-                .is_some_and(|a| a.activations_to_decision.is_some()),
-            activations_to_decision: self
-                .algo
-                .and_then(|a| a.activations_to_decision)
-                .unwrap_or(0),
-        }
-    }
 }
 
-/// A finished batch: per-session reports (in spec order), merged metrics,
-/// and wall-clock accounting.
+/// A finished batch: per-session reports (in spec order), the metrics
+/// folded over them, and wall-clock accounting.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchReport {
     /// One report per session, in [`BatchSpec::sessions`] order.
     pub runs: Vec<RunReport>,
-    /// Metrics aggregated across all sessions.
+    /// `MetricsSnapshot::of(&runs)`: the totals over every session.
     pub metrics: MetricsSnapshot,
     /// Worker threads used.
     pub workers: usize,
@@ -835,16 +811,11 @@ where
     #[allow(clippy::disallowed_methods)]
     // stiglint: allow(determinism) -- feeds only the `wall` duration of BatchReport, never traces, fingerprints, or metrics
     let start = Instant::now();
-    let metrics = FleetMetrics::new();
     let sessions = spec.sessions();
     let runs = run_indexed_observed(
         sessions,
         workers,
-        |session| {
-            let report = run_session_contained(session);
-            metrics.record_session(&report.outcome());
-            report
-        },
+        run_session_contained,
         |completed, total| on_progress(Progress { completed, total }),
         cancel,
     )
@@ -853,8 +824,8 @@ where
         total: i.total,
     })?;
     Ok(BatchReport {
+        metrics: MetricsSnapshot::of(&runs),
         runs,
-        metrics: metrics.snapshot(),
         workers,
         wall: start.elapsed(),
     })
@@ -1102,8 +1073,9 @@ fn run_hardened(spec: &SessionSpec) -> RunReport {
         Err(e) => (false, Some(e.to_string())),
     };
     let stats = session.stats();
-    let report = session.report();
-    let trace = session.network().engine().trace();
+    let engine = session.network().engine();
+    let work = engine.stats();
+    let trace = engine.trace();
     let min_distance = trace.min_pairwise_distance();
     let bytes = encode(trace);
     let corrupt = session
@@ -1114,10 +1086,10 @@ fn run_hardened(spec: &SessionSpec) -> RunReport {
     RunReport {
         delivered,
         steps_to_delivery: delivered.then_some(stats.movement_steps),
-        steps: report.steps,
-        activations: report.activations,
-        moves: report.moves,
-        faults: report.faults_injected,
+        steps: work.steps,
+        activations: work.activations,
+        moves: work.moves,
+        faults: work.faults_injected,
         retransmissions: stats.retransmissions,
         corrupt,
         delivered_bits: delivered_payload_bits(spec, delivered),

@@ -4,19 +4,20 @@
 //! but the simulator historically executed every session serially. This
 //! crate shards a [`BatchSpec`] — protocols × schedules × fault plans ×
 //! seeds — across a hand-rolled `std::thread` worker pool and collects
-//! one [`RunReport`] per session plus a merged [`MetricsSnapshot`],
-//! while *provably preserving determinism*: the same batch at
-//! `workers = 1` and `workers = N` yields identical per-seed traces
-//! (byte-for-byte, under the canonical [`trace_codec`]) and identical
-//! metrics totals. The regression suite in `tests/` asserts exactly
-//! that.
+//! one [`RunReport`] per session, in spec order, plus the
+//! [`MetricsSnapshot`] folded over them, while *provably preserving
+//! determinism*: the same batch at `workers = 1` and `workers = N`
+//! yields identical per-seed traces (byte-for-byte, under the canonical
+//! [`trace_codec`]), and so identical metrics. The regression suite in
+//! `tests/` asserts exactly that.
 //!
 //! No external dependencies: the pool is a lock-free work-stealing
 //! scheduler — per-worker index-range shards packed into `AtomicU64`s,
 //! owners popping from the front, dry workers stealing back half-ranges
 //! (rayon is unavailable under the vendored-offline constraint) —
-//! metrics are `AtomicU64` counters and fixed-bucket histograms, and the
-//! trace codec writes IEEE-754 bit patterns directly.
+//! metrics are plain sums and fixed-bucket histograms folded after the
+//! pool returns, and the trace codec writes IEEE-754 bit patterns
+//! directly.
 //!
 //! # Example
 //!
@@ -43,6 +44,6 @@ pub use batch::{
     BatchInterrupted, BatchReport, BatchSpec, Progress, ProtocolKind, RunReport, SessionSpec,
     CONFORMANCE, DEFAULT_PAYLOAD,
 };
-pub use metrics::{FleetMetrics, Histogram, HistogramSnapshot, MetricsSnapshot, SessionOutcome};
+pub use metrics::{Histogram, HistogramSnapshot, MetricsSnapshot};
 pub use pool::{run_indexed, run_indexed_observed, CancelToken, Interrupted, StealScheduler};
 pub use trace_codec::{encode, encode_hex, fnv1a64, fnv1a64_update, to_hex, TraceEncoder};

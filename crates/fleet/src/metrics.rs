@@ -1,12 +1,15 @@
-//! Lock-free fleet metrics: atomic counters and fixed-bucket histograms.
+//! Fleet metrics: batch totals and fixed-bucket histograms.
 //!
-//! Worker threads record into shared atomics with relaxed ordering; every
-//! aggregate is a plain sum, so the totals are independent of recording
-//! order — a batch run at any worker count snapshots to the same
-//! [`MetricsSnapshot`]. Snapshots are plain data, compare with `==`,
-//! [`MetricsSnapshot::merge`] by addition, and serialize themselves to
-//! JSON by hand (the vendored serde shim never serializes at runtime).
+//! A batch's [`MetricsSnapshot`] is a sequential fold, in spec order,
+//! over the [`RunReport`]s the worker pool returns, so its bytes follow
+//! from the reports alone — the same at any worker count. Snapshots are
+//! plain data, compare with `==`, [`MetricsSnapshot::merge`] by
+//! addition, and serialize themselves to JSON by hand (the vendored
+//! serde shim never serializes at runtime). The atomic [`Histogram`]
+//! serves sinks that several threads record into at once, such as the
+//! gateway's latency metrics.
 
+use crate::batch::RunReport;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A histogram over fixed, inclusive upper bucket bounds.
@@ -46,11 +49,7 @@ impl Histogram {
 
     /// Records one sample.
     pub fn record(&self, sample: u64) {
-        let bin = self
-            .bounds
-            .iter()
-            .position(|&b| sample <= b)
-            .unwrap_or(self.bounds.len());
+        let bin = bin_of(&self.bounds, sample);
         self.bins[bin].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(sample, Ordering::Relaxed);
@@ -70,6 +69,15 @@ impl Histogram {
             sum: self.sum.load(Ordering::Relaxed),
         }
     }
+}
+
+/// The bin `sample` lands in: the first bound `>= sample`, or the
+/// overflow bin `bounds.len()`.
+fn bin_of(bounds: &[u64], sample: u64) -> usize {
+    bounds
+        .iter()
+        .position(|&b| sample <= b)
+        .unwrap_or(bounds.len())
 }
 
 /// Plain-data image of a [`Histogram`].
@@ -95,6 +103,16 @@ impl HistogramSnapshot {
             count: 0,
             sum: 0,
         }
+    }
+
+    /// Records one sample, as [`Histogram::record`] does. A bin vector
+    /// that does not match `bounds` drops the bin count, never panics.
+    pub fn record(&mut self, sample: u64) {
+        if let Some(bin) = self.bins.get_mut(bin_of(&self.bounds, sample)) {
+            *bin += 1;
+        }
+        self.count += 1;
+        self.sum += sample;
     }
 
     /// Adds `other` into `self`.
@@ -148,171 +166,12 @@ pub const ACTIVATION_BOUNDS: [u64; 8] = [
 /// faults injected).
 pub const COUNT_BOUNDS: [u64; 8] = [0, 1, 2, 4, 8, 16, 64, 256];
 
-/// Shared metrics sink for one batch run.
+/// Batch totals: one fold over a batch's [`RunReport`]s.
 ///
-/// One instance is shared by every worker; recording is lock-free and
-/// order-independent, so `workers = 1` and `workers = N` produce equal
-/// [`MetricsSnapshot`]s for the same sessions.
-#[derive(Debug)]
-pub struct FleetMetrics {
-    sessions: AtomicU64,
-    delivered: AtomicU64,
-    timed_out: AtomicU64,
-    steps: AtomicU64,
-    activations: AtomicU64,
-    faults: AtomicU64,
-    retransmissions: AtomicU64,
-    corrupt: AtomicU64,
-    delivered_bits: AtomicU64,
-    fec_corrected: AtomicU64,
-    fec_rejected: AtomicU64,
-    algo_rounds: AtomicU64,
-    algo_bits: AtomicU64,
-    algo_decided: AtomicU64,
-    steps_to_delivery: Histogram,
-    activations_per_session: Histogram,
-    faults_per_session: Histogram,
-    retransmissions_per_session: Histogram,
-    activations_to_decision: Histogram,
-}
-
-impl Default for FleetMetrics {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl FleetMetrics {
-    /// Creates an empty sink with the default bucketing.
-    #[must_use]
-    pub fn new() -> Self {
-        Self {
-            sessions: AtomicU64::new(0),
-            delivered: AtomicU64::new(0),
-            timed_out: AtomicU64::new(0),
-            steps: AtomicU64::new(0),
-            activations: AtomicU64::new(0),
-            faults: AtomicU64::new(0),
-            retransmissions: AtomicU64::new(0),
-            corrupt: AtomicU64::new(0),
-            delivered_bits: AtomicU64::new(0),
-            fec_corrected: AtomicU64::new(0),
-            fec_rejected: AtomicU64::new(0),
-            algo_rounds: AtomicU64::new(0),
-            algo_bits: AtomicU64::new(0),
-            algo_decided: AtomicU64::new(0),
-            steps_to_delivery: Histogram::new(&STEP_BOUNDS),
-            activations_per_session: Histogram::new(&ACTIVATION_BOUNDS),
-            faults_per_session: Histogram::new(&COUNT_BOUNDS),
-            retransmissions_per_session: Histogram::new(&COUNT_BOUNDS),
-            activations_to_decision: Histogram::new(&ACTIVATION_BOUNDS),
-        }
-    }
-
-    /// Records one finished session.
-    pub fn record_session(&self, outcome: &SessionOutcome) {
-        self.sessions.fetch_add(1, Ordering::Relaxed);
-        if outcome.delivered {
-            self.delivered.fetch_add(1, Ordering::Relaxed);
-            self.steps_to_delivery.record(outcome.steps_to_delivery);
-        } else {
-            self.timed_out.fetch_add(1, Ordering::Relaxed);
-        }
-        self.steps.fetch_add(outcome.steps, Ordering::Relaxed);
-        self.activations
-            .fetch_add(outcome.activations, Ordering::Relaxed);
-        self.faults.fetch_add(outcome.faults, Ordering::Relaxed);
-        self.retransmissions
-            .fetch_add(outcome.retransmissions, Ordering::Relaxed);
-        self.corrupt.fetch_add(outcome.corrupt, Ordering::Relaxed);
-        self.delivered_bits
-            .fetch_add(outcome.delivered_bits, Ordering::Relaxed);
-        self.fec_corrected
-            .fetch_add(outcome.fec_corrected, Ordering::Relaxed);
-        self.fec_rejected
-            .fetch_add(outcome.fec_rejected, Ordering::Relaxed);
-        self.algo_rounds
-            .fetch_add(outcome.algo_rounds, Ordering::Relaxed);
-        self.algo_bits
-            .fetch_add(outcome.algo_bits, Ordering::Relaxed);
-        if outcome.algo_decided {
-            self.algo_decided.fetch_add(1, Ordering::Relaxed);
-            self.activations_to_decision
-                .record(outcome.activations_to_decision);
-        }
-        self.activations_per_session.record(outcome.activations);
-        self.faults_per_session.record(outcome.faults);
-        self.retransmissions_per_session
-            .record(outcome.retransmissions);
-    }
-
-    /// A plain-data copy of the current totals.
-    #[must_use]
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            sessions: self.sessions.load(Ordering::Relaxed),
-            delivered: self.delivered.load(Ordering::Relaxed),
-            timed_out: self.timed_out.load(Ordering::Relaxed),
-            steps: self.steps.load(Ordering::Relaxed),
-            activations: self.activations.load(Ordering::Relaxed),
-            faults: self.faults.load(Ordering::Relaxed),
-            retransmissions: self.retransmissions.load(Ordering::Relaxed),
-            corrupt: self.corrupt.load(Ordering::Relaxed),
-            delivered_bits: self.delivered_bits.load(Ordering::Relaxed),
-            fec_corrected: self.fec_corrected.load(Ordering::Relaxed),
-            fec_rejected: self.fec_rejected.load(Ordering::Relaxed),
-            algo_rounds: self.algo_rounds.load(Ordering::Relaxed),
-            algo_bits: self.algo_bits.load(Ordering::Relaxed),
-            algo_decided: self.algo_decided.load(Ordering::Relaxed),
-            steps_to_delivery: self.steps_to_delivery.snapshot(),
-            activations_per_session: self.activations_per_session.snapshot(),
-            faults_per_session: self.faults_per_session.snapshot(),
-            retransmissions_per_session: self.retransmissions_per_session.snapshot(),
-            activations_to_decision: self.activations_to_decision.snapshot(),
-        }
-    }
-}
-
-/// What one session contributes to the metrics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SessionOutcome {
-    /// Whether the payload(s) arrived within budget.
-    pub delivered: bool,
-    /// Steps until delivery (recorded only when `delivered`).
-    pub steps_to_delivery: u64,
-    /// Total instants executed.
-    pub steps: u64,
-    /// Total robot activations.
-    pub activations: u64,
-    /// Faults injected by the plan.
-    pub faults: u64,
-    /// Retransmissions issued (hardened sessions).
-    pub retransmissions: u64,
-    /// Corrupted payloads surfaced to an inbox (must stay 0).
-    pub corrupt: u64,
-    /// Payload bits delivered end to end (8 per payload byte when the
-    /// session delivered; 0 otherwise and for algorithm sessions, whose
-    /// traffic is already counted in `algo_bits`).
-    pub delivered_bits: u64,
-    /// Symbol corrections the session's FEC performed (paced protocols
-    /// and the hardened secondary channel; 0 elsewhere).
-    pub fec_corrected: u64,
-    /// FEC blocks rejected as beyond the correction radius.
-    pub fec_rejected: u64,
-    /// Algorithm rounds executed (algorithm sessions; max over robots).
-    pub algo_rounds: u64,
-    /// Algorithm traffic in channel bits (16-bit header + 8 per byte,
-    /// summed over every frame any robot enqueued).
-    pub algo_bits: u64,
-    /// Whether every live robot's algorithm stack reached a terminal
-    /// status within budget (algorithm sessions only).
-    pub algo_decided: bool,
-    /// Engine activations consumed when the last live robot reached its
-    /// decision (recorded only when `algo_decided`).
-    pub activations_to_decision: u64,
-}
-
-/// Plain-data image of a [`FleetMetrics`] sink.
+/// Every field is a plain `u64` sum, including each histogram bin, so
+/// snapshots compare with `==`, merge by addition, and serialize
+/// themselves to JSON by hand (the vendored serde shim never serializes
+/// at runtime).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MetricsSnapshot {
     /// Sessions recorded.
@@ -360,16 +219,79 @@ impl MetricsSnapshot {
     /// An all-zero snapshot with the default bucketing.
     #[must_use]
     pub fn empty() -> Self {
-        FleetMetrics::new().snapshot()
+        Self {
+            sessions: 0,
+            delivered: 0,
+            timed_out: 0,
+            steps: 0,
+            activations: 0,
+            faults: 0,
+            retransmissions: 0,
+            corrupt: 0,
+            delivered_bits: 0,
+            fec_corrected: 0,
+            fec_rejected: 0,
+            algo_rounds: 0,
+            algo_bits: 0,
+            algo_decided: 0,
+            steps_to_delivery: HistogramSnapshot::empty(&STEP_BOUNDS),
+            activations_per_session: HistogramSnapshot::empty(&ACTIVATION_BOUNDS),
+            faults_per_session: HistogramSnapshot::empty(&COUNT_BOUNDS),
+            retransmissions_per_session: HistogramSnapshot::empty(&COUNT_BOUNDS),
+            activations_to_decision: HistogramSnapshot::empty(&ACTIVATION_BOUNDS),
+        }
     }
 
-    /// Adds `other` into `self` — the per-worker → global merge.
+    /// The totals of `runs`, folded in order. A batch's metrics are this
+    /// fold over its reports in spec order, so they are as deterministic
+    /// as the reports themselves.
+    #[must_use]
+    pub fn of(runs: &[RunReport]) -> Self {
+        let mut out = Self::empty();
+        for run in runs {
+            out.record(run);
+        }
+        out
+    }
+
+    /// Adds one finished session.
+    pub fn record(&mut self, run: &RunReport) {
+        self.sessions += 1;
+        if run.delivered {
+            self.delivered += 1;
+            self.steps_to_delivery
+                .record(run.steps_to_delivery.unwrap_or(0));
+        } else {
+            self.timed_out += 1;
+        }
+        self.steps += run.steps;
+        self.activations += run.activations;
+        self.faults += run.faults;
+        self.retransmissions += run.retransmissions;
+        self.corrupt += run.corrupt;
+        self.delivered_bits += run.delivered_bits;
+        self.fec_corrected += run.fec_corrected;
+        self.fec_rejected += run.fec_rejected;
+        if let Some(algo) = run.algo {
+            self.algo_rounds += algo.rounds;
+            self.algo_bits += algo.bits;
+            if let Some(activations) = algo.activations_to_decision {
+                self.algo_decided += 1;
+                self.activations_to_decision.record(activations);
+            }
+        }
+        self.activations_per_session.record(run.activations);
+        self.faults_per_session.record(run.faults);
+        self.retransmissions_per_session.record(run.retransmissions);
+    }
+
+    /// Adds `other` into `self`.
     ///
     /// Merging is commutative and associative (every field is a plain
-    /// `u64` sum, including each histogram bin), so folding per-session
-    /// or per-worker snapshots in *any* steal order yields the same
-    /// totals — the property `tests/tests/properties.rs` pins with a
-    /// permutation proptest down to the JSON bytes.
+    /// `u64` sum, including each histogram bin), so the folds of any
+    /// chunking of a batch's reports, merged in *any* order, equal the
+    /// fold of the whole batch — the property `tests/tests/properties.rs`
+    /// pins with a permutation proptest down to the JSON bytes.
     ///
     /// # Panics
     ///
@@ -479,7 +401,7 @@ impl MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::thread;
+    use crate::batch::{AlgoOutcome, BatchSpec};
 
     #[test]
     fn histogram_buckets_by_inclusive_upper_bound() {
@@ -528,52 +450,57 @@ mod tests {
         a.merge(&HistogramSnapshot::empty(&[2]));
     }
 
-    fn outcome(i: u64) -> SessionOutcome {
-        SessionOutcome {
-            delivered: !i.is_multiple_of(3),
-            steps_to_delivery: i * 17 % 2_000,
+    /// A zero-work report for the metric-bearing fields to override.
+    fn blank() -> RunReport {
+        let spec = &BatchSpec::conformance_matrix(vec![0]).sessions()[0];
+        RunReport {
+            error: None,
+            ..RunReport::poisoned(spec, "")
+        }
+    }
+
+    fn report(i: u64) -> RunReport {
+        let delivered = !i.is_multiple_of(3);
+        RunReport {
+            delivered,
+            steps_to_delivery: delivered.then_some(i * 17 % 2_000),
             steps: i * 19,
             activations: i * 23,
             faults: i % 7,
             retransmissions: i % 4,
-            corrupt: 0,
-            delivered_bits: if i.is_multiple_of(3) { 0 } else { 24 },
+            delivered_bits: if delivered { 24 } else { 0 },
             fec_corrected: i % 5,
             fec_rejected: i % 2,
-            algo_rounds: i % 3,
-            algo_bits: i * 11 % 500,
-            algo_decided: i.is_multiple_of(4),
-            activations_to_decision: i * 13 % 1_000,
+            algo: (!i.is_multiple_of(3)).then_some(AlgoOutcome {
+                rounds: i % 3,
+                bits: i * 11 % 500,
+                activations_to_decision: i.is_multiple_of(4).then_some(i * 13 % 1_000),
+                decision: None,
+                rejected: false,
+            }),
+            ..blank()
         }
     }
 
+    fn reports(n: u64) -> Vec<RunReport> {
+        (0..n).map(report).collect()
+    }
+
     #[test]
-    fn concurrent_recording_equals_serial() {
-        let serial = FleetMetrics::new();
-        for i in 0..200 {
-            serial.record_session(&outcome(i));
-        }
-        let shared = FleetMetrics::new();
-        thread::scope(|scope| {
-            for chunk in 0..4 {
-                let shared = &shared;
-                scope.spawn(move || {
-                    for i in (chunk * 50)..((chunk + 1) * 50) {
-                        shared.record_session(&outcome(i));
-                    }
-                });
-            }
-        });
-        assert_eq!(serial.snapshot(), shared.snapshot());
+    fn snapshot_record_never_panics_on_a_mismatched_bin_vector() {
+        let mut h = HistogramSnapshot {
+            bounds: vec![10],
+            bins: Vec::new(),
+            count: 0,
+            sum: 0,
+        };
+        h.record(5);
+        assert_eq!((h.bins.len(), h.count, h.sum), (0, 1, 5));
     }
 
     #[test]
     fn snapshot_totals_are_consistent() {
-        let m = FleetMetrics::new();
-        for i in 0..50 {
-            m.record_session(&outcome(i));
-        }
-        let s = m.snapshot();
+        let s = MetricsSnapshot::of(&reports(50));
         assert_eq!(s.sessions, 50);
         assert_eq!(s.delivered + s.timed_out, s.sessions);
         assert_eq!(s.steps_to_delivery.count, s.delivered);
@@ -583,10 +510,16 @@ mod tests {
         assert_eq!(s.retransmissions_per_session.sum, s.retransmissions);
         assert_eq!(s.activations_to_decision.count, s.algo_decided);
         assert_eq!(s.algo_rounds, (0..50).map(|i| i % 3).sum::<u64>());
-        assert_eq!(s.algo_bits, (0..50).map(|i| i * 11 % 500).sum::<u64>());
+        assert_eq!(
+            s.algo_bits,
+            (0..50)
+                .filter(|i| i % 3 != 0)
+                .map(|i| i * 11 % 500)
+                .sum::<u64>()
+        );
         assert_eq!(
             s.algo_decided,
-            (0..50).filter(|i| i % 4 == 0).count() as u64
+            (0..50).filter(|i| i % 3 != 0 && i % 4 == 0).count() as u64
         );
         assert_eq!(s.delivered_bits, s.delivered * 24);
         assert_eq!(s.fec_corrected, (0..50).map(|i| i % 5).sum::<u64>());
@@ -598,39 +531,40 @@ mod tests {
     #[test]
     fn derived_rates_are_zero_before_any_delivery() {
         let empty = MetricsSnapshot::empty();
+        assert_eq!(empty, MetricsSnapshot::of(&[]));
         assert_eq!(empty.delivered_rate_ppm(), 0);
         assert_eq!(empty.steps_per_delivered_bit(), 0);
-        let m = FleetMetrics::new();
-        m.record_session(&SessionOutcome {
+        let s = MetricsSnapshot::of(&[RunReport {
             steps: 500,
-            ..SessionOutcome::default()
-        });
-        let s = m.snapshot();
+            ..blank()
+        }]);
         assert_eq!(s.delivered_rate_ppm(), 0, "nothing delivered");
         assert_eq!(s.steps_per_delivered_bit(), 0, "no bits, no ratio");
     }
 
     #[test]
     fn json_is_stable_and_reflects_totals() {
-        let m = FleetMetrics::new();
-        m.record_session(&SessionOutcome {
+        let s = MetricsSnapshot::of(&[RunReport {
             delivered: true,
-            steps_to_delivery: 12,
+            steps_to_delivery: Some(12),
             steps: 40,
             activations: 80,
             faults: 2,
             retransmissions: 1,
-            corrupt: 0,
             delivered_bits: 24,
             fec_corrected: 2,
             fec_rejected: 1,
-            algo_rounds: 3,
-            algo_bits: 112,
-            algo_decided: true,
-            activations_to_decision: 64,
-        });
-        let json = m.snapshot().to_json();
-        assert_eq!(json, m.snapshot().to_json(), "stable across calls");
+            algo: Some(AlgoOutcome {
+                rounds: 3,
+                bits: 112,
+                activations_to_decision: Some(64),
+                decision: Some(1),
+                rejected: false,
+            }),
+            ..blank()
+        }]);
+        let json = s.to_json();
+        assert_eq!(json, s.to_json(), "stable across calls");
         assert!(json.starts_with("{\"sessions\":1,\"delivered\":1,"));
         assert!(json.contains("\"activations\":80"));
         assert!(json.contains("\"bounds\":[64,256,"));
@@ -642,17 +576,12 @@ mod tests {
     }
 
     #[test]
-    fn merged_worker_snapshots_equal_shared_sink() {
-        let shared = FleetMetrics::new();
-        let workers: Vec<FleetMetrics> = (0..3).map(|_| FleetMetrics::new()).collect();
-        for i in 0..90 {
-            shared.record_session(&outcome(i));
-            workers[(i % 3) as usize].record_session(&outcome(i));
-        }
-        let mut merged = MetricsSnapshot::empty();
-        for w in &workers {
-            merged.merge(&w.snapshot());
-        }
-        assert_eq!(merged, shared.snapshot());
+    fn merged_chunk_folds_equal_the_whole_fold() {
+        let runs = reports(90);
+        let parts: Vec<MetricsSnapshot> = runs.chunks(7).map(MetricsSnapshot::of).collect();
+        assert_eq!(
+            MetricsSnapshot::merge_all(&parts),
+            MetricsSnapshot::of(&runs)
+        );
     }
 }

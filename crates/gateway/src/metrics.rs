@@ -1,5 +1,6 @@
 //! Serving metrics: admission counters plus queue-wait and end-to-end
-//! latency histograms, built on the fleet's lock-free metrics machinery.
+//! latency histograms, recorded from many threads at once into atomics
+//! and the fleet's atomic [`Histogram`].
 //!
 //! The counters partition every submission (accepted vs the three typed
 //! rejections) and every accepted job (completed, cancelled, expired),

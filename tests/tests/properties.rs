@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use stigmergy::naming::label_by_sec;
 use stigmergy::session::SyncNetwork;
-use stigmergy_fleet::{FleetMetrics, MetricsSnapshot, SessionOutcome};
+use stigmergy_fleet::{AlgoOutcome, BatchSpec, MetricsSnapshot, RunReport};
 use stigmergy_geometry::Point;
 
 /// Random well-separated configurations with no robot at the SEC centre —
@@ -32,8 +32,14 @@ fn configuration(min_n: usize, max_n: usize) -> impl Strategy<Value = Vec<Point>
         })
 }
 
-/// Random per-session outcomes for the metrics-merge property.
-fn outcome() -> impl Strategy<Value = SessionOutcome> {
+/// Random session reports for the metrics-merge property, over every
+/// field the metrics read; the rest is a zero-work report.
+fn report() -> impl Strategy<Value = RunReport> {
+    let spec = BatchSpec::conformance_matrix(vec![0]).sessions().remove(0);
+    let blank = RunReport {
+        error: None,
+        ..RunReport::poisoned(&spec, "")
+    };
     (
         any::<bool>(),
         0u64..5_000,
@@ -42,10 +48,16 @@ fn outcome() -> impl Strategy<Value = SessionOutcome> {
         0u64..100,
         0u64..50,
         (0u64..3, 0u64..64, 0u64..8, 0u64..8),
-        (0u64..20, 0u64..2_000, any::<bool>(), 0u64..20_000),
+        (
+            any::<bool>(),
+            0u64..20,
+            0u64..2_000,
+            any::<bool>(),
+            0u64..20_000,
+        ),
     )
         .prop_map(
-            |(
+            move |(
                 delivered,
                 steps_to_delivery,
                 steps,
@@ -53,24 +65,26 @@ fn outcome() -> impl Strategy<Value = SessionOutcome> {
                 faults,
                 retransmissions,
                 (corrupt, delivered_bits, fec_corrected, fec_rejected),
-                (algo_rounds, algo_bits, algo_decided, activations_to_decision),
-            )| {
-                SessionOutcome {
-                    delivered,
-                    steps_to_delivery,
-                    steps,
-                    activations,
-                    faults,
-                    retransmissions,
-                    corrupt,
-                    delivered_bits,
-                    fec_corrected,
-                    fec_rejected,
-                    algo_rounds,
-                    algo_bits,
-                    algo_decided,
-                    activations_to_decision,
-                }
+                (algorithm, rounds, bits, decided, activations_to_decision),
+            )| RunReport {
+                delivered,
+                steps_to_delivery: delivered.then_some(steps_to_delivery),
+                steps,
+                activations,
+                faults,
+                retransmissions,
+                corrupt,
+                delivered_bits,
+                fec_corrected,
+                fec_rejected,
+                algo: algorithm.then_some(AlgoOutcome {
+                    rounds,
+                    bits,
+                    activations_to_decision: decided.then_some(activations_to_decision),
+                    decision: None,
+                    rejected: false,
+                }),
+                ..blank.clone()
             },
         )
 }
@@ -90,37 +104,24 @@ proptest! {
 
     #[test]
     fn fleet_metrics_merge_is_permutation_invariant(
-        outcomes in prop::collection::vec(outcome(), 1..40),
+        runs in prop::collection::vec(report(), 1..40),
         perm_seed in any::<u64>(),
         shard_size in 1usize..8,
     ) {
-        // Reference: every outcome recorded in submission order into one
-        // sink — what workers=1 observes.
-        let serial = FleetMetrics::new();
-        for o in &outcomes {
-            serial.record_session(o);
-        }
-        let reference = serial.snapshot();
+        // Reference: the fold over every report in spec order — what
+        // `run_batch` returns at any worker count.
+        let reference = MetricsSnapshot::of(&runs);
 
-        // Adversarial steal order: a seeded Fisher–Yates permutation,
-        // recorded into shards of arbitrary size and merged — what any
-        // steal schedule at any worker count observes.
-        let mut permuted = outcomes.clone();
+        // Adversarial order: a seeded Fisher–Yates permutation, folded in
+        // chunks of arbitrary size and merged. Merging is addition, so
+        // no order or chunking can change the totals.
+        let mut permuted = runs.clone();
         let mut state = perm_seed;
         for i in (1..permuted.len()).rev() {
             let j = (splitmix(&mut state) % (i as u64 + 1)) as usize;
             permuted.swap(i, j);
         }
-        let parts: Vec<MetricsSnapshot> = permuted
-            .chunks(shard_size)
-            .map(|chunk| {
-                let shard = FleetMetrics::new();
-                for o in chunk {
-                    shard.record_session(o);
-                }
-                shard.snapshot()
-            })
-            .collect();
+        let parts: Vec<MetricsSnapshot> = permuted.chunks(shard_size).map(MetricsSnapshot::of).collect();
         let merged = MetricsSnapshot::merge_all(&parts);
 
         prop_assert_eq!(&reference, &merged, "snapshot diverged under permutation");
