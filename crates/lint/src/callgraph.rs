@@ -414,7 +414,7 @@ impl Walker<'_> {
             return Recv::Unknown;
         }
         let prev = &self.ft.toks[code[c - 2]];
-        let prev_chained = c >= 3 && self.ft.toks[code[c - 3]].is_punct('.');
+        let prev_chained = self.chained(code, c - 2);
         if prev.is_ident("self") && !prev_chained {
             return match self.self_type() {
                 Some(ty) => Recv::Ws(ty),
@@ -429,7 +429,7 @@ impl Walker<'_> {
             // that is itself mid-chain stays Unknown.
             if c >= 4 && self.ft.toks[code[c - 4]].kind == TokKind::Ident {
                 let base = &self.ft.toks[code[c - 4]];
-                let base_chained = c >= 5 && self.ft.toks[code[c - 5]].is_punct('.');
+                let base_chained = self.chained(code, c - 4);
                 if base_chained {
                     return Recv::Unknown;
                 }
@@ -455,6 +455,14 @@ impl Walker<'_> {
             return self.call_result_type(code, c - 2);
         }
         Recv::Unknown
+    }
+
+    /// Whether the token at `i` follows a member-access `.`. A `.`
+    /// preceded by another `.` is a range's `..` and chains nothing: in
+    /// `0..v.len()` the receiver `v` starts its own chain.
+    fn chained(&self, code: &[usize], i: usize) -> bool {
+        let dot = |j: usize| self.ft.toks[code[j]].is_punct('.');
+        i >= 1 && dot(i - 1) && !(i >= 2 && dot(i - 2))
     }
 
     /// Types the value produced by the call whose closing paren sits
@@ -927,6 +935,28 @@ mod tests {
         assert!(names.iter().all(|n| !n.starts_with("union:")), "{names:?}");
         assert_eq!(g.stats.union_edges, 0);
         let _ = t;
+    }
+
+    #[test]
+    fn range_dots_do_not_chain_the_receiver() {
+        // `0..v.len()` and `0..self.items.len()`: the `.` after `..`
+        // starts a chain rather than continuing one, so both receivers
+        // are typed (external) instead of unioning every workspace `len`.
+        let (t, g, _) = build(&[(
+            "crates/a/src/lib.rs",
+            "pub struct Bag { items: Vec<u8> }\npub struct Sack;\n\
+             impl Sack { pub fn len(&self) -> usize { 0 } }\n\
+             impl Bag {\n    pub fn len(&self) -> usize { 0 }\n    pub fn walk(&self, v: Vec<u8>) {\n        \
+             for i in 0..v.len() { drop(i); }\n        for j in 0..self.items.len() { drop(j); }\n    }\n}",
+        )]);
+        let names = edge_names(&t, &g, "Bag::walk");
+        assert!(names.iter().all(|n| !n.starts_with("union:")), "{names:?}");
+        assert_eq!(
+            names.iter().filter(|n| *n == "extern:len").count(),
+            2,
+            "{names:?}"
+        );
+        assert_eq!(g.stats.union_edges, 0);
     }
 
     #[test]
