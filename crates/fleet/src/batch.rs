@@ -1893,7 +1893,7 @@ mod tests {
     #[test]
     fn worker_count_is_invisible_for_coded_batches() {
         // A k>2 batch must fingerprint identically whether one worker or
-        // four drive it — the steal schedule cannot leak into coded runs.
+        // four drive it — the claim order cannot leak into coded runs.
         let spec = BatchSpec {
             protocols: vec![ProtocolKind::Sync2, ProtocolKind::SyncSwarmLex],
             algorithms: vec![],

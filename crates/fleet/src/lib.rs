@@ -11,13 +11,11 @@
 //! [`trace_codec`]), and so identical metrics. The regression suite in
 //! `tests/` asserts exactly that.
 //!
-//! No external dependencies: the pool is a lock-free work-stealing
-//! scheduler — per-worker index-range shards packed into `AtomicU64`s,
-//! owners popping from the front, dry workers stealing back half-ranges
-//! (rayon is unavailable under the vendored-offline constraint) —
-//! metrics are plain sums and fixed-bucket histograms folded after the
-//! pool returns, and the trace codec writes IEEE-754 bit patterns
-//! directly.
+//! No external dependencies: the pool is scoped `std::thread` workers
+//! claiming session indices from one shared atomic cursor (rayon is
+//! unavailable under the vendored-offline constraint), metrics are
+//! plain sums and fixed-bucket histograms folded after the pool
+//! returns, and the trace codec writes IEEE-754 bit patterns directly.
 //!
 //! # Example
 //!
@@ -45,5 +43,5 @@ pub use batch::{
     CONFORMANCE, DEFAULT_PAYLOAD,
 };
 pub use metrics::{Histogram, HistogramSnapshot, MetricsSnapshot};
-pub use pool::{run_indexed, run_indexed_observed, CancelToken, Interrupted, StealScheduler};
+pub use pool::{run_indexed, run_indexed_observed, CancelToken, Interrupted};
 pub use trace_codec::{encode, encode_hex, fnv1a64, fnv1a64_update, to_hex, TraceEncoder};

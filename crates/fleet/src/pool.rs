@@ -1,58 +1,30 @@
-//! A hand-rolled work-stealing worker pool.
+//! The fleet's worker pool: scoped threads over one shared cursor.
 //!
 //! The offline-vendored constraint rules out rayon, so the pool is built
-//! from the standard library alone — but unlike the original central
-//! `Mutex<VecDeque>` + `Condvar` queue (which serialized every job
-//! hand-off on one lock and topped out *below* 1× on the 864-session
-//! sweep), scheduling here is **lock-free**: each worker owns a
-//! `Shard` — a contiguous range of job indices packed into one
-//! `AtomicU64` — pops from its front, and when dry steals the back half
-//! of a victim's remaining range. Results flow back through a bounded
-//! `mpsc::sync_channel` tagged with their job index, and
-//! [`run_indexed`] reassembles them in submission order, so the output
-//! `Vec` is identical whatever interleaving or steal schedule the
+//! from the standard library alone. Jobs are independent, so scheduling
+//! is one `AtomicUsize` cursor over the job indices: each worker claims
+//! the next index with `fetch_add(1)`, runs it, and exits once the index
+//! it drew reaches `n`. Every `fetch_add` returns a distinct value, so
+//! each index is claimed by exactly one worker — no lost jobs, no
+//! duplicates, whatever the interleaving — and a worker that drew a long
+//! job simply claims nothing more while the others drain the rest, so
+//! an expensive job never serializes the batch behind it.
+//!
+//! Results flow back through a bounded `mpsc::sync_channel` tagged with
+//! their job index, and [`run_indexed`] reassembles them in submission
+//! order, so the output `Vec` is identical whatever interleaving the
 //! workers ran under — the mechanical half of the fleet's determinism
 //! guarantee (the other half is that each job is a pure function of its
-//! input).
+//! input). The stress suite in `tests/tests/fleet_stress.rs` hammers
+//! these claims with pathological work distributions.
 //!
-//! # The steal protocol
-//!
-//! A shard packs `(head, tail)` as `head << 32 | tail`, describing the
-//! unclaimed range `[head, tail)`:
-//!
-//! - **Owner pop**: CAS `(head, tail) → (head + 1, tail)`, claiming
-//!   index `head`. Front-first keeps each worker walking its range in
-//!   submission order (cache-friendly: neighbouring sessions share
-//!   protocol setup).
-//! - **Steal**: CAS `(head, tail) → (head, mid)` where
-//!   `mid = head + floor((tail − head) / 2)`, claiming the never-empty
-//!   back half-range `[mid, tail)`. The thief runs `mid` immediately and
-//!   installs the remainder into its own (empty) shard, where it is
-//!   itself stealable — so one overloaded shard redistributes in
-//!   `O(log n)` steals instead of `O(n)` hand-offs.
-//!
-//! Every successful CAS permanently removes indices from circulation
-//! and every installed range is a subrange of one just removed, so the
-//! same packed value can never recur on a shard — the CAS loop is
-//! ABA-free — and each index is claimed by exactly one worker: no lost
-//! jobs, no duplicates, whatever the interleaving. The stress suite in
-//! `tests/tests/fleet_stress.rs` hammers exactly these claims with
-//! pathological work distributions.
-//!
-//! A worker with an empty shard scans victims round-robin starting at
-//! its right neighbour; only after two consecutive full scans find
-//! every shard empty does it exit. (Between a thief claiming a range
-//! and installing it the range is invisible to scanners, so a scanner
-//! can exit while work is still in flight — that work is owned by the
-//! thief and still runs; the double scan merely narrows the window in
-//! which a worker retires early and parallelism is left on the table.)
-//!
-//! The claim path takes no locks anywhere. Result *collection* uses
-//! `mpsc` (a hand-off, not a scheduler), and `stiglint`'s `lock-free`
-//! pass pins the distinction: this file must never reintroduce a
-//! `Mutex`, `RwLock`, or `Condvar`.
+//! The claim path takes no locks. Result *collection* uses `mpsc` (a
+//! hand-off, not a scheduler), and `stiglint`'s `lock-free` pass pins
+//! the distinction: this file must never reintroduce a `Mutex`,
+//! `RwLock`, or `Condvar` (a central locked queue serialized every job
+//! hand-off and topped out *below* 1× on the 864-session sweep).
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::thread;
 
@@ -86,188 +58,12 @@ impl CancelToken {
     }
 }
 
-/// One worker's unclaimed range, `(head, tail)` packed into a single
-/// `AtomicU64` so pops and steals are single CAS operations. Padded to
-/// a cache line so two workers' shards never share one (a steal misses
-/// the victim's line once instead of ping-ponging it on every pop).
-#[derive(Debug)]
-#[repr(align(64))]
-struct Shard {
-    range: AtomicU64,
-}
-
-#[inline]
-fn pack(head: u32, tail: u32) -> u64 {
-    (u64::from(head) << 32) | u64::from(tail)
-}
-
-#[inline]
-fn unpack(packed: u64) -> (u32, u32) {
-    ((packed >> 32) as u32, packed as u32)
-}
-
-/// The shared scheduler state: one `Shard` per worker over a fixed
-/// set of `n` job indices, split contiguously at construction so
-/// results keep submission-order locality.
-#[derive(Debug)]
-pub struct StealScheduler {
-    shards: Vec<Shard>,
-}
-
-impl StealScheduler {
-    /// Splits `[0, n)` into `workers` contiguous shards (front shards
-    /// get the remainder, so sizes differ by at most one).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers == 0` or `n` does not fit the 32-bit packed
-    /// range representation.
-    #[must_use]
-    pub fn new(n: usize, workers: usize) -> Self {
-        assert!(workers > 0, "need at least one worker");
-        assert!(
-            u32::try_from(n).is_ok(),
-            "job count must fit the packed 32-bit range"
-        );
-        let n = n as u32;
-        let w = workers as u32;
-        let base = n / w;
-        let extra = n % w;
-        let mut start = 0u32;
-        let shards = (0..w)
-            .map(|i| {
-                let len = base + u32::from(i < extra);
-                let shard = Shard {
-                    range: AtomicU64::new(pack(start, start + len)),
-                };
-                start += len;
-                shard
-            })
-            .collect();
-        Self { shards }
-    }
-
-    /// Number of shards (= workers).
-    #[must_use]
-    pub fn workers(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Claims the front index of `me`'s own shard, if any remains.
-    #[must_use]
-    pub fn pop_local(&self, me: usize) -> Option<usize> {
-        let shard = &self.shards[me].range;
-        let mut cur = shard.load(Ordering::Acquire);
-        loop {
-            let (head, tail) = unpack(cur);
-            if head >= tail {
-                return None;
-            }
-            match shard.compare_exchange_weak(
-                cur,
-                pack(head + 1, tail),
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => return Some(head as usize),
-                Err(now) => cur = now,
-            }
-        }
-    }
-
-    /// Claims the back half-range of `victim`'s shard. Returns the
-    /// stolen `[mid, tail)` bounds, or `None` if the shard was empty.
-    fn try_steal(&self, victim: usize) -> Option<(u32, u32)> {
-        let shard = &self.shards[victim].range;
-        let mut cur = shard.load(Ordering::Acquire);
-        loop {
-            let (head, tail) = unpack(cur);
-            if head >= tail {
-                return None;
-            }
-            // Victim keeps the floor half so the stolen back range
-            // `[mid, tail)` is never empty: a 1-job shard is stolen
-            // whole rather than left to a busy victim.
-            let mid = head + (tail - head) / 2;
-            match shard.compare_exchange_weak(
-                cur,
-                pack(head, mid),
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => return Some((mid, tail)),
-                Err(now) => cur = now,
-            }
-        }
-    }
-
-    /// Finds work for a dry worker: scans victims round-robin starting
-    /// at the right neighbour, installs a stolen range into `me`'s own
-    /// shard (which **must be empty** — drain it with [`Self::pop_local`]
-    /// first, as the pool's `pop_local(me).or_else(|| steal_for(me))`
-    /// loop does), and returns the first stolen index to run. Two
-    /// consecutive empty scans mean the pool is drained (or all residual
-    /// work is claimed and in flight): returns `None`.
-    ///
-    /// The empty-own-shard precondition is what makes the remainder
-    /// install a plain store: nobody can CAS an empty shard, and only
-    /// `me` installs into it. A steal-first caller would overwrite — and
-    /// silently lose — whatever its shard still held, so debug builds
-    /// assert the precondition.
-    #[must_use]
-    pub fn steal_for(&self, me: usize) -> Option<usize> {
-        debug_assert!(
-            {
-                let (head, tail) = unpack(self.shards[me].range.load(Ordering::Acquire));
-                head >= tail
-            },
-            "steal_for contract: worker {me}'s own shard must be drained before stealing — \
-             installing a stolen range would overwrite and lose it"
-        );
-        let w = self.shards.len();
-        for round in 0..2 {
-            for offset in 1..w {
-                let victim = (me + offset) % w;
-                if let Some((lo, hi)) = self.try_steal(victim) {
-                    if hi > lo + 1 {
-                        // Own shard is empty and an empty shard cannot
-                        // be CASed by thieves, so a plain store is safe.
-                        self.shards[me]
-                            .range
-                            .store(pack(lo + 1, hi), Ordering::Release);
-                    }
-                    return Some(lo as usize);
-                }
-            }
-            if round == 0 {
-                thread::yield_now();
-            }
-        }
-        None
-    }
-
-    /// Total unclaimed indices across all shards (racy snapshot; exact
-    /// once workers have quiesced).
-    #[must_use]
-    pub fn remaining(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                let (head, tail) = unpack(s.range.load(Ordering::Acquire));
-                (tail - head) as usize
-            })
-            .sum()
-    }
-}
-
 /// Runs `f` over `items` on `workers` threads, returning the results in
 /// input order.
 ///
-/// Work distribution is sharded-with-stealing: each worker starts on a
-/// contiguous slice of the input and steals half-ranges from busy
-/// victims when dry, so an expensive item never serializes the batch
-/// behind it and a pathological distribution (all the cost in one
-/// shard) rebalances in `O(log n)` steals. Results return through a
+/// Work distribution is one shared cursor: each worker claims the next
+/// unclaimed index when it finishes its last, so an expensive item
+/// never serializes the batch behind it. Results return through a
 /// bounded channel (capacity `2 × workers`, enough that no worker
 /// blocks on a full channel while the collector is slotting results)
 /// and land in their submission slot, so the caller observes pure
@@ -334,23 +130,26 @@ where
 {
     assert!(workers > 0, "need at least one worker");
     let n = items.len();
-    let scheduler = StealScheduler::new(n, workers);
+    let next = AtomicUsize::new(0);
 
     let (tx, rx) = mpsc::sync_channel::<(usize, R)>(workers * 2);
     let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
     let mut completed = 0usize;
     thread::scope(|scope| {
-        for me in 0..workers {
+        for _ in 0..workers {
             let tx = tx.clone();
-            let scheduler = &scheduler;
+            let next = &next;
             let items = &items;
             let f = &f;
             scope.spawn(move || {
                 while !cancel.is_cancelled() {
-                    let Some(index) = scheduler.pop_local(me).or_else(|| scheduler.steal_for(me))
-                    else {
+                    // Relaxed is enough: the cursor only has to hand out
+                    // distinct indices, and the items were shared before
+                    // the spawn.
+                    let index = next.fetch_add(1, Ordering::Relaxed);
+                    if index >= n {
                         return;
-                    };
+                    }
                     // A send can only fail if the collector is gone, which
                     // means the scope is already unwinding; stop quietly.
                     if tx.send((index, f(&items[index]))).is_err() {
@@ -382,71 +181,19 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    #[test]
-    fn packing_round_trips() {
-        for (h, t) in [(0, 0), (1, 7), (u32::MAX - 1, u32::MAX)] {
-            assert_eq!(unpack(pack(h, t)), (h, t));
-        }
-    }
-
-    #[test]
-    fn shards_split_contiguously_and_cover_everything() {
-        let s = StealScheduler::new(10, 3);
-        assert_eq!(s.workers(), 3);
-        assert_eq!(s.remaining(), 10);
-        // Worker 0 gets 4 (remainder goes to the front), 1 and 2 get 3.
-        let mine: Vec<usize> = std::iter::from_fn(|| s.pop_local(0)).collect();
-        assert_eq!(mine, vec![0, 1, 2, 3]);
-        let theirs: Vec<usize> = std::iter::from_fn(|| s.pop_local(1)).collect();
-        assert_eq!(theirs, vec![4, 5, 6]);
-        assert_eq!(s.remaining(), 3);
-    }
-
-    #[test]
-    fn steal_takes_the_back_half_and_installs_the_rest() {
-        let s = StealScheduler::new(8, 2);
-        // Shard 1 owns [4, 8); drain shard 0 so worker 0 must steal.
-        while s.pop_local(0).is_some() {}
-        let got = s.steal_for(0).expect("victim has work");
-        // Victim keeps ceil(4/2) = 2 → thief claims [6, 8), runs 6,
-        // installs [7, 8) locally.
-        assert_eq!(got, 6);
-        assert_eq!(s.pop_local(0), Some(7));
-        assert_eq!(s.pop_local(1), Some(4));
-        assert_eq!(s.pop_local(1), Some(5));
-        assert_eq!(s.remaining(), 0);
-        assert!(s.steal_for(0).is_none(), "drained pool yields nothing");
-    }
 
     #[test]
     fn every_index_is_claimed_exactly_once_under_contention() {
-        // 4 threads all popping and stealing concurrently: the union of
-        // claims must be exactly [0, n) with no duplicates.
+        // 4 workers racing on the cursor: every job must run exactly
+        // once, and its result must land in its own slot.
         let n = 10_000;
-        let s = StealScheduler::new(n, 4);
-        let mut all: Vec<usize> = thread::scope(|scope| {
-            let handles: Vec<_> = (0..4)
-                .map(|me| {
-                    let s = &s;
-                    scope.spawn(move || {
-                        let mut claimed = Vec::new();
-                        while let Some(i) = s.pop_local(me).or_else(|| s.steal_for(me)) {
-                            claimed.push(i);
-                        }
-                        claimed
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("claimer"))
-                .collect()
+        let runs: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+        let out = run_indexed((0..n).collect(), 4, |&i: &usize| {
+            runs[i].fetch_add(1, Ordering::Relaxed);
+            i
         });
-        all.sort_unstable();
-        assert_eq!(all, (0..n).collect::<Vec<_>>());
-        assert_eq!(s.remaining(), 0);
+        assert_eq!(out, (0..n).collect::<Vec<_>>());
+        assert!(runs.iter().all(|r| r.load(Ordering::Relaxed) == 1));
     }
 
     #[test]
@@ -489,10 +236,11 @@ mod tests {
     }
 
     #[test]
-    fn skewed_distribution_is_rebalanced_by_stealing() {
-        // All the cost lives in shard 0's contiguous range; the other
-        // workers must steal it or the run serializes. Correctness (the
-        // assertable half) is: complete, ordered, exact results.
+    fn skewed_distribution_completes_in_submission_order() {
+        // All the cost lives in the first 32 indices, so whichever
+        // workers draw them run long while the rest drain the cheap
+        // tail. Correctness (the assertable half) is: complete,
+        // ordered, exact results.
         let n = 256usize;
         let items: Vec<u64> = (0..n as u64).collect();
         let out = run_indexed(items, 8, |&x| {

@@ -161,7 +161,7 @@ pub fn run_workspace(root: &Path) -> io::Result<Vec<Violation>> {
         }
     }
 
-    // Pass 5: lock-free over the steal scheduler — no blocking
+    // Pass 5: lock-free over the pool's claim path — no blocking
     // synchronization primitives at all.
     for rel in config::LOCK_FREE_FILES {
         if let Some(fi) = idx.file_idx(rel) {
@@ -190,7 +190,7 @@ pub fn run_workspace(root: &Path) -> io::Result<Vec<Violation>> {
         },
     ));
 
-    // Pass 9: hot-path-alloc over the activation/steal subgraphs.
+    // Pass 9: hot-path-alloc over the activation subgraph.
     out.extend(rules::hot_alloc::check(
         &idx,
         &rules::hot_alloc::AllocPolicy {

@@ -1,15 +1,14 @@
-//! Hot-path-alloc pass: no allocation in the engine-activation and
-//! steal-loop call subgraphs.
+//! Hot-path-alloc pass: no allocation in the engine-activation call
+//! subgraph.
 //!
 //! PR 5's runtime ratchet (`allocs-per-activation` in
 //! `crates/core/tests/alloc_budget.rs`) catches regressions that the
 //! benchmark exercises; this pass catches them statically, before a
 //! benchmark run, and in paths the benchmark doesn't cover. Starting
-//! from the configured roots (the activation step and the steal
-//! loop), every fn reachable inside the hot crates is scanned for the
-//! allocating constructs: `format!` / `vec!`, `Vec::new` /
-//! `Box::new` / `String::new`, `.to_string()` / `.to_owned()`,
-//! `.collect(`, and `.push(`.
+//! from the configured roots (the activation step), every fn reachable
+//! inside the hot crates is scanned for the allocating constructs:
+//! `format!` / `vec!`, `Vec::new` / `Box::new` / `String::new`,
+//! `.to_string()` / `.to_owned()`, `.collect(`, and `.push(`.
 //!
 //! `.push(` is listed deliberately even though pushing within
 //! preallocated capacity does not allocate — that is precisely the

@@ -158,10 +158,10 @@ pub fn check(ft: &FileTokens) -> Vec<Violation> {
 }
 
 /// Runs the lock-free pass over one file: in files declared lock-free
-/// (the work-stealing pool), *any* blocking synchronization primitive
-/// is a violation — the whole point of the sharded-deque design is
-/// that claims are CAS-only, so a `Mutex` sneaking back in is an
-/// architecture regression, not a style problem. Bans the blocking
+/// (the worker pool), *any* blocking synchronization primitive is a
+/// violation — the pool's claims are one atomic `fetch_add`, so a
+/// `Mutex` sneaking back in is an architecture regression, not a style
+/// problem. Bans the blocking
 /// sync type names (`BLOCKING_SYNC_TYPES`) and `.lock(` / `.wait*(`
 /// method calls; `mpsc` channels and atomics stay legal (the result
 /// path is a channel, and `recv` blocking on the collector is the
@@ -181,8 +181,8 @@ pub fn check_lockfree(ft: &FileTokens) -> Vec<Violation> {
                 line: t.line,
                 rule: RULE_LOCK_FREE,
                 message: format!(
-                    "`{}` in a lock-free file: the steal scheduler must stay \
-                     CAS-only (atomics + channels); see DESIGN.md §9",
+                    "`{}` in a lock-free file: the pool's claim path must \
+                     stay atomics-only (atomics + channels); see DESIGN.md §9",
                     t.text
                 ),
             });
@@ -197,7 +197,7 @@ pub fn check_lockfree(ft: &FileTokens) -> Vec<Violation> {
                 rule: RULE_LOCK_FREE,
                 message: format!(
                     "`.{}(..)` in a lock-free file: blocking synchronization is \
-                     banned here; claims must go through the CAS protocol",
+                     banned here; claims must go through the atomic cursor",
                     t.text
                 ),
             });

@@ -47,7 +47,7 @@ fn workers_1_and_8_produce_byte_identical_traces_per_seed() {
 
 #[test]
 fn determinism_matrix_workers_1_2_4_8() {
-    // The work-stealing pool's acceptance gate: every worker count in
+    // The pool's acceptance gate: every worker count in
     // the matrix produces the same trace fingerprint and byte-identical
     // merged-metrics JSON — including the crash cells, which route
     // through `CrashFiltered` schedule wrappers.

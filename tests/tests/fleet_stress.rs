@@ -1,21 +1,19 @@
-//! Hostile-stealer stress tests for the work-stealing fleet pool.
+//! Hostile-distribution stress tests for the fleet pool.
 //!
-//! The scheduler's claim path is lock-free CAS over packed index
-//! ranges, so the dangerous schedules are the ones a fair benchmark
-//! never produces: one worker owning all the heavy work while everyone
-//! else steals from it, a single long job pinning its owner while the
-//! rest of the pool drains, and seeded-random skew in between. Each
-//! test asserts the full contract — no deadlock (the test completes),
-//! no lost or duplicated session, index-ordered results identical to a
+//! Workers claim job indices from one shared atomic cursor, so the
+//! dangerous schedules are the ones a fair benchmark never produces:
+//! all the heavy work at the front of the batch, a single long job
+//! pinning one worker while the rest of the pool drains, many workers
+//! racing on the cursor, and seeded-random skew in between. Each test
+//! asserts the full contract — no deadlock (the test completes), no
+//! lost or duplicated session, index-ordered results identical to a
 //! serial map — plus panic containment: one poisoned session fails its
 //! own `RunReport` without wedging the pool.
 
-use std::sync::mpsc;
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::thread;
 
-use stigmergy_fleet::{
-    run_batch, run_indexed, BatchSpec, ProtocolKind, StealScheduler, DEFAULT_PAYLOAD,
-};
+use stigmergy_fleet::{run_batch, run_indexed, BatchSpec, ProtocolKind, DEFAULT_PAYLOAD};
 use stigmergy_scheduler::{CodingSpec, FaultSpec, ScheduleSpec};
 
 /// SplitMix64: the seeded PRNG behind the hostile distributions — tiny,
@@ -54,9 +52,9 @@ fn assert_matches_serial(items: &[u64], workers: usize, label: &str) {
 #[test]
 fn one_long_session_plus_many_trivial_ones() {
     // Index 0 is a single long job; everything else is near-free. The
-    // long job pins its owner, so the rest of the pool must drain the
-    // trivial work and exit without it — and the result must still land
-    // in slot 0.
+    // long job pins the worker that claimed it, so the rest of the pool
+    // must drain the trivial work and exit without it — and the result
+    // must still land in slot 0.
     let mut items = vec![0u64; 512];
     items[0] = 400_000;
     for workers in [1, 2, 4, 8] {
@@ -66,10 +64,10 @@ fn one_long_session_plus_many_trivial_ones() {
 
 #[test]
 fn all_heavy_work_in_one_victims_shard() {
-    // `StealScheduler::new` hands worker 0 the leading contiguous run
-    // of indices. Concentrating every heavy job there forces workers
-    // 1..N to finish instantly and live entirely off steals from the
-    // same victim — the maximum-contention steal schedule.
+    // Every heavy job sits in the leading quarter of the indices, so
+    // the first claims all run long while later claims finish
+    // instantly and race back to the cursor: the pool must keep every
+    // worker busy until the heavy front drains, then empty the tail.
     let workers = 4;
     let n = 256;
     let mut items = vec![0u64; n];
@@ -106,50 +104,25 @@ fn seeded_hostile_distributions_preserve_order_and_count() {
 
 #[test]
 fn steal_heavy_thieves_claim_every_index_exactly_once() {
-    // Four workers hammer the raw scheduler with the pool's canonical
-    // pop-then-steal claim loop, the thieves yielding after every claim
-    // so their shards — including ranges another thief just installed —
-    // are stolen from under them mid-drain. The pop-first order is not
-    // an optimization but the scheduler's contract: `steal_for`
-    // installs the stolen remainder into the caller's shard with a
-    // plain store, which is only safe while that shard is empty. (A
-    // steal-first loop overwrites — and silently loses — the range it
-    // installed one claim earlier; `steal_for` now debug-asserts the
-    // precondition so that misuse fails loudly instead of dropping
-    // jobs.) The union of claims must be exactly {0, …, n-1}.
+    // Eight workers race on the cursor through `run_indexed`, each job
+    // counting its own index and then yielding so claims interleave as
+    // much as the host allows. Every index must run exactly once and
+    // land in its own slot.
     let n = 10_000usize;
-    let thieves = 3usize;
-    let scheduler = StealScheduler::new(n, 1 + thieves);
-    let (tx, rx) = mpsc::channel::<usize>();
-    thread::scope(|scope| {
-        for me in 0..=thieves {
-            let tx = tx.clone();
-            let scheduler = &scheduler;
-            scope.spawn(move || loop {
-                match scheduler.pop_local(me).or_else(|| scheduler.steal_for(me)) {
-                    Some(index) => {
-                        tx.send(index).expect("collector outlives workers");
-                        if me != 0 {
-                            // Linger between claims: a slow thief's
-                            // half-drained shard is the juiciest victim.
-                            thread::yield_now();
-                        }
-                    }
-                    None => return,
-                }
-            });
-        }
-        drop(tx);
-        let mut seen = vec![false; n];
-        let mut count = 0usize;
-        for index in rx {
-            assert!(!seen[index], "index {index} claimed twice");
-            seen[index] = true;
-            count += 1;
-        }
-        assert_eq!(count, n, "every index claimed exactly once");
-        assert_eq!(scheduler.remaining(), 0);
+    let counts: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
+    let out = run_indexed((0..n).collect(), 8, |&index: &usize| {
+        counts[index].fetch_add(1, Ordering::Relaxed);
+        thread::yield_now();
+        index
     });
+    assert_eq!(out, (0..n).collect::<Vec<_>>(), "results in index order");
+    for (index, count) in counts.iter().enumerate() {
+        assert_eq!(
+            count.load(Ordering::Relaxed),
+            1,
+            "index {index} must run exactly once"
+        );
+    }
 }
 
 #[test]
