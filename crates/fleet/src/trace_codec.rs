@@ -60,7 +60,8 @@ fn put_point(out: &mut Vec<u8>, p: Point) {
     put_u64(out, p.y.to_bits());
 }
 
-/// Encodes a trace to its canonical byte form.
+/// Encodes a trace to its canonical byte form: what a [`TraceEncoder`]
+/// fed the trace's steps and faults assembles.
 ///
 /// Layout (all integers little endian):
 /// `"STRC" | version u8 | n u32 | n initial points | step count u32 |`
@@ -69,36 +70,22 @@ fn put_point(out: &mut Vec<u8>, p: Point) {
 #[must_use]
 pub fn encode(trace: &Trace) -> Vec<u8> {
     let initial = trace.initial();
-    let n = initial.len();
-    let mut out = Vec::with_capacity(64 + trace.steps().len() * (16 + n * 16));
-    out.extend_from_slice(MAGIC);
-    out.push(VERSION);
-    put_u32(&mut out, n as u32);
-    for &p in initial {
-        put_point(&mut out, p);
-    }
-    put_u32(&mut out, trace.steps().len() as u32);
+    let mut encoder = TraceEncoder::new(initial);
+    encoder
+        .steps
+        .reserve(trace.steps().len() * (16 + initial.len() * 16));
     for step in trace.steps() {
-        put_u64(&mut out, step.time);
-        let mut bitmap = vec![0u8; n.div_ceil(8)];
-        for i in step.active.iter() {
-            bitmap[i / 8] |= 1 << (i % 8);
-        }
-        out.extend_from_slice(&bitmap);
-        put_u32(&mut out, step.positions.len() as u32);
-        for &p in &step.positions {
-            put_point(&mut out, p);
-        }
+        encoder.record_step(step.time, &step.active, &step.positions);
     }
-    put_u32(&mut out, trace.faults().len() as u32);
     for fault in trace.faults() {
-        put_fault(&mut out, fault);
+        encoder.record_fault(fault);
     }
-    out
+    encoder.to_bytes()
 }
 
-/// An incremental encoder producing exactly the bytes of [`encode`],
-/// without ever materializing a [`Trace`].
+/// The one writer of the canonical layout: an incremental encoder that
+/// never materializes a [`Trace`] ([`encode`] replays a recorded one
+/// through it).
 ///
 /// Feed it the engine's [`TraceEvent`] stream (via
 /// [`stigmergy_robots::Engine::observe_trace`]) and it appends each step
@@ -109,9 +96,8 @@ pub fn encode(trace: &Trace) -> Vec<u8> {
 /// [`TraceEncoder::to_bytes`]; [`TraceEncoder::encoded_len`] and
 /// [`TraceEncoder::fingerprint`] answer without assembling.
 ///
-/// Byte-identity with [`encode`] is pinned by tests below and by every
-/// golden-trace file: a streaming run and a recorded run of the same
-/// session must hash identically.
+/// A streaming run and a recorded run of the same session must hash
+/// identically; tests below and every golden-trace file pin it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceEncoder {
     /// `MAGIC | version | n | initial points` — fixed at construction.
