@@ -96,8 +96,7 @@ pub struct Engine<P> {
     collision_eps: f64,
     global_clock: bool,
     visibility: Option<f64>,
-    record_steps: bool,
-    record_faults: bool,
+    record: bool,
     faults: FaultPlan,
     stats: EngineStats,
     observer: Option<TraceObserver>,
@@ -297,7 +296,7 @@ impl<P: MovementProtocol> Engine<P> {
                 positions: &self.positions,
             });
         }
-        if self.record_steps {
+        if self.record {
             self.trace.record(StepRecord {
                 time,
                 active: self.active.clone(),
@@ -346,7 +345,7 @@ impl<P: MovementProtocol> Engine<P> {
         if let Some(observer) = self.observer.as_mut() {
             observer(TraceEvent::Fault(&event));
         }
-        if self.record_faults {
+        if self.record {
             self.trace.record_fault(event);
         }
     }
@@ -569,8 +568,7 @@ pub struct EngineBuilder<P> {
     collision_eps: f64,
     global_clock: bool,
     visibility: Option<f64>,
-    record_steps: bool,
-    record_faults: bool,
+    record: bool,
     faults: Option<FaultPlan>,
 }
 
@@ -596,8 +594,7 @@ impl<P> EngineBuilder<P> {
             collision_eps: DEFAULT_COLLISION_EPS,
             global_clock: false,
             visibility: None,
-            record_steps: true,
-            record_faults: true,
+            record: true,
             faults: None,
         }
     }
@@ -679,32 +676,16 @@ impl<P> EngineBuilder<P> {
         self
     }
 
-    /// Disables per-instant trace recording (the initial configuration is
-    /// still kept). For multi-million-instant asynchronous runs the full
-    /// trace costs `O(steps × n)` memory; turn it off when only the final
-    /// state and inboxes matter. Trace-derived metrics (paths, drift,
-    /// collision margins) are unavailable on such engines.
+    /// Turns the in-memory trace's step and fault records on or off (the
+    /// initial configuration is always kept). For multi-million-instant
+    /// asynchronous runs the full trace costs `O(steps × n)` memory; turn
+    /// it off when only the final state and inboxes matter. Trace-derived
+    /// metrics (paths, drift) are unavailable on such engines; a
+    /// streaming consumer installed with [`Engine::observe_trace`] still
+    /// sees every step and fault.
     #[must_use]
     pub fn record_trace(mut self, record: bool) -> Self {
-        self.record_steps = record;
-        self.record_faults = record;
-        self
-    }
-
-    /// Controls per-instant step recording alone, leaving fault
-    /// recording as configured. A streaming consumer installed with
-    /// [`Engine::observe_trace`] still sees every step.
-    #[must_use]
-    pub fn record_steps(mut self, record: bool) -> Self {
-        self.record_steps = record;
-        self
-    }
-
-    /// Controls fault-event recording alone, leaving step recording as
-    /// configured.
-    #[must_use]
-    pub fn record_faults(mut self, record: bool) -> Self {
-        self.record_faults = record;
+        self.record = record;
         self
     }
 
@@ -832,8 +813,7 @@ impl<P> EngineBuilder<P> {
             collision_eps: self.collision_eps,
             global_clock: self.global_clock,
             visibility: self.visibility,
-            record_steps: self.record_steps,
-            record_faults: self.record_faults,
+            record: self.record,
             faults: self.faults.unwrap_or_else(|| FaultPlan::new(0)),
             stats: EngineStats::default(),
             observer: None,
@@ -1713,37 +1693,6 @@ mod tests {
         assert!(e.trace().is_empty(), "in-memory recording stayed off");
         assert_eq!(*steps.borrow(), 10);
         assert_eq!(*faults.borrow(), e.stats().faults_injected);
-    }
-
-    #[test]
-    fn step_recording_and_fault_recording_split_independently() {
-        let build = |steps: bool, faults: bool| {
-            let mut e = Engine::builder()
-                .positions([Point::ORIGIN, Point::new(10.0, 0.0)])
-                .protocols([
-                    Walker {
-                        target: Point::new(0.0, 100.0),
-                    },
-                    Walker {
-                        target: Point::new(10.0, 100.0),
-                    },
-                ])
-                .unit_frames()
-                .sigma(1.0)
-                .record_steps(steps)
-                .record_faults(faults)
-                .faults(FaultPlan::new(77).non_rigid(0.25, 1.0))
-                .build()
-                .unwrap();
-            e.run(5).unwrap();
-            e
-        };
-        let steps_only = build(true, false);
-        assert_eq!(steps_only.trace().len(), 5);
-        assert!(steps_only.trace().faults().is_empty());
-        let faults_only = build(false, true);
-        assert!(faults_only.trace().is_empty());
-        assert_eq!(faults_only.trace().faults().len(), 10);
     }
 
     #[test]
