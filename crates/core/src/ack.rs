@@ -127,11 +127,14 @@ impl ChangeTracker {
     /// count nor a last position.
     #[must_use]
     pub fn is_last_position(&self, pos: Point) -> bool {
-        self.last
-            .iter()
-            .flatten()
-            .any(|p| p.x.to_bits() == pos.x.to_bits() && p.y.to_bits() == pos.y.to_bits())
+        self.last.iter().flatten().any(|&p| same_bits(p, pos))
     }
+}
+
+/// Whether `a` and `b` are the same position bit for bit: `-0.0` and
+/// `0.0` differ, and a NaN equals itself.
+pub(crate) fn same_bits(a: Point, b: Point) -> bool {
+    a.x.to_bits() == b.x.to_bits() && a.y.to_bits() == b.y.to_bits()
 }
 
 /// A bounded retransmission schedule with exponential backoff.

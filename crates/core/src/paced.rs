@@ -716,11 +716,11 @@ impl PacedSwarm {
     }
 
     fn decode_snapshot(&mut self, view: &View) {
-        let Some((g, streams)) = self.mailbox.decoding() else {
+        let Some((g, streams, peers)) = self.mailbox.decoding_view(view) else {
             return;
         };
-        for o in view.others() {
-            let Some((home, zone)) = g.classify(o.position) else {
+        for &(_, classified) in peers {
+            let Some((home, zone)) = classified else {
                 continue;
             };
             let reach = g.keyboard(home).radius() * SIGNAL_FRACTION;

@@ -1256,7 +1256,7 @@ fn run_algo_session(spec: &SessionSpec, algorithm: AlgorithmSpec) -> RunReport {
         let budget = spec.budget();
         let mut taken = 0u64;
         while taken < budget {
-            if let Err(e) = engine.step() {
+            if let Err(e) = engine.run(1) {
                 error = Some(e.to_string());
                 break 'run;
             }

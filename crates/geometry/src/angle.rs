@@ -37,7 +37,13 @@ impl Angle {
     /// ```
     #[must_use]
     pub fn from_radians(radians: f64) -> Self {
-        let mut r = radians % TAU;
+        // `fmod` is exact, and returns its argument unchanged when that
+        // is already shorter than the modulus (signed zeros included).
+        let mut r = if radians.abs() < TAU {
+            radians
+        } else {
+            radians % TAU
+        };
         if r < 0.0 {
             r += TAU;
         }
@@ -68,10 +74,16 @@ impl Angle {
     pub fn clockwise_from(reference: Vec2, v: Vec2) -> Result<Self, GeometryError> {
         let r = reference.normalized()?;
         let u = v.normalized()?;
+        Ok(Angle::clockwise_between_units(r, u))
+    }
+
+    /// [`Angle::clockwise_from`] for two vectors that are already the
+    /// results of [`Vec2::normalized`].
+    pub(crate) fn clockwise_between_units(r: Vec2, u: Vec2) -> Self {
         // Counter-clockwise angle from r to u is atan2(cross, dot); clockwise
         // is its negation.
         let ccw = r.cross(u).atan2(r.dot(u));
-        Ok(Angle::from_radians(-ccw))
+        Angle::from_radians(-ccw)
     }
 
     /// Compares two angles with a tolerance, treating values within the
@@ -142,6 +154,48 @@ mod tests {
             PI
         ));
         assert!(Angle::from_radians(-1e-18).radians() < TAU);
+    }
+
+    /// The normalization as written before the `|r| < 2π` fast path.
+    fn from_radians_via_fmod(radians: f64) -> f64 {
+        let mut r = radians % TAU;
+        if r < 0.0 {
+            r += TAU;
+        }
+        if r >= TAU {
+            r = 0.0;
+        }
+        r
+    }
+
+    #[test]
+    fn fast_path_matches_fmod_bit_for_bit() {
+        let edges = [
+            PI,
+            -PI,
+            TAU,
+            -TAU,
+            TAU.next_down(),
+            -TAU.next_down(),
+            TAU.next_up(),
+            0.0,
+            -0.0,
+            -1e-18,
+            -f64::MIN_POSITIVE,
+            -5e-324,
+            1e300,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        let sweep = crate::uniform_draws(0xC0FFEE).map(|u| (u - 0.5) * 8.0 * PI);
+        for r in edges.into_iter().chain(sweep.take(10_000)) {
+            assert_eq!(
+                Angle::from_radians(r).radians().to_bits(),
+                from_radians_via_fmod(r).to_bits(),
+                "{r:e}"
+            );
+        }
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub use approx::{approx_eq, approx_zero, Tolerance};
 pub use circle::Circle;
 pub use granular::SlicedGranular;
 pub use line::{HalfPlane, Line, Segment};
-pub use point::{Point, Vec2};
+pub use point::{Point, Rotation, Vec2};
 pub use sec::smallest_enclosing_circle;
 
 use std::error::Error;
@@ -107,6 +107,19 @@ impl fmt::Display for GeometryError {
 }
 
 impl Error for GeometryError {}
+
+/// A seeded stream of uniform draws in `[0, 1)`, for the sweep tests
+/// that compare cached values with the expressions they replace.
+#[cfg(test)]
+pub(crate) fn uniform_draws(seed: u64) -> impl Iterator<Item = f64> {
+    let mut state = seed;
+    std::iter::repeat_with(move || {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        (state >> 11) as f64 / (1u64 << 53) as f64
+    })
+}
 
 #[cfg(test)]
 mod tests {

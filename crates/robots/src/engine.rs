@@ -197,12 +197,7 @@ impl<P: MovementProtocol> Engine<P> {
             let mut dropped = std::mem::take(&mut self.dropped);
             dropped.clear();
             if has_dropouts {
-                for j in 0..n {
-                    if self.faults.drops_observation(i, j, time) {
-                        // stiglint: allow(hot-alloc) -- `dropped` is the engine's reused scratch (mem::take above); capacity persists across activations after the first
-                        dropped.push(j);
-                    }
-                }
+                self.faults.dropped_observations(i, n, time, &mut dropped);
                 self.stats.faults_injected += dropped.len() as u64;
                 for &j in &dropped {
                     self.emit_fault(FaultEvent::ObservationDropout {

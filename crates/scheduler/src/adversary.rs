@@ -407,11 +407,42 @@ impl FaultPlan {
         if self.dropout_prob == 0.0 || observer == observed {
             return false;
         }
-        let mut rng = self.decision_rng(STREAM_DROPOUT, observer, t);
+        self.drops_pair(self.dropout_draw(observer, t), observed)
+    }
+
+    /// Appends to `dropped`, in increasing order, every robot of `0..n`
+    /// that `observer`'s view drops at instant `t`: the robots `j` for
+    /// which [`FaultPlan::drops_observation`]`(observer, j, t)` holds,
+    /// from one derivation of the observer's stream.
+    pub fn dropped_observations(
+        &self,
+        observer: usize,
+        n: usize,
+        t: u64,
+        dropped: &mut Vec<usize>,
+    ) {
+        if self.dropout_prob == 0.0 {
+            return;
+        }
+        let draw = self.dropout_draw(observer, t);
+        for observed in 0..n {
+            if observed != observer && self.drops_pair(draw, observed) {
+                // stiglint: allow(hot-alloc) -- `dropped` is the engine's reused scratch; capacity persists across activations after the first
+                dropped.push(observed);
+            }
+        }
+    }
+
+    /// The first draw of `observer`'s dropout stream at `t`, which
+    /// every observed robot's decision offsets.
+    fn dropout_draw(&self, observer: usize, t: u64) -> u64 {
+        self.decision_rng(STREAM_DROPOUT, observer, t).next_u64()
+    }
+
+    /// Whether the observer whose stream drew `draw` drops `observed`.
+    fn drops_pair(&self, draw: u64, observed: usize) -> bool {
         // One draw per observed robot, offset so pairs decorrelate.
-        let draw = rng
-            .next_u64()
-            .wrapping_add((observed as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let draw = draw.wrapping_add((observed as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let mut pair = SplitMix64::new(draw);
         pair.chance(self.dropout_prob)
     }
@@ -649,6 +680,27 @@ mod tests {
         for t in 0..20 {
             assert!(!plan.drops_observation(1, 1, t));
             assert!(plan.drops_observation(1, 0, t));
+        }
+    }
+
+    #[test]
+    fn dropped_observations_match_the_per_pair_queries() {
+        let mut seeds = SplitMix64::new(0xD809);
+        for k in 0..40 {
+            let prob = [0.0, 0.1, 0.5, 0.9, 1.0][k % 5];
+            let plan = FaultPlan::new(seeds.next_u64()).observation_dropout(prob);
+            for n in [1usize, 2, 3, 8, 17] {
+                for t in (0..30).chain([u64::MAX]) {
+                    for observer in 0..n {
+                        let mut dropped = vec![usize::MAX];
+                        plan.dropped_observations(observer, n, t, &mut dropped);
+                        let want: Vec<usize> = std::iter::once(usize::MAX)
+                            .chain((0..n).filter(|&j| plan.drops_observation(observer, j, t)))
+                            .collect();
+                        assert_eq!(dropped, want, "p={prob} n={n} t={t} observer={observer}");
+                    }
+                }
+            }
         }
     }
 
