@@ -30,8 +30,10 @@
 //! byte for byte in `tests/golden/metrics-*.json`: histogram bins and
 //! key order, which gateway clients and the benchmark parse, not only
 //! the scalar counters. CI's fleet-smoke job diffs the CLI's
-//! `batch --seeds 16` output against the same sweep file. Regenerate
-//! them only with an intended metrics change:
+//! `batch --seeds 16` output against the same sweep file, and its
+//! algo-smoke job `batch --algorithms --seeds 16` against the algorithm
+//! file, so the CLI's own spec and writer are held to the pins too.
+//! Regenerate them only with an intended metrics change:
 //!
 //! ```text
 //! UPDATE_GOLDEN=1 cargo test -p stigmergy-integration --test work_counters
