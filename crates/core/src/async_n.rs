@@ -38,6 +38,7 @@ use crate::ack::ChangeTracker;
 use crate::decode::{Dest, InboxEntry, OverheardEntry, SwarmMailbox, ZoneTracker};
 use crate::preprocess::{NamingScheme, SwarmGeometry};
 use crate::session::Chat;
+use std::cmp::Ordering;
 use stigmergy_geometry::granular::SliceSide;
 use stigmergy_geometry::{Point, Vec2};
 use stigmergy_robots::{MovementProtocol, View, VisibleId};
@@ -271,7 +272,11 @@ impl AsyncSwarm {
 
     fn at_center(&self, own: Point) -> bool {
         let g = self.mailbox.geometry().expect("initialized");
-        own.distance(g.home(0)) < g.keyboard(0).radius() * CENTER_EPS
+        let (home, bound) = (g.home(0), g.keyboard(0).radius() * CENTER_EPS);
+        match own.distance_cmp(home, bound) {
+            Some(order) => order == Ordering::Less,
+            None => own.distance(home) < bound,
+        }
     }
 
     /// A travel leg to the centre — from κ, or back from the excursion's

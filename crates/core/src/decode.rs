@@ -352,20 +352,12 @@ pub enum ZoneKey {
     Slice(usize, SliceSide),
 }
 
-impl ZoneKey {
-    fn of(zone: SliceZone) -> Self {
-        match zone {
-            SliceZone::Center => ZoneKey::Center,
-            SliceZone::OnSlice { slice, side, .. } => ZoneKey::Slice(slice, side),
-        }
-    }
-}
-
 /// Watches per-robot keyboard zones and reports *entries into addressing
 /// half-slices* — the asynchronous bit events.
 #[derive(Debug, Clone, Default)]
 pub struct ZoneTracker {
-    last: BTreeMap<usize, ZoneKey>,
+    /// The last zone of each home observed so far, indexed by home.
+    last: Vec<Option<ZoneKey>>,
 }
 
 impl ZoneTracker {
@@ -383,11 +375,17 @@ impl ZoneTracker {
         home: usize,
         pos: Point,
     ) -> Option<(usize, SliceSide)> {
-        let zone = geometry
+        let key = match geometry
             .keyboard(home)
-            .classify(pos, stigmergy_geometry::Tolerance::default());
-        let key = ZoneKey::of(zone);
-        let prev = self.last.insert(home, key);
+            .half_slice(pos, stigmergy_geometry::Tolerance::default())
+        {
+            None => ZoneKey::Center,
+            Some((slice, side)) => ZoneKey::Slice(slice, side),
+        };
+        if home >= self.last.len() {
+            self.last.resize(home + 1, None);
+        }
+        let prev = self.last[home].replace(key);
         if prev == Some(key) {
             return None; // still in the same zone
         }
@@ -402,7 +400,7 @@ impl ZoneTracker {
     /// The last zone observed for `home`.
     #[must_use]
     pub fn last_zone(&self, home: usize) -> Option<ZoneKey> {
-        self.last.get(&home).copied()
+        self.last.get(home).copied().flatten()
     }
 }
 

@@ -1249,12 +1249,16 @@ fn run_algo_session(spec: &SessionSpec, algorithm: AlgorithmSpec) -> RunReport {
         }
 
         // The pump loop: step, strike newly-crashed robots, route fresh
-        // inbox frames, check termination.
+        // inbox frames, check termination. A stack's status changes only
+        // in `start`, `on_frame` and `on_crash`, so termination is
+        // re-checked only after the first instant and after instants
+        // that routed a frame or a crash.
         let mut live = vec![true; n];
         let mut notified = vec![false; n];
         let mut cursor = vec![0usize; n];
         let budget = spec.budget();
         let mut taken = 0u64;
+        let mut routed = true;
         while taken < budget {
             if let Err(e) = engine.run(1) {
                 error = Some(e.to_string());
@@ -1271,6 +1275,7 @@ fn run_algo_session(spec: &SessionSpec, algorithm: AlgorithmSpec) -> RunReport {
                 }
                 notified[robot] = true;
                 live[robot] = false;
+                routed = true;
                 for i in 0..n {
                     if i == robot || !live[i] {
                         continue;
@@ -1280,7 +1285,7 @@ fn run_algo_session(spec: &SessionSpec, algorithm: AlgorithmSpec) -> RunReport {
                 }
             }
             for i in 0..n {
-                if !live[i] {
+                if !live[i] || engine.protocol(i).inbox().len() <= cursor[i] {
                     continue;
                 }
                 let fresh: Vec<(usize, Vec<u8>)> = engine.protocol(i).inbox()[cursor[i]..]
@@ -1288,14 +1293,16 @@ fn run_algo_session(spec: &SessionSpec, algorithm: AlgorithmSpec) -> RunReport {
                     .map(|m| (m.sender, m.payload.clone()))
                     .collect();
                 cursor[i] += fresh.len();
+                routed = true;
                 for (sender, payload) in fresh {
                     let out = stacks[i].on_frame(sender, &payload);
                     algo.bits += enqueue_frames(&mut engine, i, &labels[i], out);
                 }
             }
-            if (0..n)
-                .filter(|&i| live[i])
-                .all(|i| stacks[i].all_terminal())
+            if std::mem::take(&mut routed)
+                && (0..n)
+                    .filter(|&i| live[i])
+                    .all(|i| stacks[i].all_terminal())
             {
                 steps_to_delivery = Some(taken);
                 algo.activations_to_decision = Some(engine.stats().activations);

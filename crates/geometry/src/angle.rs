@@ -5,12 +5,10 @@
 //! robots by a clockwise radial sweep. Both need a well-defined *clockwise
 //! angle from a reference vector*, which is what [`Angle`] provides.
 
-use crate::approx::Tolerance;
 use crate::point::Vec2;
 use crate::GeometryError;
 use serde::{Deserialize, Serialize};
-use std::cmp::Ordering;
-use std::f64::consts::{PI, TAU};
+use std::f64::consts::TAU;
 use std::fmt;
 
 /// An angle normalized to `[0, 2π)`.
@@ -85,44 +83,6 @@ impl Angle {
         let ccw = r.cross(u).atan2(r.dot(u));
         Angle::from_radians(-ccw)
     }
-
-    /// Compares two angles with a tolerance, treating values within the
-    /// tolerance as equal.
-    #[must_use]
-    pub fn approx_cmp(self, other: Angle, tol: Tolerance) -> Ordering {
-        if tol.eq(self.0, other.0) {
-            Ordering::Equal
-        } else if self.0 < other.0 {
-            Ordering::Less
-        } else {
-            Ordering::Greater
-        }
-    }
-
-    /// Folds the angle into `[0, π)`, identifying opposite directions.
-    ///
-    /// A diameter of a disc is an *undirected* line, so the two half-slice
-    /// directions `θ` and `θ + π` name the same diameter.
-    #[must_use]
-    pub fn fold_diameter(self) -> Angle {
-        let mut r = self.0 % PI;
-        if r < 0.0 {
-            r += PI;
-        }
-        Angle(r)
-    }
-
-    /// The unit vector obtained by rotating `reference` clockwise by this
-    /// angle.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GeometryError::ZeroDirection`] when `reference` has
-    /// (near-)zero length.
-    pub fn direction_from(self, reference: Vec2) -> Result<Vec2, GeometryError> {
-        let r = reference.normalized()?;
-        Ok(r.rotated(-self.0))
-    }
 }
 
 impl fmt::Display for Angle {
@@ -140,7 +100,7 @@ impl From<Angle> for f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::f64::consts::FRAC_PI_2;
+    use std::f64::consts::{FRAC_PI_2, PI};
 
     #[test]
     fn normalization_into_range() {
@@ -231,19 +191,11 @@ mod tests {
     }
 
     #[test]
-    fn diameter_folding() {
-        let a = Angle::from_radians(PI + 0.3).fold_diameter();
-        assert!(crate::approx_eq(a.radians(), 0.3));
-        let b = Angle::from_radians(0.3).fold_diameter();
-        assert!(crate::approx_eq(b.radians(), 0.3));
-    }
-
-    #[test]
     fn direction_roundtrip() {
         let reference = Vec2::NORTH;
         for k in 0..8 {
             let theta = Angle::from_radians(f64::from(k) * TAU / 8.0);
-            let dir = theta.direction_from(reference).unwrap();
+            let dir = reference.rotated(-theta.radians());
             let back = Angle::clockwise_from(reference, dir).unwrap();
             let diff = (back.radians() - theta.radians()).abs();
             assert!(diff < 1e-9 || (TAU - diff) < 1e-9, "k={k} diff={diff}");
@@ -264,16 +216,5 @@ mod tests {
         assert!(dirs[0].approx_eq(Vec2::EAST));
         assert!(dirs[1].approx_eq(-Vec2::NORTH));
         assert!(dirs[2].approx_eq(-Vec2::EAST));
-    }
-
-    #[test]
-    fn approx_cmp_tolerance() {
-        let tol = Tolerance::absolute(1e-6);
-        let a = Angle::from_radians(1.0);
-        let b = Angle::from_radians(1.0 + 1e-9);
-        let c = Angle::from_radians(1.1);
-        assert_eq!(a.approx_cmp(b, tol), Ordering::Equal);
-        assert_eq!(a.approx_cmp(c, tol), Ordering::Less);
-        assert_eq!(c.approx_cmp(a, tol), Ordering::Greater);
     }
 }

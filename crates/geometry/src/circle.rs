@@ -82,12 +82,6 @@ impl Circle {
     pub fn on_boundary(&self, p: Point, tol: Tolerance) -> bool {
         tol.eq(self.center.distance(p), self.radius)
     }
-
-    /// Whether `p` lies strictly inside the disc (beyond tolerance).
-    #[must_use]
-    pub fn contains_strict(&self, p: Point, tol: Tolerance) -> bool {
-        tol.lt(self.center.distance(p), self.radius)
-    }
 }
 
 impl fmt::Display for Circle {
@@ -154,8 +148,6 @@ mod tests {
         assert!(c.contains(Point::new(1.0, 1.0), tol()));
         assert!(c.contains(Point::new(2.0, 0.0), tol()));
         assert!(!c.contains(Point::new(2.1, 0.0), tol()));
-        assert!(c.contains_strict(Point::new(1.0, 0.0), tol()));
-        assert!(!c.contains_strict(Point::new(2.0, 0.0), tol()));
         assert!(c.on_boundary(Point::new(0.0, -2.0), tol()));
         assert!(!c.on_boundary(Point::ORIGIN, tol()));
     }

@@ -20,9 +20,10 @@
 
 use crate::angle::Angle;
 use crate::approx::Tolerance;
-use crate::point::{Point, Vec2};
+use crate::point::{banded_cmp, Point, Vec2};
 use crate::GeometryError;
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 use std::f64::consts::PI;
 use std::fmt;
 
@@ -142,6 +143,17 @@ impl TryFrom<KeyboardParts> for SlicedGranular {
         check_shape(parts.radius, parts.slices)?;
         Self::tabulated(parts.center, parts.radius, parts.slices, parts.reference)
     }
+}
+
+/// [`banded_cmp`] of `d·(1 − rel)` against `r + abs`, given the squared
+/// distance `d²`: `tol.le(d, r)` holds exactly when `d·(1 − rel) ≤
+/// r + abs`, and `tol.zero(d)` is the same test with `r = 0`. Only for
+/// a tolerance whose evaluation cannot stray from that edge by more
+/// than a few ulps of it, a non-negative `abs` and a `rel` of at most
+/// one half; `None` for any other.
+fn tol_cmp(tol: Tolerance, dist_sq: f64, r: f64) -> Option<Ordering> {
+    let shrink = (tol.abs >= 0.0 && (0.0..=0.5).contains(&tol.rel)).then_some(1.0 - tol.rel)?;
+    banded_cmp(dist_sq * shrink * shrink, r + tol.abs)
 }
 
 /// [`SlicedGranular::with_reference`]'s checks on the radius and the
@@ -283,9 +295,79 @@ impl SlicedGranular {
     }
 
     /// Whether `p` is inside the (closed) granular disc.
+    ///
+    /// `tol.le(d, r)` holds exactly when `d ≤ (r + abs)/(1 − rel)`, so a
+    /// point clearly inside `r` or clearly beyond that edge is answered
+    /// from the squared distance; only a point within the band of either
+    /// needs the distance itself.
     #[must_use]
     pub fn contains(&self, p: Point, tol: Tolerance) -> bool {
+        let dist_sq = self.center.distance_sq(p);
+        if tol_cmp(tol, dist_sq, self.radius) == Some(Ordering::Greater) {
+            return false;
+        }
+        if banded_cmp(dist_sq, self.radius) == Some(Ordering::Less) {
+            return true;
+        }
         tol.le(self.center.distance(p), self.radius)
+    }
+
+    /// The half-slice `p` is on, or `None` at the centre: the zone of
+    /// [`SlicedGranular::classify`] without its distance and deviation.
+    ///
+    /// The centre test compares the squared distance with `tol`'s
+    /// threshold, and the half-slice is the one whose direction has the
+    /// largest dot product with `p − centre`. When the distance is within
+    /// the band of the threshold, or the best dot product does not beat
+    /// the runner-up by `1e-9·(|v.x| + |v.y|)` — far more than either
+    /// side's rounding — the answer is `classify`'s own.
+    #[must_use]
+    pub fn half_slice(&self, p: Point, tol: Tolerance) -> Option<(usize, SliceSide)> {
+        if let Some(zone) = self.half_slice_by_dots(p, tol) {
+            return zone;
+        }
+        match self.classify(p, tol) {
+            SliceZone::Center => None,
+            SliceZone::OnSlice { slice, side, .. } => Some((slice, side)),
+        }
+    }
+
+    /// [`SlicedGranular::half_slice`] where the squared distance and the
+    /// dot products decide it; `None` defers to `classify`.
+    fn half_slice_by_dots(&self, p: Point, tol: Tolerance) -> Option<Option<(usize, SliceSide)>> {
+        if tol_cmp(tol, self.center.distance_sq(p), 0.0)? != Ordering::Greater {
+            return Some(None);
+        }
+        let v = p - self.center;
+        // Finite, or infinite: a NaN coordinate made the distance NaN.
+        let scale = v.x.abs() + v.y.abs();
+        if scale >= 1e300 {
+            return None; // keep every dot product finite
+        }
+        let slices = self.slice_count();
+        let (mut best, mut runner_up) = ((f64::NEG_INFINITY, 0), f64::NEG_INFINITY);
+        for (k, d) in self.zero_directions.iter().enumerate() {
+            let dot = v.dot(*d);
+            // Half-slice `m` is `(m, Zero)` below `slices`, and
+            // `(m − slices, One)`, along `−d`, from there.
+            for (value, m) in [(dot, k), (-dot, k + slices)] {
+                if value > best.0 {
+                    runner_up = best.0;
+                    best = (value, m);
+                } else if value > runner_up {
+                    runner_up = value;
+                }
+            }
+        }
+        if best.0 - runner_up <= 1e-9 * scale {
+            return None;
+        }
+        let m = best.1;
+        Some(Some(if m < slices {
+            (m, SliceSide::Zero)
+        } else {
+            (m - slices, SliceSide::One)
+        }))
     }
 
     /// Classifies an observed position into a half-slice.

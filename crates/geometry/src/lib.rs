@@ -33,6 +33,8 @@
 pub mod angle;
 pub mod approx;
 pub mod circle;
+#[cfg(test)]
+mod exactness;
 pub mod granular;
 pub mod hull;
 pub mod line;

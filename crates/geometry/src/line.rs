@@ -104,12 +104,6 @@ impl Line {
         self.origin + self.dir * t
     }
 
-    /// Parameter of the projection of `p`: `project(p) = origin + t * dir`.
-    #[must_use]
-    pub fn param_of(&self, p: Point) -> f64 {
-        (p - self.origin).dot(self.dir)
-    }
-
     /// Intersection point with another line.
     ///
     /// Returns `None` when the lines are parallel (within tolerance).
@@ -183,12 +177,6 @@ impl Segment {
         }
         let t = ((p - self.a).dot(d) / len_sq).clamp(0.0, 1.0);
         self.at(t)
-    }
-
-    /// Distance from `p` to the segment.
-    #[must_use]
-    pub fn distance_to(&self, p: Point) -> f64 {
-        p.distance(self.closest_point(p))
     }
 }
 
@@ -281,7 +269,6 @@ mod tests {
         let l = Line::through(Point::new(0.0, 0.0), Point::new(2.0, 2.0)).unwrap();
         let p = l.project(Point::new(2.0, 0.0));
         assert!(p.approx_eq(Point::new(1.0, 1.0)));
-        assert!(crate::approx_eq(l.param_of(p), 2.0_f64.sqrt()));
     }
 
     #[test]
@@ -336,7 +323,6 @@ mod tests {
         assert_eq!(s.closest_point(Point::new(2.0, 3.0)), Point::new(2.0, 0.0));
         assert_eq!(s.closest_point(Point::new(-2.0, 0.0)), Point::new(0.0, 0.0));
         assert_eq!(s.closest_point(Point::new(9.0, 0.0)), Point::new(4.0, 0.0));
-        assert_eq!(s.distance_to(Point::new(2.0, 3.0)), 3.0);
     }
 
     #[test]

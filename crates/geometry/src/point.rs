@@ -8,6 +8,7 @@
 use crate::approx::Tolerance;
 use crate::GeometryError;
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 
@@ -259,6 +260,34 @@ impl Point {
         (other - self).norm_sq()
     }
 
+    /// Compares [`Point::distance`] with `bound`, without the square
+    /// root, when the answer is certain.
+    ///
+    /// Returns `Some(Less)` or `Some(Greater)` only when the squared
+    /// distance lies outside the band `bound²·(1 ± 2⁻³⁰)`; there the
+    /// answer is the one `distance(other)` compared
+    /// with `bound` by `<`, `<=` or `>` gives (DESIGN.md §12, *Exact
+    /// squared-distance filters*). Inside the band, for a NaN distance,
+    /// and for a `bound` that is NaN, infinite, zero, negative or
+    /// outside `[2⁻⁵⁰⁰, 2⁵⁰⁰]` it returns `None`, and the caller
+    /// computes the distance. It never returns `Some(Equal)`.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use std::cmp::Ordering;
+    /// use stigmergy_geometry::Point;
+    /// let a = Point::new(0.0, 0.0);
+    /// let b = Point::new(3.0, 4.0);
+    /// assert_eq!(a.distance_cmp(b, 6.0), Some(Ordering::Less));
+    /// assert_eq!(a.distance_cmp(b, 4.0), Some(Ordering::Greater));
+    /// assert_eq!(a.distance_cmp(b, 5.0), None);
+    /// ```
+    #[must_use]
+    pub fn distance_cmp(self, other: Point, bound: f64) -> Option<Ordering> {
+        banded_cmp(self.distance_sq(other), bound)
+    }
+
     /// The midpoint of the segment between `self` and `other`.
     #[must_use]
     pub fn midpoint(self, other: Point) -> Point {
@@ -327,6 +356,30 @@ impl Sub for Point {
     type Output = Vec2;
     fn sub(self, rhs: Point) -> Vec2 {
         Vec2::new(self.x - rhs.x, self.y - rhs.y)
+    }
+}
+
+/// The band in which [`Point::distance_cmp`] gives no answer is
+/// `bound²·(1 ± BAND)`.
+const BAND: f64 = f64::from_bits((1023 - 30) << 52);
+/// The bounds [`Point::distance_cmp`] answers for: their squares, and
+/// the band around them, stay far inside the normal range.
+const BOUNDS: std::ops::RangeInclusive<f64> =
+    f64::from_bits((1023 - 500) << 52)..=f64::from_bits((1023 + 500) << 52);
+
+/// [`Point::distance_cmp`] on a squared distance `dist_sq` that is
+/// within a few roundings of the exact one.
+pub(crate) fn banded_cmp(dist_sq: f64, bound: f64) -> Option<Ordering> {
+    if !BOUNDS.contains(&bound) {
+        return None;
+    }
+    let bound_sq = bound * bound;
+    if dist_sq < bound_sq * (1.0 - BAND) {
+        Some(Ordering::Less)
+    } else if dist_sq > bound_sq * (1.0 + BAND) {
+        Some(Ordering::Greater)
+    } else {
+        None
     }
 }
 

@@ -57,12 +57,6 @@ impl VoronoiCell {
         self.site
     }
 
-    /// Number of half-plane constraints (one per other site).
-    #[must_use]
-    pub fn constraint_count(&self) -> usize {
-        self.constraints.len()
-    }
-
     /// Whether `p` lies in the (closed) cell.
     #[must_use]
     pub fn contains(&self, p: Point, tol: Tolerance) -> bool {
@@ -156,7 +150,6 @@ mod tests {
     fn two_site_cell_is_half_plane() {
         let sites = [Point::new(0.0, 0.0), Point::new(4.0, 0.0)];
         let cell = VoronoiCell::build(&sites, 0).unwrap();
-        assert_eq!(cell.constraint_count(), 1);
         assert!(cell.contains(Point::new(1.9, 100.0), tol()));
         assert!(cell.contains(Point::new(2.0, -5.0), tol())); // boundary
         assert!(!cell.contains(Point::new(2.1, 0.0), tol()));

@@ -23,6 +23,7 @@ use crate::protocol::MovementProtocol;
 use crate::trace::{FaultEvent, StepRecord, Trace, TraceEvent};
 use crate::view::{Observed, View};
 use crate::ModelError;
+use std::cmp::Ordering;
 use std::fmt;
 use stigmergy_geometry::{Point, Tolerance};
 use stigmergy_scheduler::{ActivationSet, FaultPlan, Schedule, Synchronous};
@@ -324,7 +325,14 @@ impl<P: MovementProtocol> Engine<P> {
         let mut collision = None;
         for i in 0..self.positions.len() {
             for j in (i + 1)..self.positions.len() {
-                let d = self.positions[i].distance(self.positions[j]);
+                let (p, q) = (self.positions[i], self.positions[j]);
+                // A pair clearly farther than both the margin and the
+                // collision radius changes neither.
+                let reach = self.min_pairwise.max(self.collision_eps);
+                if p.distance_cmp(q, reach) == Some(Ordering::Greater) {
+                    continue;
+                }
+                let d = p.distance(q);
                 self.min_pairwise = self.min_pairwise.min(d);
                 if collision.is_none() && d < self.collision_eps {
                     collision = Some((i, j, d));
@@ -541,6 +549,9 @@ impl<P: MovementProtocol> Engine<P> {
 
 /// Moves from `from` toward `target`, travelling at most `sigma`.
 fn cap_move(from: Point, target: Point, sigma: f64) -> Point {
+    if from.distance_cmp(target, sigma) == Some(Ordering::Less) {
+        return target;
+    }
     let d = from.distance(target);
     if d <= sigma {
         target
@@ -1590,6 +1601,78 @@ mod tests {
             e.min_pairwise_distance().to_bits(),
             e.trace().min_pairwise_distance().to_bits()
         );
+    }
+
+    /// Visits `stops` one per activation, then stays at the last.
+    struct Tour {
+        stops: Vec<Point>,
+        next: usize,
+    }
+    impl MovementProtocol for Tour {
+        fn on_activate(&mut self, view: &View) -> Point {
+            let Some(&stop) = self.stops.get(self.next) else {
+                return view.own_position();
+            };
+            self.next += 1;
+            stop
+        }
+    }
+
+    #[test]
+    fn pairs_inside_the_band_of_the_margin_are_measured() {
+        // Robot 2 closes on robot 0 through distances within 2⁻³⁰ of the
+        // running minimum, then of the collision radius, where the
+        // squared-distance filter must defer to the distance itself. The
+        // far pairs are skipped by it.
+        let dir = Vec2::new(0.6, 0.8);
+        let reaches = {
+            let s = 1.0 + 2f64.powi(-34);
+            [
+                1.0 + 2f64.powi(-33),
+                1.0 + 2f64.powi(-32),
+                s,
+                s.next_up(),
+                s.next_down(),
+                s.next_down().next_down(),
+                1.0 - 2f64.powi(-34),
+            ]
+        };
+        let tour = |stops: Vec<Point>| Tour { stops, next: 0 };
+        let mut e = Engine::builder()
+            .positions([Point::ORIGIN, Point::new(3.0, 0.0), Point::new(0.0, 5.0)])
+            .protocols([
+                tour(Vec::new()),
+                tour(Vec::new()),
+                tour(reaches.iter().map(|&r| Point::ORIGIN + dir * r).collect()),
+            ])
+            .unit_frames()
+            .collision_epsilon(1.0)
+            .build()
+            .unwrap();
+        let same_margins = |e: &Engine<Tour>| {
+            assert_eq!(
+                e.min_pairwise_distance().to_bits(),
+                e.trace().min_pairwise_distance().to_bits()
+            );
+        };
+        for _ in 1..reaches.len() {
+            e.step().unwrap();
+            same_margins(&e);
+        }
+        match e.step() {
+            Err(ModelError::Collision {
+                first: 0,
+                second: 2,
+                distance,
+                ..
+            }) => {
+                let d = e.positions()[0].distance(e.positions()[2]);
+                assert_eq!(distance.to_bits(), d.to_bits());
+                assert!(d < 1.0);
+            }
+            other => panic!("expected the collision of robots 0 and 2, got {other:?}"),
+        }
+        same_margins(&e);
     }
 
     #[test]
