@@ -264,11 +264,6 @@ impl BitQueue {
         self.queue.extend(bits.iter());
     }
 
-    /// Enqueues a single bit.
-    pub fn enqueue_bit(&mut self, bit: Bit) {
-        self.queue.push_back(bit);
-    }
-
     /// Pops the next bit to transmit.
     pub fn dequeue(&mut self) -> Option<Bit> {
         self.queue.pop_front()
@@ -388,7 +383,7 @@ mod tests {
         let mut q = BitQueue::new();
         assert!(q.is_empty());
         q.enqueue(&BitString::parse("011").unwrap());
-        q.enqueue_bit(Bit::Zero);
+        q.enqueue(&BitString::parse("0").unwrap());
         assert_eq!(q.len(), 4);
         assert_eq!(q.peek(), Some(Bit::Zero));
         assert_eq!(q.dequeue(), Some(Bit::Zero));

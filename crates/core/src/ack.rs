@@ -116,12 +116,6 @@ impl ChangeTracker {
         self.counts.iter_mut().for_each(|c| *c = 0);
     }
 
-    /// The last observed position of peer `i`.
-    #[must_use]
-    pub fn last_position(&self, i: usize) -> Option<Point> {
-        self.last[i]
-    }
-
     /// Whether some peer was last observed at exactly `pos`, bit for bit.
     /// Observing that peer there again is no change: it moves neither a
     /// count nor a last position.
@@ -420,8 +414,7 @@ mod tests {
         let mut t = ChangeTracker::new(2);
         assert!(!t.observe(0, Point::new(1.0, 1.0)));
         assert_eq!(t.count(0), 0);
-        assert_eq!(t.last_position(0), Some(Point::new(1.0, 1.0)));
-        assert_eq!(t.last_position(1), None);
+        assert!(t.is_last_position(Point::new(1.0, 1.0)));
     }
 
     #[test]

@@ -13,7 +13,7 @@
 
 use crate::metrics::MetricsSnapshot;
 use crate::pool::{run_indexed_observed, CancelToken};
-use crate::trace_codec::{encode, fnv1a64, TraceEncoder};
+use crate::trace_codec::{encode, fingerprint, TraceEncoder};
 use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
@@ -641,7 +641,7 @@ pub struct RunReport {
     pub min_distance: f64,
     /// Encoded trace length in bytes.
     pub trace_len: usize,
-    /// FNV-1a 64 of the encoded trace.
+    /// [`fingerprint`] (XXH64) of the encoded trace.
     pub trace_hash: u64,
     /// The encoded trace itself, when `keep_trace` was set.
     pub trace: Option<Vec<u8>>,
@@ -710,7 +710,7 @@ impl RunReport {
             fec_rejected: 0,
             min_distance: f64::INFINITY,
             trace_len: 0,
-            trace_hash: fnv1a64(&[]),
+            trace_hash: fingerprint(&[]),
             trace: None,
             algo: None,
             error: None,
@@ -1097,7 +1097,7 @@ fn run_hardened(spec: &SessionSpec) -> RunReport {
         fec_rejected: stats.fec_rejected,
         min_distance,
         trace_len: bytes.len(),
-        trace_hash: fnv1a64(&bytes),
+        trace_hash: fingerprint(&bytes),
         trace: spec.keep_trace.then_some(bytes),
         error,
         ..RunReport::unrun(spec)

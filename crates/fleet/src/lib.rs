@@ -44,4 +44,6 @@ pub use batch::{
 };
 pub use metrics::{Histogram, HistogramSnapshot, MetricsSnapshot};
 pub use pool::{run_indexed, run_indexed_observed, CancelToken, Interrupted};
-pub use trace_codec::{encode, encode_hex, fnv1a64, fnv1a64_update, to_hex, TraceEncoder};
+pub use trace_codec::{
+    encode, encode_hex, fingerprint, fnv1a64, fnv1a64_update, to_hex, TraceEncoder,
+};

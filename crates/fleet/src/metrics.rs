@@ -340,16 +340,6 @@ impl MetricsSnapshot {
         out
     }
 
-    /// Delivered sessions per million sessions — the fleet's delivery
-    /// rate as an exact integer (no float drift across platforms). Zero
-    /// before any session.
-    #[must_use]
-    pub fn delivered_rate_ppm(&self) -> u64 {
-        (self.delivered * 1_000_000)
-            .checked_div(self.sessions)
-            .unwrap_or(0)
-    }
-
     /// Engine instants spent per payload bit delivered end to end —
     /// the channel's inverse effective bitrate, rounded down. Zero when
     /// nothing was delivered (so the ratio is monotone-comparable in
@@ -524,7 +514,6 @@ mod tests {
         assert_eq!(s.delivered_bits, s.delivered * 24);
         assert_eq!(s.fec_corrected, (0..50).map(|i| i % 5).sum::<u64>());
         assert_eq!(s.fec_rejected, (0..50).map(|i| i % 2).sum::<u64>());
-        assert_eq!(s.delivered_rate_ppm(), s.delivered * 1_000_000 / 50);
         assert_eq!(s.steps_per_delivered_bit(), s.steps / s.delivered_bits);
     }
 
@@ -532,13 +521,11 @@ mod tests {
     fn derived_rates_are_zero_before_any_delivery() {
         let empty = MetricsSnapshot::empty();
         assert_eq!(empty, MetricsSnapshot::of(&[]));
-        assert_eq!(empty.delivered_rate_ppm(), 0);
         assert_eq!(empty.steps_per_delivered_bit(), 0);
         let s = MetricsSnapshot::of(&[RunReport {
             steps: 500,
             ..blank()
         }]);
-        assert_eq!(s.delivered_rate_ppm(), 0, "nothing delivered");
         assert_eq!(s.steps_per_delivered_bit(), 0, "no bits, no ratio");
     }
 

@@ -7,6 +7,10 @@
 //! bit-for-bit the same run — the representation the determinism
 //! regression and golden-trace tests compare. The format is
 //! versioned; goldens regenerate (`UPDATE_GOLDEN=1`) on a version bump.
+//!
+//! A session that keeps only a fingerprint of its trace keeps
+//! [`fingerprint`] of these bytes: XXH64 with seed 0. The hash is not
+//! part of the format, so changing it moves no byte and no golden.
 
 use stigmergy_geometry::Point;
 use stigmergy_robots::{FaultEvent, Trace, TraceEvent};
@@ -178,14 +182,17 @@ impl TraceEncoder {
         self.header.len() + 4 + self.steps.len() + 4 + self.faults.len()
     }
 
-    /// FNV-1a 64 of the assembled encoding, computed without assembling.
+    /// [`fingerprint`] of the assembled encoding, computed without
+    /// assembling.
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
-        let mut hash = fnv1a64_update(FNV_BASIS, &self.header);
-        hash = fnv1a64_update(hash, &self.step_count.to_le_bytes());
-        hash = fnv1a64_update(hash, &self.steps);
-        hash = fnv1a64_update(hash, &self.fault_count.to_le_bytes());
-        fnv1a64_update(hash, &self.faults)
+        let mut hash = Fingerprint::new();
+        hash.write(&self.header);
+        hash.write(&self.step_count.to_le_bytes());
+        hash.write(&self.steps);
+        hash.write(&self.fault_count.to_le_bytes());
+        hash.write(&self.faults);
+        hash.finish()
     }
 
     /// Assembles the canonical byte string — equal to [`encode`] of the
@@ -224,20 +231,171 @@ pub fn to_hex(bytes: &[u8]) -> String {
     hex
 }
 
+const PRIME64_1: u64 = 0x9E37_79B1_85EB_CA87;
+const PRIME64_2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+const PRIME64_3: u64 = 0x1656_67B1_9E37_79F9;
+const PRIME64_4: u64 = 0x85EB_CA77_C2B2_AE63;
+const PRIME64_5: u64 = 0x27D4_EB2F_1656_67C5;
+
+/// Bytes per XXH64 stripe: four 8-byte lanes.
+const STRIPE: usize = 32;
+
+/// Streaming XXH64 with seed 0 — the trace fingerprint.
+///
+/// XXH64 keeps four independent 64-bit accumulators and feeds each one
+/// 8-byte word per 32-byte stripe, so the four multiply chains overlap
+/// and it runs at several bytes per cycle; FNV-1a's one serial multiply
+/// per byte cannot overlap at all. Bytes may arrive in any split:
+/// writing `a` then `b` finishes to the same value as [`fingerprint`]
+/// of `a ++ b`, which is what lets [`TraceEncoder::fingerprint`] hash
+/// its segments without concatenating them.
+#[derive(Debug, Clone)]
+pub struct Fingerprint {
+    lanes: [u64; 4],
+    total_len: u64,
+    /// Bytes not yet folded into the lanes; only the first `tail_len`
+    /// are live.
+    tail: [u8; STRIPE],
+    tail_len: usize,
+}
+
+impl Default for Fingerprint {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Fingerprint {
+    /// The hasher of the empty string.
+    #[must_use]
+    pub fn new() -> Self {
+        Self {
+            lanes: [
+                PRIME64_1.wrapping_add(PRIME64_2),
+                PRIME64_2,
+                0,
+                PRIME64_1.wrapping_neg(),
+            ],
+            total_len: 0,
+            tail: [0; STRIPE],
+            tail_len: 0,
+        }
+    }
+
+    /// Appends `bytes` to the hashed string.
+    pub fn write(&mut self, bytes: &[u8]) {
+        self.total_len = self.total_len.wrapping_add(bytes.len() as u64);
+        let (head, bytes) = bytes.split_at(bytes.len().min(STRIPE - self.tail_len));
+        if let Some(free) = self.tail.get_mut(self.tail_len..self.tail_len + head.len()) {
+            free.copy_from_slice(head);
+        }
+        self.tail_len += head.len();
+        if self.tail_len < STRIPE {
+            return;
+        }
+        consume(&mut self.lanes, &self.tail);
+        let mut stripes = bytes.chunks_exact(STRIPE);
+        for stripe in &mut stripes {
+            consume(&mut self.lanes, stripe);
+        }
+        let rest = stripes.remainder();
+        if let Some(tail) = self.tail.get_mut(..rest.len()) {
+            tail.copy_from_slice(rest);
+        }
+        self.tail_len = rest.len();
+    }
+
+    /// The XXH64 of everything written so far.
+    #[must_use]
+    pub fn finish(&self) -> u64 {
+        let mut hash = if self.total_len >= STRIPE as u64 {
+            let [v1, v2, v3, v4] = self.lanes;
+            let hash = v1
+                .rotate_left(1)
+                .wrapping_add(v2.rotate_left(7))
+                .wrapping_add(v3.rotate_left(12))
+                .wrapping_add(v4.rotate_left(18));
+            self.lanes.iter().fold(hash, |hash, &lane| {
+                (hash ^ round(0, lane))
+                    .wrapping_mul(PRIME64_1)
+                    .wrapping_add(PRIME64_4)
+            })
+        } else {
+            PRIME64_5
+        };
+        hash = hash.wrapping_add(self.total_len);
+        let mut words = self
+            .tail
+            .get(..self.tail_len)
+            .unwrap_or(&[])
+            .chunks_exact(8);
+        for word in &mut words {
+            hash = (hash ^ round(0, read_u64(word)))
+                .rotate_left(27)
+                .wrapping_mul(PRIME64_1)
+                .wrapping_add(PRIME64_4);
+        }
+        let mut halves = words.remainder().chunks_exact(4);
+        for half in &mut halves {
+            let half = half.try_into().map_or(0, u32::from_le_bytes);
+            hash = (hash ^ u64::from(half).wrapping_mul(PRIME64_1))
+                .rotate_left(23)
+                .wrapping_mul(PRIME64_2)
+                .wrapping_add(PRIME64_3);
+        }
+        for &byte in halves.remainder() {
+            hash = (hash ^ u64::from(byte).wrapping_mul(PRIME64_5))
+                .rotate_left(11)
+                .wrapping_mul(PRIME64_1);
+        }
+        hash ^= hash >> 33;
+        hash = hash.wrapping_mul(PRIME64_2);
+        hash ^= hash >> 29;
+        hash = hash.wrapping_mul(PRIME64_3);
+        hash ^ (hash >> 32)
+    }
+}
+
+/// Folds one 32-byte stripe into the four lanes, one word per lane.
+fn consume(lanes: &mut [u64; 4], stripe: &[u8]) {
+    for (lane, word) in lanes.iter_mut().zip(stripe.chunks_exact(8)) {
+        *lane = round(*lane, read_u64(word));
+    }
+}
+
+fn round(acc: u64, word: u64) -> u64 {
+    acc.wrapping_add(word.wrapping_mul(PRIME64_2))
+        .rotate_left(31)
+        .wrapping_mul(PRIME64_1)
+}
+
+/// Reads a little-endian word from an 8-byte chunk.
+fn read_u64(word: &[u8]) -> u64 {
+    word.try_into().map_or(0, u64::from_le_bytes)
+}
+
+/// XXH64 (seed 0) of `bytes`: the trace fingerprint that
+/// [`RunReport::trace_hash`](crate::RunReport::trace_hash) carries.
+#[must_use]
+pub fn fingerprint(bytes: &[u8]) -> u64 {
+    let mut hash = Fingerprint::new();
+    hash.write(bytes);
+    hash.finish()
+}
+
 /// The FNV-1a 64-bit offset basis — the hash of the empty string.
 pub const FNV_BASIS: u64 = 0xCBF2_9CE4_8422_2325;
 
-/// FNV-1a 64-bit hash — a stable fingerprint for traces too large to keep
-/// in memory per session (full-budget conformance runs).
+/// FNV-1a 64-bit hash. Byte-serial, so it suits the short folds over
+/// per-session `(trace_hash, trace_len)` pairs that pin a whole batch;
+/// traces themselves are hashed with [`fingerprint`].
 #[must_use]
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     fnv1a64_update(FNV_BASIS, bytes)
 }
 
 /// Folds more bytes into a running FNV-1a 64 hash. Because FNV is a plain
-/// left-to-right fold, `fnv1a64(ab) == fnv1a64_update(fnv1a64(a), b)` —
-/// which is what lets [`TraceEncoder::fingerprint`] hash a segmented
-/// encoding without concatenating it.
+/// left-to-right fold, `fnv1a64(ab) == fnv1a64_update(fnv1a64(a), b)`.
 #[must_use]
 pub fn fnv1a64_update(mut hash: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
@@ -332,7 +490,7 @@ mod tests {
         let expected = encode(&trace);
         assert_eq!(enc.to_bytes(), expected, "streaming bytes differ");
         assert_eq!(enc.encoded_len(), expected.len());
-        assert_eq!(enc.fingerprint(), fnv1a64(&expected));
+        assert_eq!(enc.fingerprint(), fingerprint(&expected));
         assert_eq!(enc.step_count() as usize, trace.steps().len());
     }
 
@@ -365,7 +523,7 @@ mod tests {
         assert_eq!(enc.borrow().to_bytes(), encode(recorded.trace()));
         assert_eq!(
             enc.borrow().fingerprint(),
-            fnv1a64(&encode(recorded.trace()))
+            fingerprint(&encode(recorded.trace()))
         );
     }
 
@@ -375,7 +533,89 @@ mod tests {
         let enc = TraceEncoder::new(&initial);
         let trace = Trace::new(initial);
         assert_eq!(enc.to_bytes(), encode(&trace));
-        assert_eq!(enc.fingerprint(), fnv1a64(&encode(&trace)));
+        assert_eq!(enc.fingerprint(), fingerprint(&encode(&trace)));
+    }
+
+    #[test]
+    fn xxh64_matches_reference_vectors() {
+        // Published XXH64 (seed 0) vectors; the last is 39 bytes, so it
+        // takes the stripe path, then a half word and bytes.
+        assert_eq!(fingerprint(b""), 0xEF46_DB37_51D8_E999);
+        assert_eq!(fingerprint(b"a"), 0xD24E_C4F1_A98C_6E5B);
+        assert_eq!(fingerprint(b"abc"), 0x44BC_2CF5_AD77_0999);
+        assert_eq!(
+            fingerprint(b"Nobody inspects the spammish repetition"),
+            0xFBCE_A83C_8A37_8BF1
+        );
+        // xxhsum's self-test buffer, which also reaches the 8-byte word
+        // path: 14 bytes is a word, a half word and two bytes; 222 is six
+        // stripes, three words, a half word and two bytes.
+        let mut state: u64 = 2_654_435_761;
+        let sanity: Vec<u8> = (0..222)
+            .map(|_| {
+                let byte = (state >> 56) as u8;
+                state = state.wrapping_mul(11_400_714_785_074_694_797);
+                byte
+            })
+            .collect();
+        assert_eq!(fingerprint(&sanity[..14]), 0x8282_DCC4_994E_35C8);
+        assert_eq!(fingerprint(&sanity), 0xB641_AE8C_B691_C174);
+    }
+
+    /// `bytes` hashed as the given consecutive segments, with an empty
+    /// write before each one.
+    fn segmented(bytes: &[u8], cuts: &[usize]) -> u64 {
+        let mut hash = Fingerprint::new();
+        let mut start = 0;
+        for &cut in cuts.iter().chain([&bytes.len()]) {
+            hash.write(&[]);
+            hash.write(&bytes[start..cut]);
+            start = cut;
+        }
+        hash.finish()
+    }
+
+    /// Deterministic filler bytes (SplitMix64).
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    #[test]
+    fn fingerprint_streams_over_every_three_way_split() {
+        let mut state = 28;
+        let bytes: Vec<u8> = (0..100).map(|_| splitmix(&mut state) as u8).collect();
+        for len in 0..=bytes.len() {
+            let bytes = &bytes[..len];
+            let whole = fingerprint(bytes);
+            for i in 0..=len {
+                for j in i..=len {
+                    assert_eq!(segmented(bytes, &[i, j]), whole, "len {len}, cuts {i}/{j}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[ignore = "large budget: random segmentations up to 64 KiB; CI runs it with --include-ignored"]
+    fn fingerprint_streams_over_random_segmentations() {
+        let mut state = 0x5EED;
+        for _ in 0..2_000 {
+            let len = (splitmix(&mut state) % (64 * 1024 + 1)) as usize;
+            let bytes: Vec<u8> = (0..len).map(|_| splitmix(&mut state) as u8).collect();
+            let mut cuts: Vec<usize> = (0..splitmix(&mut state) % 12)
+                .map(|_| (splitmix(&mut state) % (len as u64 + 1)) as usize)
+                .collect();
+            cuts.sort_unstable();
+            assert_eq!(
+                segmented(&bytes, &cuts),
+                fingerprint(&bytes),
+                "len {len}, cuts {cuts:?}"
+            );
+        }
     }
 
     #[test]

@@ -258,8 +258,9 @@ pub enum Message {
     Done {
         /// The job.
         job: u64,
-        /// Per-session FNV-1a 64 trace fingerprints, in spec order —
-        /// byte-equal to a direct `run_batch` of the same spec.
+        /// Per-session XXH64 trace fingerprints (`RunReport::trace_hash`),
+        /// in spec order — byte-equal to a direct `run_batch` of the
+        /// same spec.
         fingerprints: Vec<u64>,
         /// `MetricsSnapshot::to_json` of the merged metrics.
         metrics_json: String,

@@ -440,11 +440,6 @@ impl<S> WakeAllFirst<S> {
     pub fn new(inner: S) -> Self {
         Self { inner }
     }
-
-    /// Returns the wrapped schedule.
-    pub fn into_inner(self) -> S {
-        self.inner
-    }
 }
 
 impl<S: Schedule> Schedule for WakeAllFirst<S> {
@@ -488,7 +483,6 @@ mod wake_all_tests {
     fn wraps_and_unwraps() {
         let s = WakeAllFirst::new(Synchronous);
         assert_eq!(s.name(), "wake-all-first");
-        let _inner: Synchronous = s.into_inner();
     }
 
     #[test]

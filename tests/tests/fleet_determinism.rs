@@ -5,7 +5,7 @@
 //! the worker pool only changes *when* they run, never *what* they
 //! compute — this file is what keeps that true as the engine evolves.
 
-use stigmergy_fleet::{fnv1a64, run_batch, BatchReport, BatchSpec};
+use stigmergy_fleet::{run_batch, trace_codec, BatchReport, BatchSpec};
 use stigmergy_integration::fingerprint;
 
 /// The full matrix at a budget small enough to keep every whole trace in
@@ -39,7 +39,11 @@ fn workers_1_and_8_produce_byte_identical_traces_per_seed() {
         let ta = a.trace.as_deref().expect("keep_traces retains bytes");
         let tb = b.trace.as_deref().expect("keep_traces retains bytes");
         assert!(ta == tb, "trace bytes diverged for {cell}");
-        assert_eq!(a.trace_hash, fnv1a64(ta), "hash is of the bytes");
+        assert_eq!(
+            a.trace_hash,
+            trace_codec::fingerprint(ta),
+            "hash is of the bytes"
+        );
         assert_eq!(a, b, "full report diverged for {cell}");
     }
     assert_eq!(serial.metrics, parallel.metrics, "merged metrics diverged");

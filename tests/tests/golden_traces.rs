@@ -14,7 +14,7 @@
 
 use std::path::PathBuf;
 
-use stigmergy_fleet::{fnv1a64, run_session, to_hex, ProtocolKind, SessionSpec, CONFORMANCE};
+use stigmergy_fleet::{fingerprint, run_session, to_hex, ProtocolKind, SessionSpec, CONFORMANCE};
 use stigmergy_scheduler::{AlgorithmSpec, CodingSpec, FaultSpec, ScheduleSpec};
 
 /// One golden scenario per distributed algorithm, over the §4 swarm
@@ -177,6 +177,37 @@ fn golden_traces_have_not_drifted() {
 }
 
 #[test]
+fn reported_hash_is_the_fingerprint_of_the_golden_bytes() {
+    // `trace_hash` is all a session keeps of its trace unless asked for
+    // the bytes, so it must be the fingerprint of exactly the pinned
+    // bytes: the streamed encoder's and the hardened session's alike.
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        return; // the drift test is rewriting the files
+    }
+    for (name, spec) in golden_scenarios() {
+        let hex: Vec<u8> = std::fs::read_to_string(golden_path(&name))
+            .unwrap_or_else(|e| panic!("{name}: cannot read golden file ({e})"))
+            .bytes()
+            .filter(u8::is_ascii_hexdigit)
+            .collect();
+        let golden: Vec<u8> = hex
+            .chunks(2)
+            .map(|pair| u8::from_str_radix(std::str::from_utf8(pair).unwrap(), 16).unwrap())
+            .collect();
+        let report = run_session(&SessionSpec {
+            keep_trace: false,
+            ..spec
+        });
+        assert_eq!(report.trace_len, golden.len(), "{name}: trace length");
+        assert_eq!(
+            report.trace_hash,
+            fingerprint(&golden),
+            "{name}: reported hash is not the fingerprint of the golden bytes"
+        );
+    }
+}
+
+#[test]
 fn golden_runs_are_reproducible_in_process() {
     // The drift test is only meaningful if the pinned scenario replays
     // exactly; a flaky golden run would blame the codec for engine
@@ -185,8 +216,8 @@ fn golden_runs_are_reproducible_in_process() {
         let a = trace_of(&spec, &name);
         let b = trace_of(&spec, &name);
         assert_eq!(
-            fnv1a64(&a),
-            fnv1a64(&b),
+            fingerprint(&a),
+            fingerprint(&b),
             "{name}: golden scenario not reproducible"
         );
         assert_eq!(a, b);
@@ -201,7 +232,7 @@ fn golden_scenarios_differ_across_protocols() {
     // protocol, coding, or algorithm field.
     let golden = all_golden();
     let expected = golden.len();
-    let mut hashes: Vec<u64> = golden.into_iter().map(|(_, b)| fnv1a64(&b)).collect();
+    let mut hashes: Vec<u64> = golden.into_iter().map(|(_, b)| fingerprint(&b)).collect();
     hashes.sort_unstable();
     hashes.dedup();
     assert_eq!(hashes.len(), expected);

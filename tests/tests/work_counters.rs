@@ -11,9 +11,10 @@
 //! one-sided ratchet, so a lost session fails by name (`delivered fell
 //! 661 -> 659`) instead of as one drifted counter among many. Then every
 //! counter must match exactly, and one failure lists every counter that
-//! drifted. `fold` is FNV-1a over each run's `(trace_hash, trace_len)`
-//! in report order, so one changed trace byte anywhere in a batch shows
-//! up too.
+//! drifted. `trace_hash` is the trace's XXH64 fingerprint
+//! (`stigmergy_fleet::fingerprint`), and `fold` is FNV-1a over each
+//! run's `(trace_hash, trace_len)` in report order, so one changed trace
+//! byte anywhere in a batch shows up too.
 //!
 //! `fec_rejected` counts only the frames a receiver gave up on within
 //! its session's budget. A paced session's budget ends once its sender
@@ -204,7 +205,7 @@ fn capped_sweep_864() {
             // Frames still mid-flight when the sender drained are not
             // counted: see the module doc on `fec_rejected`.
             ("fec_rejected", 55),
-            ("fold", 17_268_538_306_576_721_543),
+            ("fold", 7_512_401_773_286_286_241),
         ],
     );
 }
@@ -233,7 +234,7 @@ fn algo_matrix_16() {
             ("algo_bits", 31_232),
             ("algo_decided", 192),
             ("activations_to_decision", 262_434),
-            ("fold", 12_719_018_520_862_654_765),
+            ("fold", 12_823_078_500_617_753_537),
         ],
     );
 }
@@ -253,7 +254,7 @@ fn micro_per_protocol() {
                 ("fec_corrected", 1),
                 ("fec_rejected", 0),
                 ("trace_len", 16_372),
-                ("trace_hash", 5_417_700_408_591_335_214),
+                ("trace_hash", 16_833_436_613_113_209_167),
             ],
         ),
         (
@@ -268,7 +269,7 @@ fn micro_per_protocol() {
                 ("fec_corrected", 0),
                 ("fec_rejected", 0),
                 ("trace_len", 72_031),
-                ("trace_hash", 16_414_110_043_923_538_389),
+                ("trace_hash", 15_417_206_510_176_648_735),
             ],
         ),
         (
@@ -283,7 +284,7 @@ fn micro_per_protocol() {
                 ("fec_corrected", 0),
                 ("fec_rejected", 0),
                 ("trace_len", 23_994),
-                ("trace_hash", 14_879_970_493_339_256_594),
+                ("trace_hash", 15_481_814_993_604_823_357),
             ],
         ),
         (
@@ -298,7 +299,7 @@ fn micro_per_protocol() {
                 ("fec_corrected", 0),
                 ("fec_rejected", 0),
                 ("trace_len", 24_351),
-                ("trace_hash", 1_217_219_263_725_723_783),
+                ("trace_hash", 13_196_490_942_840_366_110),
             ],
         ),
         (
@@ -313,7 +314,7 @@ fn micro_per_protocol() {
                 ("fec_corrected", 0),
                 ("fec_rejected", 0),
                 ("trace_len", 24_141),
-                ("trace_hash", 14_947_920_049_635_682_404),
+                ("trace_hash", 3_050_623_632_823_934_853),
             ],
         ),
         (
@@ -328,7 +329,7 @@ fn micro_per_protocol() {
                 ("fec_corrected", 0),
                 ("fec_rejected", 0),
                 ("trace_len", 107_123),
-                ("trace_hash", 6_383_340_670_323_539_142),
+                ("trace_hash", 4_064_560_389_991_069_980),
             ],
         ),
     ];
@@ -368,7 +369,7 @@ fn sweep_864() {
             // Frames still mid-flight when the sender drained are not
             // counted: see the module doc on `fec_rejected`.
             ("fec_rejected", 55),
-            ("fold", 17_268_538_306_576_721_543),
+            ("fold", 7_512_401_773_286_286_241),
         ],
     );
 }
@@ -392,7 +393,7 @@ fn sweep_wide_100008() {
             // Frames still mid-flight when the sender drained are not
             // counted: see the module doc on `fec_rejected`.
             ("fec_rejected", 5_691),
-            ("fold", 12_200_926_836_221_744_497),
+            ("fold", 3_618_269_057_672_190_645),
         ],
     );
 }
