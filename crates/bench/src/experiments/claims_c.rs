@@ -322,7 +322,7 @@ pub fn e14() -> Vec<Table> {
 #[must_use]
 pub fn e15() -> Vec<Table> {
     use stigmergy::async2::DriftPolicy;
-    use stigmergy::session::{AsyncNetwork, AsyncPair, SyncNetwork};
+    use stigmergy::session::{AsyncNetwork, Network, SyncNetwork};
     use stigmergy::sync2::Sync2;
     use stigmergy_coding::alphabet::LevelAlphabet;
     use stigmergy_geometry::Point;
@@ -385,16 +385,26 @@ pub fn e15() -> Vec<Table> {
     });
 
     row("Async2 (fair scheduler)", &mut |size| {
-        let mut pair = AsyncPair::new(
+        let mut pair = Network::pair(
             Point::new(0.0, 0.0),
             Point::new(16.0, 0.0),
             DriftPolicy::Diverge,
             0xE15,
         )
         .expect("valid pair");
-        pair.send(0, &workloads::payload(size, 0xE15))
-            .expect("valid sender");
-        pair.run_until_delivered(2_000_000).expect("delivery")
+        pair.send(0, 1, &workloads::payload(size, 0xE15))
+            .expect("valid route");
+        // Stop once the payload is in and both robots have drained.
+        let out = pair
+            .engine_mut()
+            .run_until(2_000_000, |e| {
+                e.protocol(0).is_drained()
+                    && e.protocol(1).is_drained()
+                    && !e.protocol(1).inbox().is_empty()
+            })
+            .expect("collision-free");
+        assert!(out.satisfied);
+        out.steps_taken
     });
 
     row("AsyncSwarm n=4 (§4.2)", &mut |size| {

@@ -79,28 +79,17 @@ impl ChangeTracker {
         self.counts[i] >= k
     }
 
-    /// Whether **every** peer except `exclude` has changed at least `k`
-    /// times — the §4.2 sending condition ("until it observes that the
-    /// position of every robot changed twice").
-    #[must_use]
-    pub fn all_changed_at_least(&self, k: u32, exclude: Option<usize>) -> bool {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| Some(i) != exclude)
-            .all(|(_, &c)| c >= k)
-    }
-
     /// Whether every peer *not* listed in `excluded` has changed at least
-    /// `k` times since the reset.
+    /// `k` times since the reset — the §4.2 sending condition ("until it
+    /// observes that the position of every robot changed twice"), with
+    /// the sender itself excluded.
     ///
-    /// This is the crash-aware form of [`ChangeTracker::all_changed_at_least`]:
-    /// a crash-stopped robot never moves again, so a sender that keeps
-    /// waiting on its double-change would hold an excursion forever. A
-    /// failure detector (the algorithm driver, which sees fault events)
-    /// reports crashed peers and the sender drops them from the
-    /// acknowledgement condition. Lemma 4.1 still holds pairwise for every
-    /// live peer.
+    /// The list also takes crashed peers: a crash-stopped robot never
+    /// moves again, so a sender that keeps waiting on its double-change
+    /// would hold an excursion forever. A failure detector (the algorithm
+    /// driver, which sees fault events) reports crashed peers and the
+    /// sender drops them from the acknowledgement condition. Lemma 4.1
+    /// still holds pairwise for every live peer.
     #[must_use]
     pub fn all_changed_at_least_except(&self, k: u32, excluded: &[usize]) -> bool {
         self.counts
@@ -466,9 +455,9 @@ mod tests {
                 t.observe(i, Point::new(i as f64, step as f64));
             }
         }
-        assert!(t.all_changed_at_least(2, Some(0)));
-        assert!(!t.all_changed_at_least(2, None));
-        assert!(!t.all_changed_at_least(3, Some(0)));
+        assert!(t.all_changed_at_least_except(2, &[0]));
+        assert!(!t.all_changed_at_least_except(2, &[]));
+        assert!(!t.all_changed_at_least_except(3, &[0]));
     }
 
     #[test]
@@ -484,15 +473,10 @@ mod tests {
             t.observe(2, Point::new(2.0, 0.0));
         }
         // Waiting on everyone wedges…
-        assert!(!t.all_changed_at_least(2, Some(0)));
+        assert!(!t.all_changed_at_least_except(2, &[0]));
         // …but excluding the crashed peer unblocks the stint.
         assert!(t.all_changed_at_least_except(2, &[0, 2]));
         assert!(!t.all_changed_at_least_except(3, &[0, 2]));
-        // The single-exclusion form is the `&[i]` special case.
-        assert_eq!(
-            t.all_changed_at_least(2, Some(0)),
-            t.all_changed_at_least_except(2, &[0])
-        );
     }
 
     #[test]

@@ -526,10 +526,10 @@ mod tests {
             .positions([Point::new(0.0, 0.0), Point::new(16.0, 0.0)])
             .protocols([Async2::default(), Async2::default()])
             .schedule(WakeAllFirst::new(FairAsync::new(5, 0.5, 8)))
-            .faults(FaultPlan::new(5).observation_dropout(0.3))
             .frame_seed(5)
             .build()
             .unwrap();
+        e.set_fault_plan(FaultPlan::new(5).observation_dropout(0.3));
         e.protocol_mut(0).send(b"blind");
         e.run(3_000).unwrap();
         let (blind, moved) = crate::ack::blind_activations(e.trace());

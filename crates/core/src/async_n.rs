@@ -90,8 +90,8 @@ pub struct AsyncSwarm {
 }
 
 impl AsyncSwarm {
-    /// Addresses peers by `scheme`; the named constructors below pick one
-    /// each.
+    /// Addresses peers by `scheme`; [`AsyncSwarm::anonymous`] is the
+    /// paper's choice.
     #[must_use]
     pub fn with_scheme(scheme: NamingScheme) -> Self {
         Self {
@@ -111,18 +111,6 @@ impl AsyncSwarm {
     #[must_use]
     pub fn anonymous() -> Self {
         Self::with_scheme(NamingScheme::BySec)
-    }
-
-    /// Variant with sense of direction (lexicographic naming).
-    #[must_use]
-    pub fn anonymous_with_direction() -> Self {
-        Self::with_scheme(NamingScheme::ByLex)
-    }
-
-    /// Variant with observable IDs.
-    #[must_use]
-    pub fn routed() -> Self {
-        Self::with_scheme(NamingScheme::ById)
     }
 
     /// Queues a message for the robot labelled `dest_label` under this
@@ -686,7 +674,7 @@ mod tests {
         let positions = ring(3);
         let mut e = Engine::builder()
             .positions(positions)
-            .protocols((0..3).map(|_| AsyncSwarm::routed()))
+            .protocols((0..3).map(|_| AsyncSwarm::with_scheme(NamingScheme::ById)))
             .capabilities(Capabilities::identified_with_direction())
             .schedule(WakeAllFirst::new(FairAsync::new(37, 0.5, 8)))
             .frame_seed(9)

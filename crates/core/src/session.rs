@@ -7,6 +7,8 @@
 //! with what each robot computes in its private frame), tracks what was
 //! sent, and runs the system until everything is delivered.
 //!
+//! A swarm names its peers:
+//!
 //! ```
 //! use stigmergy::session::SyncNetwork;
 //! use stigmergy_geometry::Point;
@@ -20,6 +22,23 @@
 //! net.run_until_delivered(10_000)?;
 //! assert_eq!(net.inbox(1), vec![(0, b"hi".to_vec())]);
 //! assert_eq!(net.inbox(2), vec![(1, b"there".to_vec())]);
+//! # Ok::<(), stigmergy::CoreError>(())
+//! ```
+//!
+//! A pair is the same session with one peer each (protocol P5 here):
+//!
+//! ```
+//! use stigmergy::async2::DriftPolicy;
+//! use stigmergy::session::Network;
+//! use stigmergy_geometry::Point;
+//!
+//! let a = Point::new(0.0, 0.0);
+//! let mut pair = Network::pair(a, Point::new(10.0, 0.0), DriftPolicy::Diverge, 9)?;
+//! pair.send(0, 1, b"marco")?;
+//! pair.send(1, 0, b"polo")?;
+//! pair.run_until_delivered(50_000)?;
+//! assert_eq!(pair.inbox(1), vec![(0, b"marco".to_vec())]);
+//! assert_eq!(pair.inbox(0), vec![(1, b"polo".to_vec())]);
 //! # Ok::<(), stigmergy::CoreError>(())
 //! ```
 
@@ -41,8 +60,8 @@ use stigmergy_scheduler::{FairAsync, FaultPlan, Schedule, Synchronous, WakeAllFi
 /// count FEC work.
 ///
 /// Every pair and swarm protocol implements it once, in its own module.
-/// [`Network`] drives the swarms through it, and so does the batch
-/// runner in `stigmergy-fleet`, which drives every pair and swarm.
+/// [`Network`] drives pairs and swarms through it, and so does the batch
+/// runner in `stigmergy-fleet`.
 pub trait Chat: MovementProtocol {
     /// Queues `payload` for the robot labelled `label` in this robot's
     /// naming; a pair has one peer and ignores the label.
@@ -74,11 +93,18 @@ pub trait Chat: MovementProtocol {
     }
 }
 
-/// A message-passing network over movement signals.
+/// A message-passing network over movement signals, for a swarm or a
+/// two-robot pair.
+///
+/// A swarm addresses peers through a naming scheme; a pair has one peer,
+/// so its messages are queued under label 0 and every inbox entry comes
+/// from the other robot.
 #[derive(Debug)]
 pub struct Network<P> {
     engine: Engine<P>,
-    scheme: NamingScheme,
+    /// The swarm's naming scheme; `None` for a pair, which runs under the
+    /// builder's default capabilities.
+    naming: Option<NamingScheme>,
     /// Queued `(from, to, payload)` messages, each with its multiplicity.
     expectations: BTreeMap<(usize, usize, Vec<u8>), usize>,
 }
@@ -96,7 +122,13 @@ impl SyncNetwork {
     /// Fails on degenerate configurations (coincident robots; a robot at
     /// the SEC centre surfaces on the first send/run).
     pub fn anonymous(positions: Vec<Point>, seed: u64) -> Result<Self, CoreError> {
-        Self::build_sync(positions, seed, NamingScheme::BySec)
+        Self::build(
+            positions,
+            Some(NamingScheme::BySec),
+            SyncSwarm::anonymous,
+            Synchronous,
+            seed,
+        )
     }
 
     /// Anonymous robots with a common North (§3.3 naming).
@@ -105,7 +137,13 @@ impl SyncNetwork {
     ///
     /// As [`SyncNetwork::anonymous`].
     pub fn anonymous_with_direction(positions: Vec<Point>, seed: u64) -> Result<Self, CoreError> {
-        Self::build_sync(positions, seed, NamingScheme::ByLex)
+        Self::build(
+            positions,
+            Some(NamingScheme::ByLex),
+            SyncSwarm::anonymous_with_direction,
+            Synchronous,
+            seed,
+        )
     }
 
     /// Identified robots with a common North (§3.2 routing).
@@ -114,27 +152,13 @@ impl SyncNetwork {
     ///
     /// As [`SyncNetwork::anonymous`].
     pub fn identified(positions: Vec<Point>, seed: u64) -> Result<Self, CoreError> {
-        Self::build_sync(positions, seed, NamingScheme::ById)
-    }
-
-    fn build_sync(
-        positions: Vec<Point>,
-        seed: u64,
-        scheme: NamingScheme,
-    ) -> Result<Self, CoreError> {
-        let n = positions.len();
-        let engine = Engine::builder()
-            .positions(positions)
-            .protocols((0..n).map(|_| SyncSwarm::with_scheme(scheme)))
-            .capabilities(scheme.capabilities())
-            .schedule(Synchronous)
-            .frame_seed(seed)
-            .build()?;
-        Ok(Self {
-            engine,
-            scheme,
-            expectations: BTreeMap::new(),
-        })
+        Self::build(
+            positions,
+            Some(NamingScheme::ById),
+            SyncSwarm::routed,
+            Synchronous,
+            seed,
+        )
     }
 }
 
@@ -159,24 +183,56 @@ impl AsyncNetwork {
         seed: u64,
         schedule: S,
     ) -> Result<Self, CoreError> {
-        let n = positions.len();
-        let scheme = NamingScheme::BySec;
-        let engine = Engine::builder()
-            .positions(positions)
-            .protocols((0..n).map(|_| AsyncSwarm::with_scheme(scheme)))
-            .capabilities(scheme.capabilities())
-            .schedule(WakeAllFirst::new(schedule))
-            .frame_seed(seed)
-            .build()?;
-        Ok(Self {
-            engine,
-            scheme,
-            expectations: BTreeMap::new(),
-        })
+        Self::build(
+            positions,
+            Some(NamingScheme::BySec),
+            AsyncSwarm::anonymous,
+            WakeAllFirst::new(schedule),
+            seed,
+        )
+    }
+}
+
+impl Network<Async2> {
+    /// Two asynchronous robots at `a` and `b` (protocol P5) under a seeded
+    /// fair scheduler that wakes both at `t0`.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the two positions coincide.
+    pub fn pair(a: Point, b: Point, policy: DriftPolicy, seed: u64) -> Result<Self, CoreError> {
+        let schedule = WakeAllFirst::new(FairAsync::new(seed, 0.5, 16));
+        Self::build(vec![a, b], None, || Async2::new(policy), schedule, seed)
     }
 }
 
 impl<P: Chat> Network<P> {
+    /// Builds the engine every session runs on: one `protocol()` per
+    /// position, the naming's capabilities (a pair keeps the builder's
+    /// default), `schedule`, and frames drawn from `seed`.
+    fn build(
+        positions: Vec<Point>,
+        naming: Option<NamingScheme>,
+        protocol: impl Fn() -> P,
+        schedule: impl Schedule + 'static,
+        seed: u64,
+    ) -> Result<Self, CoreError> {
+        let n = positions.len();
+        let mut builder = Engine::builder()
+            .positions(positions)
+            .protocols((0..n).map(|_| protocol()))
+            .schedule(schedule)
+            .frame_seed(seed);
+        if let Some(scheme) = naming {
+            builder = builder.capabilities(scheme.capabilities());
+        }
+        Ok(Self {
+            engine: builder.build()?,
+            naming,
+            expectations: BTreeMap::new(),
+        })
+    }
+
     /// Number of robots.
     #[must_use]
     pub fn cohort(&self) -> usize {
@@ -201,6 +257,7 @@ impl<P: Chat> Network<P> {
     /// * [`CoreError::UnknownDestination`] for out-of-range indices.
     /// * [`CoreError::SelfAddressed`] if `from == to` (use
     ///   [`Network::broadcast`]).
+    /// * [`CoreError::PayloadTooLarge`] beyond the frame's payload limit.
     /// * [`CoreError::Naming`] if the configuration admits no naming.
     pub fn send(&mut self, from: usize, to: usize, payload: &[u8]) -> Result<(), CoreError> {
         let n = self.cohort();
@@ -216,8 +273,13 @@ impl<P: Chat> Network<P> {
         if payload.len() > stigmergy_coding::framing::MAX_PAYLOAD {
             return Err(CoreError::PayloadTooLarge { len: payload.len() });
         }
-        let initial = self.engine.trace().initial();
-        let label = self.scheme.label_of(initial, self.engine.ids(), from, to)?;
+        let label = match self.naming {
+            Some(scheme) => {
+                let initial = self.engine.trace().initial();
+                scheme.label_of(initial, self.engine.ids(), from, to)?
+            }
+            None => 0,
+        };
         self.engine.protocol_mut(from).queue(label, payload);
         self.expect(from, to, payload);
         Ok(())
@@ -227,7 +289,8 @@ impl<P: Chat> Network<P> {
     ///
     /// # Errors
     ///
-    /// [`CoreError::UnknownDestination`] for an out-of-range index.
+    /// * [`CoreError::UnknownDestination`] for an out-of-range index.
+    /// * [`CoreError::PayloadTooLarge`] beyond the frame's payload limit.
     pub fn broadcast(&mut self, from: usize, payload: &[u8]) -> Result<(), CoreError> {
         if from >= self.cohort() {
             return Err(CoreError::UnknownDestination {
@@ -314,31 +377,43 @@ impl<P: Chat> Network<P> {
     /// How many entries of robot `to`'s inbox carry `payload` from robot
     /// `from` (engine indices).
     fn delivered_count(&self, from: usize, to: usize, payload: &[u8]) -> usize {
-        let protocol = self.engine.protocol(to);
-        let Some(g) = protocol.swarm_geometry() else {
-            return 0;
-        };
-        protocol
-            .inbox_entries()
-            .iter()
-            .filter(|e| e.payload == payload && self.home_to_engine(to, g, e.sender) == Some(from))
+        self.received(to)
+            .filter(|&(sender, p)| sender == from && p == payload)
             .count()
     }
 
     /// Robot `robot`'s inbox as `(sender_engine_index, payload)` pairs.
     ///
-    /// Empty before the first instant (geometry not yet built).
+    /// A swarm's inbox is empty before the first instant (geometry not
+    /// yet built).
     #[must_use]
     pub fn inbox(&self, robot: usize) -> Vec<(usize, Vec<u8>)> {
-        let Some(g) = self.engine.protocol(robot).swarm_geometry() else {
-            return Vec::new();
-        };
-        self.engine
-            .protocol(robot)
-            .inbox_entries()
-            .iter()
-            .filter_map(|e| Some((self.home_to_engine(robot, g, e.sender)?, e.payload.clone())))
+        self.received(robot)
+            .map(|(sender, p)| (sender, p.to_vec()))
             .collect()
+    }
+
+    /// Robot `robot`'s inbox entries, borrowed, each with its sender's
+    /// engine index: the other robot in a pair; in a swarm, the robot
+    /// whose world home matches the entry's sender (entries that match
+    /// none are skipped).
+    fn received(&self, robot: usize) -> impl Iterator<Item = (usize, &[u8])> {
+        let protocol = self.engine.protocol(robot);
+        let pair = self
+            .naming
+            .is_none()
+            .then(|| protocol.payloads().map(move |p| (1 - robot, p)));
+        let swarm = protocol.swarm_geometry().map(|g| {
+            protocol.inbox_entries().iter().filter_map(move |e| {
+                Some((
+                    self.home_to_engine(robot, g, e.sender)?,
+                    e.payload.as_slice(),
+                ))
+            })
+        });
+        pair.into_iter()
+            .flatten()
+            .chain(swarm.into_iter().flatten())
     }
 
     /// Translates one robot's home index into an engine index by matching
@@ -350,105 +425,6 @@ impl<P: Chat> Network<P> {
             .initial()
             .iter()
             .position(|&p| p.approx_eq(world))
-    }
-}
-
-/// A ready-made two-robot asynchronous chat session (protocol P5).
-///
-/// [`Async2`] has a simpler API than the swarm protocols (there is only
-/// one possible peer), so it gets its own small façade.
-#[derive(Debug)]
-pub struct AsyncPair {
-    engine: Engine<Async2>,
-}
-
-impl AsyncPair {
-    /// Creates a two-robot asynchronous session under a seeded fair
-    /// scheduler.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the two positions coincide.
-    pub fn new(a: Point, b: Point, policy: DriftPolicy, seed: u64) -> Result<Self, CoreError> {
-        Self::with_schedule(a, b, policy, seed, FairAsync::new(seed, 0.5, 16))
-    }
-
-    /// As [`AsyncPair::new`] with a caller-supplied scheduler.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the two positions coincide.
-    pub fn with_schedule<S: Schedule + 'static>(
-        a: Point,
-        b: Point,
-        policy: DriftPolicy,
-        seed: u64,
-        schedule: S,
-    ) -> Result<Self, CoreError> {
-        let engine = Engine::builder()
-            .positions([a, b])
-            .protocols([Async2::new(policy), Async2::new(policy)])
-            .schedule(WakeAllFirst::new(schedule))
-            .frame_seed(seed)
-            .build()?;
-        Ok(Self { engine })
-    }
-
-    /// Queues a message from robot `from` (0 or 1) to the other robot.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::UnknownDestination`] unless `from` is 0 or 1.
-    pub fn send(&mut self, from: usize, payload: &[u8]) -> Result<(), CoreError> {
-        if from > 1 {
-            return Err(CoreError::UnknownDestination {
-                dest: from,
-                cohort: 2,
-            });
-        }
-        self.engine.protocol_mut(from).send(payload);
-        Ok(())
-    }
-
-    /// Runs until both robots have drained their queues and received all
-    /// pending traffic, or `max_steps` elapse.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::Timeout`] / [`CoreError::Model`].
-    pub fn run_until_delivered(&mut self, max_steps: u64) -> Result<u64, CoreError> {
-        let expect: [usize; 2] = [
-            self.engine.protocol(1).inbox().len()
-                + usize::from(!self.engine.protocol(0).is_drained()),
-            self.engine.protocol(0).inbox().len()
-                + usize::from(!self.engine.protocol(1).is_drained()),
-        ];
-        let out = self
-            .engine
-            .run_until(max_steps, |e| {
-                e.protocol(0).is_drained()
-                    && e.protocol(1).is_drained()
-                    && e.protocol(1).inbox().len() >= expect[0]
-                    && e.protocol(0).inbox().len() >= expect[1]
-            })
-            .map_err(CoreError::from)?;
-        if out.satisfied {
-            Ok(out.steps_taken)
-        } else {
-            Err(CoreError::Timeout { steps: max_steps })
-        }
-    }
-
-    /// Messages received by robot `robot`.
-    #[must_use]
-    pub fn inbox(&self, robot: usize) -> &[Vec<u8>] {
-        self.engine.protocol(robot).inbox()
-    }
-
-    /// The underlying engine.
-    #[must_use]
-    pub fn engine(&self) -> &Engine<Async2> {
-        &self.engine
     }
 }
 
@@ -815,6 +791,11 @@ mod tests {
             net.broadcast(7, b"x"),
             Err(CoreError::UnknownDestination { .. })
         ));
+        // A pair has one peer, but it may not address itself either.
+        assert!(matches!(
+            pair(6).send(0, 0, b"x"),
+            Err(CoreError::SelfAddressed)
+        ));
     }
 
     #[test]
@@ -836,34 +817,37 @@ mod tests {
         assert!(matches!(net.send(0, 1, b"x"), Err(CoreError::Naming(_))));
     }
 
-    #[test]
-    fn async_pair_chat() {
-        let mut pair = AsyncPair::new(
+    fn pair(seed: u64) -> Network<Async2> {
+        Network::pair(
             Point::new(0.0, 0.0),
             Point::new(10.0, 0.0),
             DriftPolicy::Diverge,
-            9,
+            seed,
         )
-        .unwrap();
-        pair.send(0, b"marco").unwrap();
-        pair.send(1, b"polo").unwrap();
+        .unwrap()
+    }
+
+    #[test]
+    fn async_pair_chat() {
+        let mut pair = pair(9);
+        pair.send(0, 1, b"marco").unwrap();
+        pair.send(1, 0, b"polo").unwrap();
         pair.run_until_delivered(50_000).unwrap();
-        assert_eq!(pair.inbox(1), &[b"marco".to_vec()]);
-        assert_eq!(pair.inbox(0), &[b"polo".to_vec()]);
+        assert_eq!(pair.inbox(1), vec![(0, b"marco".to_vec())]);
+        assert_eq!(pair.inbox(0), vec![(1, b"polo".to_vec())]);
+        assert!(pair.all_delivered());
         assert!(!pair.engine().trace().is_empty());
     }
 
     #[test]
     fn async_pair_validation() {
-        let mut pair = AsyncPair::new(
-            Point::new(0.0, 0.0),
-            Point::new(10.0, 0.0),
-            DriftPolicy::Diverge,
-            10,
-        )
-        .unwrap();
+        let mut pair = pair(10);
         assert!(matches!(
-            pair.send(2, b"x"),
+            pair.send(2, 0, b"x"),
+            Err(CoreError::UnknownDestination { dest: 2, cohort: 2 })
+        ));
+        assert!(matches!(
+            pair.broadcast(2, b"x"),
             Err(CoreError::UnknownDestination { .. })
         ));
     }
@@ -880,6 +864,18 @@ mod tests {
             net.broadcast(0, &big),
             Err(CoreError::PayloadTooLarge { .. })
         ));
+        // One byte past the frame's limit is refused, not encoded.
+        let mut pair = pair(13);
+        let over = vec![0u8; stigmergy_coding::framing::MAX_PAYLOAD + 1];
+        assert!(matches!(
+            pair.send(0, 1, &over),
+            Err(CoreError::PayloadTooLarge { len }) if len == over.len()
+        ));
+        assert!(matches!(
+            pair.broadcast(1, &over),
+            Err(CoreError::PayloadTooLarge { .. })
+        ));
+        assert!(pair.all_delivered(), "nothing was queued");
     }
 
     #[test]

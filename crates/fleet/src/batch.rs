@@ -13,7 +13,7 @@
 
 use crate::metrics::MetricsSnapshot;
 use crate::pool::{run_indexed_observed, CancelToken};
-use crate::trace_codec::{encode, fingerprint, TraceEncoder};
+use crate::trace_codec::{fingerprint, TraceEncoder};
 use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
@@ -1005,9 +1005,10 @@ fn run_chat<P: Chat + 'static>(
     )
 }
 
-/// Builds the report from a finished engine: counters, the streamed trace
-/// encoding, and the collision invariant check. The session delivered iff
-/// `steps_to_delivery` is set.
+/// Builds the report from a finished engine: counters, the trace
+/// encoding (streamed, or replayed from a recorded trace), and the
+/// collision invariant check. The one place a finished session's report
+/// is built. The session delivered iff `steps_to_delivery` is set.
 fn finish<P: MovementProtocol>(
     spec: &SessionSpec,
     engine: &Engine<P>,
@@ -1073,35 +1074,23 @@ fn run_hardened(spec: &SessionSpec) -> RunReport {
         Err(e) => (false, Some(e.to_string())),
     };
     let stats = session.stats();
-    let engine = session.network().engine();
-    let work = engine.stats();
-    let trace = engine.trace();
-    let min_distance = trace.min_pairwise_distance();
-    let bytes = encode(trace);
     let corrupt = session
         .inbox(receiver)
         .iter()
         .filter(|(_, p)| p != &spec.payload)
         .count() as u64;
-    RunReport {
-        delivered,
-        steps_to_delivery: delivered.then_some(stats.movement_steps),
-        steps: work.steps,
-        activations: work.activations,
-        moves: work.moves,
-        faults: work.faults_injected,
-        retransmissions: stats.retransmissions,
+    let engine = session.network().engine();
+    let mut report = finish(
+        spec,
+        engine,
+        &TraceEncoder::from_trace(engine.trace()),
+        delivered.then_some(stats.movement_steps),
         corrupt,
-        delivered_bits: delivered_payload_bits(spec, delivered),
-        fec_corrected: stats.fec_corrected,
-        fec_rejected: stats.fec_rejected,
-        min_distance,
-        trace_len: bytes.len(),
-        trace_hash: fingerprint(&bytes),
-        trace: spec.keep_trace.then_some(bytes),
+        (stats.fec_corrected, stats.fec_rejected),
         error,
-        ..RunReport::unrun(spec)
-    }
+    );
+    report.retransmissions = stats.retransmissions;
+    report
 }
 
 /// Queues a stack's outgoing frames on robot `i`'s protocol and returns

@@ -73,23 +73,12 @@ fn put_point(out: &mut Vec<u8>, p: Point) {
 /// `position count u32 | points } | fault count u32 | tagged faults`.
 #[must_use]
 pub fn encode(trace: &Trace) -> Vec<u8> {
-    let initial = trace.initial();
-    let mut encoder = TraceEncoder::new(initial);
-    encoder
-        .steps
-        .reserve(trace.steps().len() * (16 + initial.len() * 16));
-    for step in trace.steps() {
-        encoder.record_step(step.time, &step.active, &step.positions);
-    }
-    for fault in trace.faults() {
-        encoder.record_fault(fault);
-    }
-    encoder.to_bytes()
+    TraceEncoder::from_trace(trace).to_bytes()
 }
 
 /// The one writer of the canonical layout: an incremental encoder that
-/// never materializes a [`Trace`] ([`encode`] replays a recorded one
-/// through it).
+/// never materializes a [`Trace`] ([`TraceEncoder::from_trace`] replays
+/// a recorded one through it).
 ///
 /// Feed it the engine's [`TraceEvent`] stream (via
 /// [`stigmergy_robots::Engine::observe_trace`]) and it appends each step
@@ -135,6 +124,24 @@ impl TraceEncoder {
             fault_count: 0,
             n,
         }
+    }
+
+    /// An encoder fed a recorded trace's steps and faults: what a
+    /// streaming encoder holds at the end of the same run.
+    #[must_use]
+    pub fn from_trace(trace: &Trace) -> Self {
+        let initial = trace.initial();
+        let mut encoder = Self::new(initial);
+        encoder
+            .steps
+            .reserve(trace.steps().len() * (16 + initial.len() * 16));
+        for step in trace.steps() {
+            encoder.record_step(step.time, &step.active, &step.positions);
+        }
+        for fault in trace.faults() {
+            encoder.record_fault(fault);
+        }
+        encoder
     }
 
     /// Appends one instant's record.
@@ -426,9 +433,9 @@ mod tests {
             .unit_frames()
             .schedule(RoundRobin)
             .sigma(1.0)
-            .faults(FaultPlan::new(seed).non_rigid(0.5, 0.5))
             .build()
             .unwrap();
+        e.set_fault_plan(FaultPlan::new(seed).non_rigid(0.5, 0.5));
         e.run(12).unwrap();
         e.trace().clone()
     }
@@ -500,16 +507,17 @@ mod tests {
         use std::rc::Rc;
 
         let build = |record: bool| {
-            Engine::builder()
+            let mut e = Engine::builder()
                 .positions([Point::new(0.0, 0.0), Point::new(7.0, 0.0)])
                 .protocols([Walker, Walker])
                 .unit_frames()
                 .schedule(RoundRobin)
                 .sigma(1.0)
-                .faults(FaultPlan::new(5).non_rigid(0.5, 0.5))
                 .record_trace(record)
                 .build()
-                .unwrap()
+                .unwrap();
+            e.set_fault_plan(FaultPlan::new(5).non_rigid(0.5, 0.5));
+            e
         };
         // Streaming engine: no in-memory step records at all.
         let mut streaming = build(false);

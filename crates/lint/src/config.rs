@@ -177,8 +177,10 @@ pub const FLOAT_EXEMPT_CRATE: &str = "geometry";
 /// protocols' duplicated destination resolvers and the parallel chat
 /// traits were folded into one of each; lowered to 0.142, the measured
 /// 0.1414 rounded up, once a range's `..` stopped reading as a method
-/// chain (`0..v.len()` now types `v`).
-pub const MAX_UNION_FRACTION: f64 = 0.142;
+/// chain (`0..v.len()` now types `v`); lowered to 0.139, the measured
+/// 0.1386 rounded up, once the pair façade folded into `Network` and
+/// the `pub` fns only their own tests called were deleted.
+pub const MAX_UNION_FRACTION: f64 = 0.139;
 
 /// The enum↔codec pairings inference cannot see. Every other codec —
 /// inherent or `impl Wire for E` — is paired with its enum by

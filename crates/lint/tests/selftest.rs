@@ -382,7 +382,7 @@ fn graph_stats_ratchet_holds_at_head() {
     );
     let text = String::from_utf8(out.stdout).expect("utf8");
     assert!(text.contains("\"union_fraction\":"), "{text}");
-    assert!(text.contains("\"max_union_fraction\":0.1420"), "{text}");
+    assert!(text.contains("\"max_union_fraction\":0.1390"), "{text}");
 }
 
 #[test]

@@ -501,9 +501,13 @@ impl<P: MovementProtocol> Engine<P> {
         &self.faults
     }
 
-    /// Replaces the fault plan. Layers that wrap an already-built engine
-    /// (the session networks) use this to inject faults; decisions for
-    /// instants not yet executed follow the new plan.
+    /// Installs a fault plan, replacing the benign one an engine is built
+    /// with: crash-stops, non-rigid motion, and observation dropouts
+    /// injected during execution, all decided deterministically from the
+    /// plan's seed. Decisions for instants not yet executed follow the new
+    /// plan. Every injected fault is recorded in the trace (when recording
+    /// is on), so a faulted run replays bit-for-bit from the same engine
+    /// configuration, seed and installation instant.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
         self.faults = plan;
     }
@@ -575,7 +579,6 @@ pub struct EngineBuilder<P> {
     global_clock: bool,
     visibility: Option<f64>,
     record: bool,
-    faults: Option<FaultPlan>,
 }
 
 impl<P> Default for EngineBuilder<P> {
@@ -601,7 +604,6 @@ impl<P> EngineBuilder<P> {
             global_clock: false,
             visibility: None,
             record: true,
-            faults: None,
         }
     }
 
@@ -692,18 +694,6 @@ impl<P> EngineBuilder<P> {
     #[must_use]
     pub fn record_trace(mut self, record: bool) -> Self {
         self.record = record;
-        self
-    }
-
-    /// Installs a fault plan: crash-stops, non-rigid motion, and
-    /// observation dropouts injected during execution, all decided
-    /// deterministically from the plan's seed. Every injected fault is
-    /// recorded in the trace (when recording is on), so a faulted run
-    /// replays bit-for-bit from the same engine configuration and seed.
-    /// Defaults to a benign plan.
-    #[must_use]
-    pub fn faults(mut self, plan: FaultPlan) -> Self {
-        self.faults = Some(plan);
         self
     }
 
@@ -820,7 +810,7 @@ impl<P> EngineBuilder<P> {
             global_clock: self.global_clock,
             visibility: self.visibility,
             record: self.record,
-            faults: self.faults.unwrap_or_else(|| FaultPlan::new(0)),
+            faults: FaultPlan::new(0),
             stats: EngineStats::default(),
             observer: None,
             min_pairwise,
@@ -1302,7 +1292,7 @@ mod tests {
     }
 
     fn faulted_walkers(plan: FaultPlan) -> Engine<Walker> {
-        Engine::builder()
+        let mut e = Engine::builder()
             .positions([Point::ORIGIN, Point::new(10.0, 0.0)])
             .protocols([
                 Walker {
@@ -1314,9 +1304,10 @@ mod tests {
             ])
             .unit_frames()
             .sigma(1.0)
-            .faults(plan)
             .build()
-            .unwrap()
+            .unwrap();
+        e.set_fault_plan(plan);
+        e
     }
 
     #[test]
@@ -1356,9 +1347,9 @@ mod tests {
                 CountOthers { counts: vec![] },
             ])
             .unit_frames()
-            .faults(FaultPlan::new(2).crash_stop(1, 0))
             .build()
             .unwrap();
+        e.set_fault_plan(FaultPlan::new(2).crash_stop(1, 0));
         e.run(4).unwrap();
         assert_eq!(
             e.protocol(0).counts,
@@ -1390,13 +1381,13 @@ mod tests {
             .frame_seed(9)
             .sigma(1.0)
             .global_clock()
-            .faults(
-                FaultPlan::new(6)
-                    .crash_stop(1, when)
-                    .observation_dropout(0.5),
-            )
             .build()
             .unwrap();
+        e.set_fault_plan(
+            FaultPlan::new(6)
+                .crash_stop(1, when)
+                .observation_dropout(0.5),
+        );
         e.run(16).unwrap();
         let frozen = e.positions()[1];
         let mut hidden = 0;
@@ -1466,9 +1457,9 @@ mod tests {
                 CountOthers { counts: vec![] },
             ])
             .unit_frames()
-            .faults(FaultPlan::new(5).observation_dropout(0.5))
             .build()
             .unwrap();
+        e.set_fault_plan(FaultPlan::new(5).observation_dropout(0.5));
         e.run(40).unwrap();
         let all: Vec<usize> = (0..3).flat_map(|i| e.protocol(i).counts.clone()).collect();
         assert!(all.iter().any(|&c| c < 2), "dropout never struck");
@@ -1549,14 +1540,14 @@ mod tests {
                 .unit_frames()
                 .sigma(1.0)
                 .record_trace(record)
-                .faults(
-                    FaultPlan::new(123)
-                        .crash_stop(0, 6)
-                        .non_rigid(0.3, 0.4)
-                        .observation_dropout(0.2),
-                )
                 .build()
                 .unwrap();
+            e.set_fault_plan(
+                FaultPlan::new(123)
+                    .crash_stop(0, 6)
+                    .non_rigid(0.3, 0.4)
+                    .observation_dropout(0.2),
+            );
             e.run(12).unwrap();
             e
         };
@@ -1760,9 +1751,9 @@ mod tests {
             .unit_frames()
             .sigma(1.0)
             .record_trace(false)
-            .faults(FaultPlan::new(77).non_rigid(0.25, 1.0))
             .build()
             .unwrap();
+        e.set_fault_plan(FaultPlan::new(77).non_rigid(0.25, 1.0));
         e.observe_trace(move |event| match event {
             TraceEvent::Step { .. } => *s.borrow_mut() += 1,
             TraceEvent::Fault(_) => *f.borrow_mut() += 1,
@@ -1817,9 +1808,9 @@ mod tests {
             .positions([Point::new(0.0, 0.0), Point::new(4.0, 0.0)])
             .protocols([Still, Still])
             .unit_frames()
-            .faults(FaultPlan::new(999))
             .build()
             .unwrap();
+        faulted.set_fault_plan(FaultPlan::new(999));
         faulted.run(5).unwrap();
         assert_eq!(plain.trace(), faulted.trace());
         assert!(faulted.fault_plan().is_benign());

@@ -166,13 +166,11 @@ impl Default for LocalFrame {
 ///   frame origin at `t0`).
 /// * Rotations: zero when the cohort has sense of direction, otherwise
 ///   seeded-random per robot.
-/// * Scales: seeded-random in `[0.5, 2)` (the paper's "own unit measure");
-///   [`FrameGenerator::with_unit_scale`] pins them to 1 for debugging.
+/// * Scales: seeded-random in `[0.5, 2)` (the paper's "own unit measure").
 #[derive(Debug, Clone)]
 pub struct FrameGenerator {
     rng: SplitMix64,
     sense_of_direction: bool,
-    randomize_scale: bool,
 }
 
 impl FrameGenerator {
@@ -182,15 +180,7 @@ impl FrameGenerator {
         Self {
             rng: SplitMix64::new(seed),
             sense_of_direction,
-            randomize_scale: true,
         }
-    }
-
-    /// Pins every frame's scale to 1 (keeps rotations).
-    #[must_use]
-    pub fn with_unit_scale(mut self) -> Self {
-        self.randomize_scale = false;
-        self
     }
 
     /// Generates one frame per initial position.
@@ -204,11 +194,7 @@ impl FrameGenerator {
                 } else {
                     self.rng.next_f64() * std::f64::consts::TAU
                 };
-                let scale = if self.randomize_scale {
-                    0.5 + 1.5 * self.rng.next_f64()
-                } else {
-                    1.0
-                };
+                let scale = 0.5 + 1.5 * self.rng.next_f64();
                 LocalFrame::new(p, rotation, scale)
             })
             .collect()
@@ -364,13 +350,6 @@ mod tests {
         let mut generator = FrameGenerator::new(5, false);
         let frames = generator.frames(&[Point::ORIGIN, Point::new(3.0, 3.0)]);
         assert_ne!(frames[0].rotation(), frames[1].rotation());
-    }
-
-    #[test]
-    fn unit_scale_option() {
-        let mut generator = FrameGenerator::new(5, false).with_unit_scale();
-        let frames = generator.frames(&[Point::ORIGIN, Point::new(1.0, 1.0)]);
-        assert!(frames.iter().all(|f| f.scale() == 1.0));
     }
 
     #[test]

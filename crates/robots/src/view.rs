@@ -97,15 +97,6 @@ impl View {
         self.crashed.dedup();
     }
 
-    /// Attaches a global-clock reading (the engine sets this only when the
-    /// cohort is granted a global clock — the paper's §5 "GPS input"
-    /// assumption used by self-stabilization).
-    #[must_use]
-    pub fn with_time(mut self, time: Option<u64>) -> Self {
-        self.time = time;
-        self
-    }
-
     /// The global-clock reading, if the cohort has one.
     #[must_use]
     pub fn time(&self) -> Option<u64> {
@@ -245,7 +236,8 @@ mod tests {
     #[test]
     fn in_place_assembly_matches_new() {
         let others = vec![obs(2.0, 0.0), obs(-1.0, 5.0), obs(2.0, -3.0)];
-        let by_value = View::new(obs(0.0, 0.0), others.clone(), 1.5).with_time(Some(3));
+        let mut by_value = View::new(obs(0.0, 0.0), others.clone(), 1.5);
+        by_value.time = Some(3);
         let mut reused = View::new(obs(9.0, 9.0), vec![obs(7.0, 7.0)], 0.1);
         reused.reset(obs(0.0, 0.0), 1.5, Some(3));
         for o in others {
@@ -286,7 +278,8 @@ mod tests {
     fn time_defaults_to_none_and_attaches() {
         let view = View::new(obs(0.0, 0.0), vec![], 1.0);
         assert_eq!(view.time(), None);
-        let timed = view.clone().with_time(Some(9));
+        let mut timed = view.clone();
+        timed.time = Some(9);
         assert_eq!(timed.time(), Some(9));
         // Translation preserves the clock.
         assert_eq!(

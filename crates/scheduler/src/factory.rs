@@ -14,7 +14,6 @@
 //! server can reject a spec at admission instead of panicking a session.
 //! Its wire codec lives in [`crate::wire`].
 
-use crate::activation::ActivationSet;
 use crate::adversary::{Bursty, CrashFiltered, FaultPlan, LaggingRobot, WorstCaseFair};
 use crate::schedules::{FairAsync, RoundRobin, Scripted, SingleActive, Synchronous};
 use crate::Schedule;
@@ -533,16 +532,16 @@ fn _assert_send_sync() {
     assert_send_sync::<CodingSpec>();
 }
 
-/// The activation sequence of a built schedule, for tests.
-#[must_use]
-pub fn activation_prefix(spec: &ScheduleSpec, n: usize, len: u64) -> Vec<ActivationSet> {
-    let mut schedule = spec.build(n);
-    (0..len).map(|t| schedule.activations(t, n)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::activation::ActivationSet;
+
+    /// The activation sequence of a built schedule.
+    fn activation_prefix(spec: &ScheduleSpec, n: usize, len: u64) -> Vec<ActivationSet> {
+        let mut schedule = spec.build(n);
+        (0..len).map(|t| schedule.activations(t, n)).collect()
+    }
 
     fn all_specs() -> Vec<ScheduleSpec> {
         vec![

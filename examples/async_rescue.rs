@@ -12,20 +12,20 @@
 //! harshest fair adversary wakes exactly one robot per instant.
 
 use stigmergy::async2::DriftPolicy;
-use stigmergy::session::{AsyncNetwork, AsyncPair};
+use stigmergy::session::{AsyncNetwork, Network};
 use stigmergy_geometry::Point;
 use stigmergy_scheduler::SingleActive;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- Scenario 1: a drifting pair -----------------------------------
-    let mut pair = AsyncPair::new(
+    let mut pair = Network::pair(
         Point::new(0.0, 0.0),
         Point::new(20.0, 0.0),
         DriftPolicy::Diverge,
         1234,
     )?;
-    pair.send(0, b"found survivor, grid C4")?;
-    pair.send(1, b"medkit en route")?;
+    pair.send(0, 1, b"found survivor, grid C4")?;
+    pair.send(1, 0, b"medkit en route")?;
     let instants = pair.run_until_delivered(200_000)?;
     println!("pair chat complete after {instants} asynchronous instants");
     println!("  robot 1 received: {:?}", text(pair.inbox(1)));
@@ -36,13 +36,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // The bounded-drift variant trades drift for ever-smaller steps.
-    let mut bounded = AsyncPair::new(
+    let mut bounded = Network::pair(
         Point::new(0.0, 0.0),
         Point::new(20.0, 0.0),
         DriftPolicy::AlternateContract { x: 2.0 },
         1234,
     )?;
-    bounded.send(0, b"found survivor, grid C4")?;
+    bounded.send(0, 1, b"found survivor, grid C4")?;
     bounded.run_until_delivered(200_000)?;
     println!(
         "  with AlternateContract: drift only {:.2} units\n",
@@ -61,13 +61,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     swarm.send(2, 4, b"rally")?;
     let instants = swarm.run_until_delivered(2_000_000)?;
     println!("swarm delivery under SingleActive took {instants} instants");
-    println!("  robot 4 received: {:?}", {
-        swarm
-            .inbox(4)
-            .into_iter()
-            .map(|(s, p)| (s, String::from_utf8_lossy(&p).into_owned()))
-            .collect::<Vec<_>>()
-    });
+    println!("  robot 4 received: {:?}", text(swarm.inbox(4)));
 
     // Fairness audit: the trace proves the scheduler honoured the model.
     let log = swarm.engine().trace().activation_log();
@@ -80,8 +74,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-fn text(msgs: &[Vec<u8>]) -> Vec<String> {
-    msgs.iter()
-        .map(|m| String::from_utf8_lossy(m).into_owned())
+/// An inbox as `(sender, text)` pairs.
+fn text(inbox: Vec<(usize, Vec<u8>)>) -> Vec<(usize, String)> {
+    inbox
+        .into_iter()
+        .map(|(sender, p)| (sender, String::from_utf8_lossy(&p).into_owned()))
         .collect()
 }

@@ -2,7 +2,7 @@
 //! and payload shape.
 
 use stigmergy::async2::DriftPolicy;
-use stigmergy::session::{AsyncNetwork, AsyncPair, SyncNetwork};
+use stigmergy::session::{AsyncNetwork, Network, SyncNetwork};
 use stigmergy_geometry::Point;
 use stigmergy_integration::ring;
 use stigmergy_scheduler::{FairAsync, RoundRobin, SingleActive};
@@ -82,19 +82,19 @@ fn long_message_delivery() {
 #[test]
 fn async_pair_duplex_over_many_seeds() {
     for seed in 0..5u64 {
-        let mut pair = AsyncPair::new(
+        let mut pair = Network::pair(
             Point::new(0.0, 0.0),
             Point::new(14.0, 3.0),
             DriftPolicy::Diverge,
             seed,
         )
         .unwrap();
-        pair.send(0, &[seed as u8, 1, 2]).unwrap();
-        pair.send(1, &[0xFF, seed as u8]).unwrap();
+        pair.send(0, 1, &[seed as u8, 1, 2]).unwrap();
+        pair.send(1, 0, &[0xFF, seed as u8]).unwrap();
         pair.run_until_delivered(300_000)
             .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
-        assert_eq!(pair.inbox(1), &[vec![seed as u8, 1, 2]]);
-        assert_eq!(pair.inbox(0), &[vec![0xFF, seed as u8]]);
+        assert_eq!(pair.inbox(1), vec![(0, vec![seed as u8, 1, 2])]);
+        assert_eq!(pair.inbox(0), vec![(1, vec![0xFF, seed as u8])]);
     }
 }
 
