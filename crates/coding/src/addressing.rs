@@ -9,7 +9,6 @@
 //! experiment E4.
 
 use crate::CodingError;
-use serde::{Deserialize, Serialize};
 
 /// Encodes `value` as exactly `digits` base-`radix` digits, most significant
 /// first.
@@ -92,7 +91,7 @@ pub fn digits_for(n: usize, radix: usize) -> usize {
 /// the payload costs one move per bit. With the full `2n`-slice keyboard
 /// the address is free (it is the slice choice), which is the `k = n` row
 /// of experiment E4.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AddressedCost {
     /// Moves spent on the address digits.
     pub address_moves: usize,

@@ -14,20 +14,19 @@
 
 use crate::bits::{Bit, BitString};
 use crate::CodingError;
-use serde::{Deserialize, Serialize};
 
 /// A symbol alphabet realised as quantized displacement levels.
 ///
 /// Symbols `0 .. levels` map to the zero side (fractions of increasing
 /// magnitude); symbols `levels .. 2·levels` map to the one side.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LevelAlphabet {
     levels: usize,
 }
 
 /// A decoded or to-be-encoded displacement: which side and what fraction of
 /// the maximal lateral distance.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Displacement {
     /// `false` = zero side (right/North-East), `true` = one side.
     pub one_side: bool,
@@ -174,7 +173,7 @@ impl LevelAlphabet {
 /// `fraction · levels` to the nearest integer, and anything below half
 /// the lowest level ([`MagnitudeAlphabet::silence_threshold`]) is
 /// *silence*, never a symbol.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MagnitudeAlphabet {
     levels: usize,
 }

@@ -1,11 +1,10 @@
 //! Bits, bit strings, and FIFO bit queues.
 
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::fmt;
 
 /// A single bit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Bit {
     /// Binary 0 — sent by a move on the zero side (right / Northern-Eastern).
     Zero,
@@ -65,7 +64,7 @@ impl From<Bit> for bool {
 ///
 /// The unit of everything the movement channel carries: messages are framed
 /// into a `BitString`, and decoders accumulate observed moves back into one.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct BitString {
     bits: Vec<Bit>,
 }
@@ -247,7 +246,7 @@ impl<'a> IntoIterator for &'a BitString {
 }
 
 /// A FIFO queue of bits: a sender's outbox at the movement layer.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BitQueue {
     queue: VecDeque<Bit>,
 }

@@ -12,11 +12,10 @@
 //! last [`ChangeTracker::reset`] (= since the current movement stint
 //! began).
 
-use serde::{Deserialize, Serialize};
 use stigmergy_geometry::Point;
 
 /// Counts observed position changes per peer since the last reset.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChangeTracker {
     last: Vec<Option<Point>>,
     counts: Vec<u32>,
@@ -129,7 +128,7 @@ pub(crate) fn same_bits(a: Point, b: Point) -> bool {
 /// step budget of `initial_budget × backoff_factor^k`, and after
 /// `max_attempts` failed attempts the sender gives up on the movement
 /// channel and degrades to its secondary channel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetransmitPolicy {
     max_attempts: u32,
     initial_budget: u64,
@@ -205,7 +204,7 @@ pub const MAX_PRESSURE: u32 = 6;
 /// movement attempt before failover. Clean (uncorrected) deliveries
 /// decay pressure one point at a time, restoring the configured budgets
 /// once the channel behaves again.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AdaptiveBudget {
     policy: RetransmitPolicy,
     pressure: u32,

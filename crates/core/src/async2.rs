@@ -40,7 +40,6 @@
 
 use crate::ack::ChangeTracker;
 use crate::session::Chat;
-use serde::{Deserialize, Serialize};
 use stigmergy_coding::bits::BitQueue;
 use stigmergy_coding::framing::{encode_frame, FrameDecoder};
 use stigmergy_coding::Bit;
@@ -48,7 +47,7 @@ use stigmergy_geometry::{Point, Vec2};
 use stigmergy_robots::{MovementProtocol, View};
 
 /// How the robots manage their drift along the horizon line (§4.1).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum DriftPolicy {
     /// The base protocol: always walk away from the peer with constant
     /// steps. Robust, but the robots drift apart without bound.

@@ -26,7 +26,6 @@
 use crate::ack::same_bits;
 use crate::preprocess::{NamingScheme, SwarmGeometry};
 use crate::CoreError;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
 use stigmergy_coding::bits::BitQueue;
 use stigmergy_coding::framing::{encode_frame, FrameDecoder};
@@ -36,7 +35,7 @@ use stigmergy_geometry::Point;
 use stigmergy_robots::{View, VisibleId};
 
 /// A message delivered to this observer.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InboxEntry {
     /// Sender, as a home index of the observer's [`SwarmGeometry`].
     pub sender: usize,
@@ -45,7 +44,7 @@ pub struct InboxEntry {
 }
 
 /// A message this observer decoded for someone else (redundancy log).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OverheardEntry {
     /// Sender home index.
     pub sender: usize,
@@ -344,7 +343,7 @@ impl ClassifyMemo {
 }
 
 /// A zone on a keyboard, for transition detection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ZoneKey {
     /// At the keyboard centre.
     Center,

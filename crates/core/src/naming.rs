@@ -18,7 +18,6 @@
 //! [`rotational_symmetries`] detects configurations whose symmetry rules
 //! out any *common* deterministic naming without sense of direction.
 
-use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
 use stigmergy_geometry::{smallest_enclosing_circle, Angle, Point, Tolerance};
@@ -77,7 +76,7 @@ impl From<stigmergy_geometry::GeometryError> for NamingError {
 }
 
 /// A bijection between robot input indices and labels `0..n`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Labeling {
     /// `by_label[l]` = input index of the robot labelled `l`.
     by_label: Vec<usize>,

@@ -17,14 +17,13 @@
 
 use crate::naming::{label_by_id, label_by_lex, label_by_sec, Labeling, NamingError};
 use crate::CoreError;
-use serde::{Deserialize, Serialize};
 use stigmergy_geometry::granular::{SliceZone, SlicedGranular};
 use stigmergy_geometry::voronoi::granular_radius;
 use stigmergy_geometry::{smallest_enclosing_circle, Point, Tolerance, Vec2};
 use stigmergy_robots::{Capabilities, View, VisibleId};
 
 /// Which naming mechanism the cohort uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NamingScheme {
     /// Observable-ID order (§3.2) — requires identified robots.
     ById,
@@ -100,7 +99,7 @@ impl NamingScheme {
 /// the view order (sorted by local coordinates). Home positions never
 /// change: every protocol returns robots to (or keeps them within a
 /// granular of) their `P(t0)` position.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SwarmGeometry {
     homes: Vec<Point>,
     ids: Option<Vec<VisibleId>>,

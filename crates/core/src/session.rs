@@ -385,7 +385,8 @@ impl<P: Chat> Network<P> {
     /// Robot `robot`'s inbox as `(sender_engine_index, payload)` pairs.
     ///
     /// A swarm's inbox is empty before the first instant (geometry not
-    /// yet built).
+    /// yet built), and the inbox of an index outside the cohort is empty:
+    /// no such robot received anything.
     #[must_use]
     pub fn inbox(&self, robot: usize) -> Vec<(usize, Vec<u8>)> {
         self.received(robot)
@@ -398,18 +399,18 @@ impl<P: Chat> Network<P> {
     /// whose world home matches the entry's sender (entries that match
     /// none are skipped).
     fn received(&self, robot: usize) -> impl Iterator<Item = (usize, &[u8])> {
-        let protocol = self.engine.protocol(robot);
-        let pair = self
-            .naming
-            .is_none()
-            .then(|| protocol.payloads().map(move |p| (1 - robot, p)));
-        let swarm = protocol.swarm_geometry().map(|g| {
-            protocol.inbox_entries().iter().filter_map(move |e| {
+        let protocol = self.engine.protocols().get(robot);
+        let pair = protocol
+            .filter(|_| self.naming.is_none())
+            .map(|protocol| protocol.payloads().map(move |p| (1 - robot, p)));
+        let swarm = protocol.and_then(|protocol| {
+            let g = protocol.swarm_geometry()?;
+            Some(protocol.inbox_entries().iter().filter_map(move |e| {
                 Some((
                     self.home_to_engine(robot, g, e.sender)?,
                     e.payload.as_slice(),
                 ))
-            })
+            }))
         });
         pair.into_iter()
             .flatten()
@@ -679,7 +680,8 @@ impl HardenedSession {
     }
 
     /// Robot `robot`'s combined inbox: movement deliveries first, then
-    /// secondary-channel recoveries, each as `(sender, payload)`.
+    /// secondary-channel recoveries, each as `(sender, payload)`. Empty
+    /// for an index outside the cohort.
     #[must_use]
     pub fn inbox(&self, robot: usize) -> Vec<(usize, Vec<u8>)> {
         let mut entries = self.net.inbox(robot);
@@ -883,6 +885,35 @@ mod tests {
         let net = SyncNetwork::anonymous_with_direction(triangle(), 11).unwrap();
         assert!(net.inbox(0).is_empty());
         assert_eq!(net.cohort(), 3);
+    }
+
+    #[test]
+    fn inbox_outside_the_cohort_is_empty() {
+        let mut swarm = SyncNetwork::anonymous_with_direction(triangle(), 11).unwrap();
+        swarm.send(0, 2, b"in range").unwrap();
+        swarm.run_until_delivered(10_000).unwrap();
+        let mut pair = pair(12);
+        pair.send(0, 1, b"in range").unwrap();
+        pair.run_until_delivered(50_000).unwrap();
+        let mut hardened = HardenedSession::new(
+            triangle(),
+            23,
+            RetransmitPolicy::default(),
+            Wireless::reliable(23),
+        )
+        .unwrap();
+        hardened.send(0, 2, b"in range").unwrap();
+        for robot in [swarm.cohort(), usize::MAX] {
+            assert!(swarm.inbox(robot).is_empty(), "swarm {robot}");
+        }
+        for robot in [pair.cohort(), usize::MAX] {
+            assert!(pair.inbox(robot).is_empty(), "pair {robot}");
+        }
+        for robot in [hardened.network().cohort(), usize::MAX] {
+            assert!(hardened.inbox(robot).is_empty(), "hardened {robot}");
+        }
+        assert!(!swarm.inbox(2).is_empty() && !pair.inbox(1).is_empty());
+        assert!(!hardened.inbox(2).is_empty());
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! over the [`RunReport`]s the worker pool returns, so its bytes follow
 //! from the reports alone — the same at any worker count. Snapshots are
 //! plain data, compare with `==`, [`MetricsSnapshot::merge`] by
-//! addition, and serialize themselves to JSON by hand (the vendored
-//! serde shim never serializes at runtime). The atomic [`Histogram`]
+//! addition, and serialize themselves to JSON by hand, like every other
+//! serialization in the workspace. The atomic [`Histogram`]
 //! serves sinks that several threads record into at once, such as the
 //! gateway's latency metrics.
 
@@ -170,8 +170,7 @@ pub const COUNT_BOUNDS: [u64; 8] = [0, 1, 2, 4, 8, 16, 64, 256];
 ///
 /// Every field is a plain `u64` sum, including each histogram bin, so
 /// snapshots compare with `==`, merge by addition, and serialize
-/// themselves to JSON by hand (the vendored serde shim never serializes
-/// at runtime).
+/// themselves to JSON by hand.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MetricsSnapshot {
     /// Sessions recorded.

@@ -1,7 +1,7 @@
 //! A compact, canonical byte encoding for traces.
 //!
-//! The vendored serde shim never serializes at runtime, so the fleet
-//! carries its own codec. The encoding is canonical: positions are
+//! The workspace's only serialization is hand-written codecs, and this
+//! is the one for traces. The encoding is canonical: positions are
 //! written as the raw IEEE-754 bit patterns (`f64::to_bits`, little
 //! endian), so two traces encode to the same bytes **iff** they are
 //! bit-for-bit the same run — the representation the determinism

@@ -7,7 +7,6 @@
 
 use crate::point::Vec2;
 use crate::GeometryError;
-use serde::{Deserialize, Serialize};
 use std::f64::consts::TAU;
 use std::fmt;
 
@@ -16,7 +15,7 @@ use std::fmt;
 /// Stored in radians. Ordering is the numeric ordering of the normalized
 /// value, which corresponds to *clockwise* sweep order when angles are
 /// produced by [`Angle::clockwise_from`].
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct Angle(f64);
 
 impl Angle {

@@ -5,8 +5,6 @@
 //! same". Every comparison in this workspace goes through an explicit
 //! [`Tolerance`] so that the precision assumptions are visible and tunable.
 
-use serde::{Deserialize, Serialize};
-
 /// Default absolute tolerance used by the free functions.
 ///
 /// Chosen far above `f64` rounding noise for coordinates of magnitude up to
@@ -18,7 +16,7 @@ pub const DEFAULT_EPS: f64 = 1e-9;
 ///
 /// Two values `a`, `b` are considered equal when
 /// `|a - b| <= abs + rel * max(|a|, |b|)`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Tolerance {
     /// Absolute tolerance component.
     pub abs: f64,

@@ -3,11 +3,10 @@
 use crate::approx::Tolerance;
 use crate::point::{orient, Point};
 use crate::GeometryError;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A circle (and, for containment purposes, the closed disc it bounds).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Circle {
     /// Centre of the circle.
     pub center: Point,

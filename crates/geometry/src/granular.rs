@@ -22,13 +22,12 @@ use crate::angle::Angle;
 use crate::approx::Tolerance;
 use crate::point::{banded_cmp, Point, Vec2};
 use crate::GeometryError;
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::f64::consts::PI;
 use std::fmt;
 
 /// Which half of a diameter a move is on: the bit it encodes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SliceSide {
     /// The `+d_k` half (Northern/Eastern): encodes bit 0.
     Zero,
@@ -73,7 +72,7 @@ impl fmt::Display for SliceSide {
 }
 
 /// Where within a granular an observed position lies.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SliceZone {
     /// At (or indistinguishably near) the centre.
     Center,
@@ -94,12 +93,8 @@ pub enum SliceZone {
 ///
 /// The slice directions and the unit reference [`SlicedGranular::classify`]
 /// measures from are fixed by construction, so they are evaluated once
-/// there, with the expressions the lookups would otherwise repeat. A
-/// keyboard serializes as its centre, radius, slice count and reference,
-/// and is tabulated again when deserialized, so its tables always match
-/// its reference.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-#[serde(try_from = "KeyboardParts", into = "KeyboardParts")]
+/// there, with the expressions the lookups would otherwise repeat.
+#[derive(Debug, Clone, PartialEq)]
 pub struct SlicedGranular {
     center: Point,
     radius: f64,
@@ -112,39 +107,6 @@ pub struct SlicedGranular {
     zero_directions: Vec<Vec2>,
 }
 
-/// What a [`SlicedGranular`] serializes as: its centre, radius, slice
-/// count and normalized reference, without the tables derived from them.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct KeyboardParts {
-    center: Point,
-    radius: f64,
-    slices: usize,
-    reference: Vec2,
-}
-
-impl From<SlicedGranular> for KeyboardParts {
-    fn from(g: SlicedGranular) -> Self {
-        Self {
-            center: g.center,
-            radius: g.radius,
-            slices: g.slice_count(),
-            reference: g.reference,
-        }
-    }
-}
-
-impl TryFrom<KeyboardParts> for SlicedGranular {
-    type Error = GeometryError;
-
-    /// Tabulates the keyboard again. The reference is kept as stored: it
-    /// was normalized when the keyboard was made, and normalizing it a
-    /// second time could move its last bits.
-    fn try_from(parts: KeyboardParts) -> Result<Self, GeometryError> {
-        check_shape(parts.radius, parts.slices)?;
-        Self::tabulated(parts.center, parts.radius, parts.slices, parts.reference)
-    }
-}
-
 /// [`banded_cmp`] of `d·(1 − rel)` against `r + abs`, given the squared
 /// distance `d²`: `tol.le(d, r)` holds exactly when `d·(1 − rel) ≤
 /// r + abs`, and `tol.zero(d)` is the same test with `r = 0`. Only for
@@ -154,18 +116,6 @@ impl TryFrom<KeyboardParts> for SlicedGranular {
 fn tol_cmp(tol: Tolerance, dist_sq: f64, r: f64) -> Option<Ordering> {
     let shrink = (tol.abs >= 0.0 && (0.0..=0.5).contains(&tol.rel)).then_some(1.0 - tol.rel)?;
     banded_cmp(dist_sq * shrink * shrink, r + tol.abs)
-}
-
-/// [`SlicedGranular::with_reference`]'s checks on the radius and the
-/// slice count.
-fn check_shape(radius: f64, slices: usize) -> Result<(), GeometryError> {
-    if radius.is_nan() || radius <= 0.0 {
-        return Err(GeometryError::NonPositiveRadius);
-    }
-    if slices == 0 {
-        return Err(GeometryError::TooFewPoints { needed: 1, got: 0 });
-    }
-    Ok(())
 }
 
 impl SlicedGranular {
@@ -195,17 +145,13 @@ impl SlicedGranular {
         slices: usize,
         reference: Vec2,
     ) -> Result<Self, GeometryError> {
-        check_shape(radius, slices)?;
-        Self::tabulated(center, radius, slices, reference.normalized()?)
-    }
-
-    /// The keyboard on `reference`, already normalized, with its tables.
-    fn tabulated(
-        center: Point,
-        radius: f64,
-        slices: usize,
-        reference: Vec2,
-    ) -> Result<Self, GeometryError> {
+        if radius.is_nan() || radius <= 0.0 {
+            return Err(GeometryError::NonPositiveRadius);
+        }
+        if slices == 0 {
+            return Err(GeometryError::TooFewPoints { needed: 1, got: 0 });
+        }
+        let reference = reference.normalized()?;
         let zero_directions = (0..slices)
             .map(|slice| {
                 let theta = (slice as f64) * PI / (slices as f64);
@@ -649,38 +595,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn parts_rebuild_the_tables() {
-        let mut draws = crate::uniform_draws(0x9A27);
-        let mut next = move || draws.next().expect("endless");
-        for n in 1..=9usize {
-            let reference = Vec2::new(next() - 0.5, next() - 0.5);
-            let g = SlicedGranular::with_reference(Point::new(next(), -next()), 0.5, n, reference)
-                .unwrap();
-            let rebuilt = SlicedGranular::try_from(KeyboardParts::from(g.clone())).unwrap();
-            assert_eq!(format!("{rebuilt:?}"), format!("{g:?}"), "n={n}");
-        }
-        let parts = |radius, slices, reference| KeyboardParts {
-            center: Point::ORIGIN,
-            radius,
-            slices,
-            reference,
-        };
-        let refused = |p| SlicedGranular::try_from(p).unwrap_err();
-        assert_eq!(
-            refused(parts(0.0, 3, Vec2::NORTH)),
-            GeometryError::NonPositiveRadius
-        );
-        assert!(matches!(
-            refused(parts(1.0, 0, Vec2::NORTH)),
-            GeometryError::TooFewPoints { .. }
-        ));
-        assert_eq!(
-            refused(parts(1.0, 3, Vec2::new(0.0, 0.0))),
-            GeometryError::ZeroDirection
-        );
     }
 
     #[test]

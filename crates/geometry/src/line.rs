@@ -9,11 +9,10 @@
 use crate::approx::Tolerance;
 use crate::point::{Point, Vec2};
 use crate::GeometryError;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Which side of a directed line a point lies on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Side {
     /// Counter-clockwise of the line direction (positive cross product).
     Left,
@@ -35,7 +34,7 @@ impl fmt::Display for Side {
 }
 
 /// An infinite directed line through `origin` with unit direction `dir`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Line {
     origin: Point,
     dir: Vec2,
@@ -140,7 +139,7 @@ impl fmt::Display for Line {
 }
 
 /// A closed segment between two points.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Segment {
     /// First endpoint.
     pub a: Point,
@@ -166,18 +165,6 @@ impl Segment {
     pub fn at(&self, t: f64) -> Point {
         self.a.lerp(self.b, t)
     }
-
-    /// Closest point on the segment to `p`.
-    #[must_use]
-    pub fn closest_point(&self, p: Point) -> Point {
-        let d = self.b - self.a;
-        let len_sq = d.norm_sq();
-        if len_sq == 0.0 {
-            return self.a;
-        }
-        let t = ((p - self.a).dot(d) / len_sq).clamp(0.0, 1.0);
-        self.at(t)
-    }
 }
 
 impl fmt::Display for Segment {
@@ -187,7 +174,7 @@ impl fmt::Display for Segment {
 }
 
 /// A closed half-plane: the set of points on or left of a directed line.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HalfPlane {
     boundary: Line,
 }
@@ -320,15 +307,6 @@ mod tests {
         let s = Segment::new(Point::new(0.0, 0.0), Point::new(4.0, 0.0));
         assert_eq!(s.length(), 4.0);
         assert_eq!(s.at(0.5), Point::new(2.0, 0.0));
-        assert_eq!(s.closest_point(Point::new(2.0, 3.0)), Point::new(2.0, 0.0));
-        assert_eq!(s.closest_point(Point::new(-2.0, 0.0)), Point::new(0.0, 0.0));
-        assert_eq!(s.closest_point(Point::new(9.0, 0.0)), Point::new(4.0, 0.0));
-    }
-
-    #[test]
-    fn degenerate_segment_closest_point() {
-        let s = Segment::new(Point::new(1.0, 1.0), Point::new(1.0, 1.0));
-        assert_eq!(s.closest_point(Point::new(5.0, 5.0)), Point::new(1.0, 1.0));
     }
 
     #[test]

@@ -14,10 +14,9 @@ use crate::approx::Tolerance;
 use crate::line::HalfPlane;
 use crate::point::Point;
 use crate::GeometryError;
-use serde::{Deserialize, Serialize};
 
 /// The Voronoi cell of one site, as an intersection of half-planes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VoronoiCell {
     site: Point,
     constraints: Vec<HalfPlane>,

@@ -6,11 +6,10 @@
 //! assumed throughout the paper's model, so it is always on here; the other
 //! two vary per protocol.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The capabilities a robot cohort is granted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Capabilities {
     observable_ids: bool,
     sense_of_direction: bool,

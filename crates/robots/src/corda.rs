@@ -266,12 +266,6 @@ impl<P: MovementProtocol> CordaEngine<P> {
     pub fn time(&self) -> u64 {
         self.time
     }
-
-    /// The maximum Look→Move delay.
-    #[must_use]
-    pub fn max_delay(&self) -> u64 {
-        self.max_delay
-    }
 }
 
 #[cfg(test)]
@@ -368,6 +362,5 @@ mod tests {
         .unwrap();
         let hit = e.run_until(200, |e| e.positions()[0].y >= 5.0).unwrap();
         assert!(hit);
-        assert_eq!(e.max_delay(), 2);
     }
 }

@@ -10,7 +10,6 @@
 //! When the cohort has *sense of direction*, every frame's rotation is zero
 //! (they agree on North); otherwise rotations are arbitrary per robot.
 
-use serde::{Deserialize, Serialize};
 use stigmergy_geometry::{Point, Rotation, Vec2};
 use stigmergy_scheduler::rng::SplitMix64;
 
@@ -19,12 +18,8 @@ use stigmergy_scheduler::rng::SplitMix64;
 /// `local = R(−rotation) · (world − origin) / scale`
 ///
 /// Both rotations are fixed when the frame is made, so their sines and
-/// cosines are evaluated once there rather than on every mapping. A frame
-/// serializes as its origin, angle and scale and is rebuilt through
-/// [`LocalFrame::new`], so a deserialized frame's rotations always match
-/// its angle.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-#[serde(try_from = "FrameParts", into = "FrameParts")]
+/// cosines are evaluated once there rather than on every mapping.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LocalFrame {
     origin: Point,
     rotation: f64,
@@ -119,38 +114,6 @@ impl LocalFrame {
     #[must_use]
     pub fn len_to_world(&self, local_len: f64) -> f64 {
         local_len * self.scale
-    }
-}
-
-/// What a [`LocalFrame`] serializes as: the parameters
-/// [`LocalFrame::new`] takes, without the rotations it derives from them.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-struct FrameParts {
-    origin: Point,
-    rotation: f64,
-    scale: f64,
-}
-
-impl From<LocalFrame> for FrameParts {
-    fn from(f: LocalFrame) -> Self {
-        Self {
-            origin: f.origin,
-            rotation: f.rotation,
-            scale: f.scale,
-        }
-    }
-}
-
-impl TryFrom<FrameParts> for LocalFrame {
-    type Error = &'static str;
-
-    /// [`LocalFrame::new`], refusing the non-positive scale it panics on.
-    fn try_from(parts: FrameParts) -> Result<Self, Self::Error> {
-        if parts.scale > 0.0 {
-            Ok(Self::new(parts.origin, parts.rotation, parts.scale))
-        } else {
-            Err("frame scale must be positive (chirality forbids reflection)")
-        }
     }
 }
 
@@ -258,24 +221,6 @@ mod tests {
                 let bits = |w: [Vec2; 4]| w.map(|v| (v.x.to_bits(), v.y.to_bits()));
                 assert_eq!(bits(got), bits(mappings_uncached(f, p)), "{f:?} {p}");
             }
-        }
-    }
-
-    #[test]
-    fn parts_rebuild_the_cached_rotations() {
-        let mut frames = FrameGenerator::new(11, false).frames(&[Point::new(2.0, -3.0); 8]);
-        frames.push(LocalFrame::new(Point::new(-0.0, 0.0), -0.0, 1.0));
-        for f in frames {
-            let rebuilt = LocalFrame::try_from(FrameParts::from(f)).expect("positive scale");
-            assert_eq!(format!("{rebuilt:?}"), format!("{f:?}"));
-        }
-        let parts = |scale| FrameParts {
-            origin: Point::ORIGIN,
-            rotation: 1.0,
-            scale,
-        };
-        for scale in [0.0, -1.0, f64::NAN] {
-            assert!(LocalFrame::try_from(parts(scale)).is_err(), "{scale}");
         }
     }
 

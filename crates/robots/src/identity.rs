@@ -5,14 +5,13 @@
 //! engine attaches a [`VisibleId`] to view entries only in identified mode;
 //! anonymous protocols must build their own naming (§3.3, §3.4).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A visible (observable) robot identifier.
 ///
 /// Distinct robots carry distinct `VisibleId`s. The numeric value carries
 /// no positional meaning; protocols use only its identity and order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct VisibleId(u32);
 
 impl VisibleId {

@@ -6,12 +6,11 @@
 //! activation log is checked against the SSM assumptions), and the
 //! experiment metrics (path lengths, drift, moves per bit).
 
-use serde::{Deserialize, Serialize};
 use stigmergy_geometry::Point;
 use stigmergy_scheduler::ActivationSet;
 
 /// One recorded instant.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StepRecord {
     /// The time instant.
     pub time: u64,
@@ -27,7 +26,7 @@ pub struct StepRecord {
 /// of what the fault plan actually did pins the full execution, and two
 /// runs of the same engine configuration with the same plan seed must
 /// produce equal traces — fault events included.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum FaultEvent {
     /// A robot crash-stopped: from `time` on it is never activated
     /// again, though its body remains visible to others.
@@ -93,7 +92,7 @@ pub enum TraceEvent<'a> {
 }
 
 /// A full execution trace.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Trace {
     initial: Vec<Point>,
     steps: Vec<StepRecord>,
@@ -344,19 +343,5 @@ mod tests {
         assert_eq!(t.path_length(0), 0.0);
         assert_eq!(t.max_drift(), 0.0);
         assert_eq!(t.path(0), vec![Point::ORIGIN]);
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let t = sample_trace();
-        let json = serde_json_like(&t);
-        assert!(json.contains("positions"));
-    }
-
-    // Tiny stand-in: we don't depend on serde_json in this crate, but the
-    // Serialize impl must at least produce tokens; exercise it through the
-    // Debug representation instead.
-    fn serde_json_like(t: &Trace) -> String {
-        format!("{t:?}")
     }
 }

@@ -18,13 +18,12 @@
 //! dropout never hides it — and it is sorted like `others`.
 
 use crate::identity::VisibleId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use stigmergy_geometry::Point;
 
 /// One observed robot: a position (in the observer's frame), plus its
 /// visible identifier in identified systems.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Observed {
     /// The robot's position in the observer's local frame.
     pub position: Point,
@@ -33,7 +32,7 @@ pub struct Observed {
 }
 
 /// The instantaneous configuration in one robot's local frame.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct View {
     own: Observed,
     others: Vec<Observed>,

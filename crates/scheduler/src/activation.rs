@@ -1,6 +1,5 @@
 //! Sets of robots activated at one time instant.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The set of robot indices active at one instant, over a cohort of `n`
@@ -8,7 +7,7 @@ use std::fmt;
 ///
 /// Backed by a bit vector; robots are dense small indices so this is both
 /// compact and fast to intersect/inspect.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ActivationSet {
     bits: Vec<u64>,
     n: usize,

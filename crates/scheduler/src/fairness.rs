@@ -7,11 +7,10 @@
 //! invariant that some robot is active at every instant.
 
 use crate::activation::ActivationSet;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The result of auditing an activation log.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FairnessReport {
     /// Number of instants audited.
     pub instants: u64,

@@ -6,10 +6,8 @@
 //! library RNG — its output sequence is pinned by this crate, so recorded
 //! experiment seeds stay valid forever.
 
-use serde::{Deserialize, Serialize};
-
 /// SplitMix64 pseudo-random generator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SplitMix64 {
     state: u64,
 }

@@ -1,9 +1,10 @@
 //! The [`Wire`] trait and the canonical wire encoding of the Send-safe specs.
 //!
-//! The network gateway ships specs between processes, and the vendored
-//! serde shim never serializes at runtime, so every type that crosses the
-//! wire implements [`Wire`]: one `encode_wire`/`decode_wire` pair per
-//! type, next to the spec it encodes. The format is a tag byte per
+//! The network gateway ships specs between processes. The workspace's
+//! only serialization is hand-written codecs (this one, the fleet's trace
+//! codec and the gateway's frames), so every type that crosses the wire
+//! implements [`Wire`]: one `encode_wire`/`decode_wire` pair per type,
+//! next to the spec it encodes. The format is a tag byte per
 //! variant, little-endian `u64` integers (a `usize` travels as a `u64`),
 //! IEEE-754 bit patterns for floats (so encode→decode is the identity on
 //! every representable value, NaN excluded), and `u32` length prefixes for
