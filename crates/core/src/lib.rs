@@ -99,10 +99,12 @@ pub enum CoreError {
         /// Steps executed.
         steps: u64,
     },
-    /// A payload exceeds the frame format's 65535-byte maximum.
+    /// A payload is longer than the protocol's frame carries.
     PayloadTooLarge {
         /// The offending payload length.
         len: usize,
+        /// The longest payload the protocol frames.
+        max: usize,
     },
 }
 
@@ -122,10 +124,10 @@ impl fmt::Display for CoreError {
             CoreError::Timeout { steps } => {
                 write!(f, "goal not reached within {steps} steps")
             }
-            CoreError::PayloadTooLarge { len } => {
+            CoreError::PayloadTooLarge { len, max } => {
                 write!(
                     f,
-                    "payload of {len} bytes exceeds the 65535-byte frame maximum"
+                    "payload of {len} bytes exceeds the {max}-byte frame maximum"
                 )
             }
         }

@@ -51,7 +51,7 @@ use std::collections::{BTreeMap, VecDeque};
 use stigmergy_coding::alphabet::MagnitudeAlphabet;
 use stigmergy_coding::checksum::{protect, verify};
 use stigmergy_coding::fec::{SymbolFec, BLOCK_LEN};
-use stigmergy_coding::framing::{encode_frame, FrameDecoder};
+use stigmergy_coding::framing::{self, encode_frame, FrameDecoder};
 use stigmergy_coding::{Bit, CodingError};
 use stigmergy_geometry::granular::{SliceSide, SliceZone};
 use stigmergy_geometry::Point;
@@ -583,6 +583,8 @@ impl MovementProtocol for Paced2 {
 }
 
 impl Chat for Paced2 {
+    // `symbols_for` frames the payload with its CRC-8 byte.
+    const MAX_PAYLOAD: usize = framing::MAX_PAYLOAD - 1;
     fn queue(&mut self, _label: usize, payload: &[u8]) {
         self.send(payload);
     }
@@ -801,6 +803,7 @@ impl MovementProtocol for PacedSwarm {
 }
 
 impl Chat for PacedSwarm {
+    const MAX_PAYLOAD: usize = Paced2::MAX_PAYLOAD;
     fn queue(&mut self, label: usize, payload: &[u8]) {
         self.send_label(label, payload);
     }

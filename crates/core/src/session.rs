@@ -53,7 +53,7 @@ use crate::CoreError;
 use std::collections::BTreeMap;
 use stigmergy_coding::fec::{protect_bytes, recover_bytes};
 use stigmergy_geometry::Point;
-use stigmergy_robots::{Engine, MovementProtocol};
+use stigmergy_robots::{Engine, MovementProtocol, TraceEvent};
 use stigmergy_scheduler::{FairAsync, FaultPlan, Schedule, Synchronous, WakeAllFirst};
 
 /// What a session needs of a protocol: queue a message, read the inbox,
@@ -63,6 +63,8 @@ use stigmergy_scheduler::{FairAsync, FaultPlan, Schedule, Synchronous, WakeAllFi
 /// [`Network`] drives pairs and swarms through it, and so does the batch
 /// runner in `stigmergy-fleet`.
 pub trait Chat: MovementProtocol {
+    /// The longest payload one frame of this protocol carries.
+    const MAX_PAYLOAD: usize = stigmergy_coding::framing::MAX_PAYLOAD;
     /// Queues `payload` for the robot labelled `label` in this robot's
     /// naming; a pair has one peer and ignores the label.
     fn queue(&mut self, label: usize, payload: &[u8]);
@@ -128,6 +130,7 @@ impl SyncNetwork {
             SyncSwarm::anonymous,
             Synchronous,
             seed,
+            true,
         )
     }
 
@@ -143,6 +146,7 @@ impl SyncNetwork {
             SyncSwarm::anonymous_with_direction,
             Synchronous,
             seed,
+            true,
         )
     }
 
@@ -158,6 +162,7 @@ impl SyncNetwork {
             SyncSwarm::routed,
             Synchronous,
             seed,
+            true,
         )
     }
 }
@@ -189,6 +194,7 @@ impl AsyncNetwork {
             AsyncSwarm::anonymous,
             WakeAllFirst::new(schedule),
             seed,
+            true,
         )
     }
 }
@@ -202,27 +208,53 @@ impl Network<Async2> {
     /// Fails if the two positions coincide.
     pub fn pair(a: Point, b: Point, policy: DriftPolicy, seed: u64) -> Result<Self, CoreError> {
         let schedule = WakeAllFirst::new(FairAsync::new(seed, 0.5, 16));
-        Self::build(vec![a, b], None, || Async2::new(policy), schedule, seed)
+        let protocol = || Async2::new(policy);
+        Self::build(vec![a, b], None, protocol, schedule, seed, true)
     }
 }
 
 impl<P: Chat> Network<P> {
+    /// A network over any cohort, naming and schedule whose trace streams
+    /// into `observer` instead of being recorded: the engine keeps only
+    /// the initial configuration, which naming reads. `naming` is `None`
+    /// for a pair. The batch runner in `stigmergy-fleet` builds its chat
+    /// and algorithm sessions this way.
+    ///
+    /// # Errors
+    ///
+    /// Fails on configurations the engine rejects (coincident robots).
+    pub fn streaming(
+        positions: Vec<Point>,
+        naming: Option<NamingScheme>,
+        protocol: impl Fn() -> P,
+        schedule: impl Schedule + 'static,
+        seed: u64,
+        observer: impl FnMut(TraceEvent<'_>) + 'static,
+    ) -> Result<Self, CoreError> {
+        let mut net = Self::build(positions, naming, protocol, schedule, seed, false)?;
+        net.engine.observe_trace(observer);
+        Ok(net)
+    }
+
     /// Builds the engine every session runs on: one `protocol()` per
     /// position, the naming's capabilities (a pair keeps the builder's
-    /// default), `schedule`, and frames drawn from `seed`.
+    /// default), `schedule`, frames drawn from `seed`, and the trace
+    /// recorded if `record` is set.
     fn build(
         positions: Vec<Point>,
         naming: Option<NamingScheme>,
         protocol: impl Fn() -> P,
         schedule: impl Schedule + 'static,
         seed: u64,
+        record: bool,
     ) -> Result<Self, CoreError> {
         let n = positions.len();
         let mut builder = Engine::builder()
             .positions(positions)
             .protocols((0..n).map(|_| protocol()))
             .schedule(schedule)
-            .frame_seed(seed);
+            .frame_seed(seed)
+            .record_trace(record);
         if let Some(scheme) = naming {
             builder = builder.capabilities(scheme.capabilities());
         }
@@ -257,7 +289,8 @@ impl<P: Chat> Network<P> {
     /// * [`CoreError::UnknownDestination`] for out-of-range indices.
     /// * [`CoreError::SelfAddressed`] if `from == to` (use
     ///   [`Network::broadcast`]).
-    /// * [`CoreError::PayloadTooLarge`] beyond the frame's payload limit.
+    /// * [`CoreError::PayloadTooLarge`] beyond the protocol's
+    ///   [`Chat::MAX_PAYLOAD`].
     /// * [`CoreError::Naming`] if the configuration admits no naming.
     pub fn send(&mut self, from: usize, to: usize, payload: &[u8]) -> Result<(), CoreError> {
         let n = self.cohort();
@@ -270,9 +303,7 @@ impl<P: Chat> Network<P> {
         if from == to {
             return Err(CoreError::SelfAddressed);
         }
-        if payload.len() > stigmergy_coding::framing::MAX_PAYLOAD {
-            return Err(CoreError::PayloadTooLarge { len: payload.len() });
-        }
+        check_payload::<P>(payload)?;
         let label = match self.naming {
             Some(scheme) => {
                 let initial = self.engine.trace().initial();
@@ -290,7 +321,8 @@ impl<P: Chat> Network<P> {
     /// # Errors
     ///
     /// * [`CoreError::UnknownDestination`] for an out-of-range index.
-    /// * [`CoreError::PayloadTooLarge`] beyond the frame's payload limit.
+    /// * [`CoreError::PayloadTooLarge`] beyond the protocol's
+    ///   [`Chat::MAX_PAYLOAD`].
     pub fn broadcast(&mut self, from: usize, payload: &[u8]) -> Result<(), CoreError> {
         if from >= self.cohort() {
             return Err(CoreError::UnknownDestination {
@@ -298,9 +330,7 @@ impl<P: Chat> Network<P> {
                 cohort: self.cohort(),
             });
         }
-        if payload.len() > stigmergy_coding::framing::MAX_PAYLOAD {
-            return Err(CoreError::PayloadTooLarge { len: payload.len() });
-        }
+        check_payload::<P>(payload)?;
         self.engine.protocol_mut(from).queue_broadcast(payload);
         for to in (0..self.cohort()).filter(|&i| i != from) {
             self.expect(from, to, payload);
@@ -326,20 +356,26 @@ impl<P: Chat> Network<P> {
     ///   instant.
     /// * [`CoreError::Model`] on a model violation (collision).
     pub fn run_until_delivered(&mut self, max_steps: u64) -> Result<u64, CoreError> {
-        for step in 0..max_steps {
-            self.engine.step()?;
-            if step == 0 {
-                self.preprocessing_failure()?;
-            }
-            if self.all_delivered() {
-                return Ok(step + 1);
+        let mut taken = max_steps.min(1);
+        self.engine.run(taken)?;
+        if taken > 0 {
+            self.preprocessing_failure()?;
+        }
+        // Inboxes only grow, and only a new entry can complete a
+        // delivery, so the engine runs unchecked between entries.
+        let received =
+            |e: &Engine<P>| -> usize { e.protocols().iter().map(|p| p.payloads().count()).sum() };
+        while !self.all_delivered() {
+            let before = received(&self.engine);
+            let out = self
+                .engine
+                .run_until(max_steps - taken, |e| received(e) != before)?;
+            taken += out.steps_taken;
+            if !out.satisfied {
+                return Err(CoreError::Timeout { steps: max_steps });
             }
         }
-        if self.all_delivered() {
-            Ok(max_steps)
-        } else {
-            Err(CoreError::Timeout { steps: max_steps })
-        }
+        Ok(taken)
     }
 
     /// The first robot's preprocessing failure, if any: surfaced after the
@@ -427,6 +463,15 @@ impl<P: Chat> Network<P> {
             .iter()
             .position(|&p| p.approx_eq(world))
     }
+}
+
+/// Refuses a payload longer than `P` can frame.
+fn check_payload<P: Chat>(payload: &[u8]) -> Result<(), CoreError> {
+    let (len, max) = (payload.len(), P::MAX_PAYLOAD);
+    if len > max {
+        return Err(CoreError::PayloadTooLarge { len, max });
+    }
+    Ok(())
 }
 
 /// Why a hardened session abandoned the movement channel for a message.
@@ -640,8 +685,10 @@ impl HardenedSession {
         payload: &[u8],
         reason: DegradeReason,
     ) -> Result<SessionRoute, CoreError> {
-        let framed = protect_bytes(payload)
-            .map_err(|_| CoreError::PayloadTooLarge { len: payload.len() })?;
+        let framed = protect_bytes(payload).map_err(|_| CoreError::PayloadTooLarge {
+            len: payload.len(),
+            max: stigmergy_coding::framing::MAX_PAYLOAD,
+        })?;
         for attempt in 1..=self.adaptive.policy().max_attempts() {
             if let Delivery::Arrived(data) = self.secondary.transmit(from, to, &framed) {
                 match recover_bytes(&data) {
@@ -724,6 +771,8 @@ impl HardenedSession {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::paced::{Paced2, PacedConfig};
+    use crate::sync2::Sync2;
 
     fn triangle() -> Vec<Point> {
         vec![
@@ -860,24 +909,42 @@ mod tests {
         let big = vec![0u8; 70_000];
         assert!(matches!(
             net.send(0, 1, &big),
-            Err(CoreError::PayloadTooLarge { len: 70_000 })
+            Err(CoreError::PayloadTooLarge { len: 70_000, .. })
         ));
         assert!(matches!(
             net.broadcast(0, &big),
             Err(CoreError::PayloadTooLarge { .. })
         ));
-        // One byte past the frame's limit is refused, not encoded.
-        let mut pair = pair(13);
-        let over = vec![0u8; stigmergy_coding::framing::MAX_PAYLOAD + 1];
-        assert!(matches!(
-            pair.send(0, 1, &over),
-            Err(CoreError::PayloadTooLarge { len }) if len == over.len()
-        ));
-        assert!(matches!(
-            pair.broadcast(1, &over),
-            Err(CoreError::PayloadTooLarge { .. })
-        ));
-        assert!(pair.all_delivered(), "nothing was queued");
+        // Each protocol's own limit holds to the byte; paced frames carry
+        // a CRC byte, so their limit is one lower.
+        fn frames_up_to_its_limit<P: Chat>(mut pair: Network<P>) {
+            let max = P::MAX_PAYLOAD;
+            let over = vec![0u8; max + 1];
+            assert!(matches!(
+                pair.send(0, 1, &over),
+                Err(CoreError::PayloadTooLarge { len, max: m }) if len == max + 1 && m == max
+            ));
+            assert!(matches!(
+                pair.broadcast(1, &over),
+                Err(CoreError::PayloadTooLarge { .. })
+            ));
+            assert!(pair.all_delivered(), "nothing was queued");
+            pair.send(0, 1, &over[1..]).unwrap();
+            pair.broadcast(1, &over[1..]).unwrap();
+        }
+        let ends = || vec![Point::new(0.0, 0.0), Point::new(14.0, 0.0)];
+        let paced = PacedConfig::new(8, 10, true).unwrap();
+        assert_eq!(
+            Paced2::MAX_PAYLOAD,
+            stigmergy_coding::framing::MAX_PAYLOAD - 1
+        );
+        frames_up_to_its_limit(
+            Network::build(ends(), None, || Paced2::new(paced), Synchronous, 1, true).unwrap(),
+        );
+        assert_eq!(Sync2::MAX_PAYLOAD, stigmergy_coding::framing::MAX_PAYLOAD);
+        frames_up_to_its_limit(
+            Network::build(ends(), None, Sync2::new, Synchronous, 1, true).unwrap(),
+        );
     }
 
     #[test]

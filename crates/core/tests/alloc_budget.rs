@@ -15,11 +15,13 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use stigmergy::async2::{Async2, DriftPolicy};
+use stigmergy::session::Network;
 use stigmergy::sync2::Sync2;
+use stigmergy::CoreError;
 use stigmergy_coding::alphabet::LevelAlphabet;
 use stigmergy_geometry::Point;
 use stigmergy_robots::{Engine, MovementProtocol};
-use stigmergy_scheduler::Synchronous;
+use stigmergy_scheduler::{FairAsync, FaultPlan, Synchronous, WakeAllFirst};
 
 struct CountingAllocator;
 
@@ -145,5 +147,32 @@ fn allocation_budgets_hold_on_the_hot_paths() {
         allocs * 2 <= stats.activations,
         "Async2 allocated {allocs} times over {} activations (budget: 1 per 2 activations)",
         stats.activations
+    );
+
+    // 5. A streaming `Network` waiting for delivery, as the batch runner
+    //    drives it: every instant runs the engine and checks the
+    //    inboxes. With the sender crash-stopped at t0 nothing is ever
+    //    sent, and the loop must not allocate.
+    let mut net = Network::streaming(
+        vec![Point::new(0.0, 0.0), Point::new(14.0, 0.0)],
+        None,
+        || Async2::new(DriftPolicy::Diverge),
+        WakeAllFirst::new(FairAsync::new(0xA110C, 0.5, 16)),
+        0xA110C,
+        |_| {},
+    )
+    .expect("pair configuration is valid");
+    net.engine_mut()
+        .set_fault_plan(FaultPlan::new(0xA110C).crash_stop(0, 0));
+    net.send(0, 1, b"adv").expect("valid message");
+    net.run(16).expect("collision-free"); // warm every scratch buffer
+    let (allocs, outcome) = allocations_during(|| net.run_until_delivered(1_000));
+    assert!(
+        matches!(outcome, Err(CoreError::Timeout { steps: 1_000 })),
+        "a crashed sender delivers nothing: {outcome:?}"
+    );
+    assert_eq!(
+        allocs, 0,
+        "the Network delivery loop must be allocation-free (got {allocs} over 1000 instants)"
     );
 }

@@ -25,10 +25,10 @@ use stigmergy::async_n::AsyncSwarm;
 use stigmergy::backup::Wireless;
 use stigmergy::election_signature;
 use stigmergy::paced::{Paced2, PacedConfig, PacedSwarm};
-use stigmergy::session::{Chat, HardenedSession};
+use stigmergy::session::{Chat, HardenedSession, Network};
 use stigmergy::sync2::Sync2;
 use stigmergy::sync_swarm::SyncSwarm;
-use stigmergy::NamingScheme;
+use stigmergy::{CoreError, NamingScheme};
 use stigmergy_algo::{
     agreement, election, flood, AgreementSession, ElectionSession, FloodSession, NodeStack,
     Outgoing, Status,
@@ -897,106 +897,80 @@ pub fn paced_config(coding: CodingSpec) -> Result<Option<PacedConfig>, CodingErr
     PacedConfig::new(usize::from(levels), u32::from(dwell), fec).map(Some)
 }
 
-/// Builds a session's engine and starts it the way the adversarial suite
-/// did. With `naming` unset it is a pair at fixed positions under the
-/// builder's default capabilities; otherwise `spec.cohort` robots on
+/// Builds a session's [`Network`] and starts it the way the adversarial
+/// suite did. With `naming` unset it is a pair at fixed positions under
+/// the builder's default capabilities; otherwise `spec.cohort` robots on
 /// [`ring`] under the naming's capabilities. The trace streams into the
 /// returned [`TraceEncoder`]: the engine keeps no step history, only the
 /// initial configuration that naming reads, and the bytes are identical
 /// to encoding a recorded trace (the golden-trace suite pins them).
 /// Starting runs one benign preprocessing instant, then arms the fault
 /// plan; a model error in that instant comes back as the third element.
-fn start<P: MovementProtocol + 'static>(
+fn start<P: Chat + 'static>(
     spec: &SessionSpec,
     naming: Option<NamingScheme>,
     make: impl Fn() -> P,
-) -> (Engine<P>, Rc<RefCell<TraceEncoder>>, Option<String>) {
+) -> (Network<P>, Rc<RefCell<TraceEncoder>>, Option<String>) {
     let (positions, n) = match naming {
         None => (vec![Point::new(0.0, 0.0), Point::new(14.0, 0.0)], 2),
         Some(_) => (ring(spec.cohort, 18.0), spec.cohort),
     };
     let plan = spec.plan.plan(spec.plan_seed());
-    let mut builder = Engine::builder()
-        .positions(positions)
-        .protocols((0..n).map(|_| make()))
-        // `build_faulted` arms crash-aware wrappers (`CrashFiltered`)
-        // with this session's plan; plain schedules ignore the plan.
-        .schedule(WakeAllFirst::new(spec.schedule.build_faulted(n, &plan)))
-        .frame_seed(spec.frame_seed())
-        .record_trace(false);
-    if let Some(scheme) = naming {
-        builder = builder.capabilities(scheme.capabilities());
-    }
-    let mut engine = builder
-        .build()
-        .expect("pair and ring configurations are always valid");
-    let encoder = Rc::new(RefCell::new(TraceEncoder::new(engine.positions())));
+    // `build_faulted` arms crash-aware wrappers (`CrashFiltered`) with
+    // this session's plan; plain schedules ignore the plan.
+    let schedule = WakeAllFirst::new(spec.schedule.build_faulted(n, &plan));
+    let encoder = Rc::new(RefCell::new(TraceEncoder::new(&positions)));
     let sink = Rc::clone(&encoder);
-    engine.observe_trace(move |ev| sink.borrow_mut().record_event(&ev));
-    let error = match engine.step() {
-        Ok(_) => {
-            engine.set_fault_plan(plan);
-            None
-        }
-        Err(e) => Some(e.to_string()),
-    };
-    (engine, encoder, error)
-}
-
-/// [`start`]s a chat session and, if preprocessing succeeded, has robot 0
-/// queue the payload for the last robot, addressed in `naming` (a pair
-/// has one peer).
-fn start_chat<P: Chat + 'static>(
-    spec: &SessionSpec,
-    naming: Option<NamingScheme>,
-    make: impl Fn() -> P,
-) -> (Engine<P>, Rc<RefCell<TraceEncoder>>, Option<String>) {
-    let (mut engine, encoder, error) = start(spec, naming, make);
+    let mut net = Network::streaming(
+        positions,
+        naming,
+        make,
+        schedule,
+        spec.frame_seed(),
+        move |ev| sink.borrow_mut().record_event(&ev),
+    )
+    .expect("pair and ring configurations are always valid");
+    let error = net.run(1).err().map(|e| e.to_string());
     if error.is_none() {
-        let receiver = engine.cohort() - 1;
-        let label = naming.map_or(0, |scheme| {
-            let initial = engine.trace().initial();
-            scheme
-                .label_of(initial, engine.ids(), 0, receiver)
-                .expect("receiver must be nameable")
-        });
-        engine.protocol_mut(0).queue(label, &spec.payload);
+        net.engine_mut().set_fault_plan(plan);
     }
-    (engine, encoder, error)
+    (net, encoder, error)
 }
 
-/// Runs a chat session from [`start_chat`] to delivery or budget
-/// exhaustion. Inbox entries that differ from the payload count as
-/// corrupt — detect-or-reject demands that stays 0.
+/// Runs a chat session from [`start`] to delivery or budget exhaustion:
+/// robot 0 sends the payload to the last robot. Inbox entries that
+/// differ from the payload count as corrupt — detect-or-reject demands
+/// that stays 0.
 fn run_chat<P: Chat + 'static>(
     spec: &SessionSpec,
     naming: Option<NamingScheme>,
     make: impl Fn() -> P,
 ) -> RunReport {
-    let (mut engine, encoder, mut error) = start_chat(spec, naming, make);
-    let n = engine.cohort();
-    let receiver = n - 1;
+    let (mut net, encoder, mut error) = start(spec, naming, make);
+    let receiver = net.cohort() - 1;
     let mut steps_to_delivery = None;
     if error.is_none() {
-        let arrived = |e: &Engine<P>| e.protocol(receiver).payloads().any(|p| p == spec.payload);
-        match engine.run_until(spec.budget(), arrived) {
-            Ok(out) => steps_to_delivery = out.satisfied.then_some(out.steps_taken),
+        let sent = net.send(0, receiver, &spec.payload);
+        match sent.and_then(|()| net.run_until_delivered(spec.budget())) {
+            Ok(steps) => steps_to_delivery = Some(steps),
+            Err(CoreError::Timeout { .. }) => {}
             Err(e) => error = Some(e.to_string()),
         }
     }
+    let engine = net.engine();
     let corrupt = engine
         .protocol(receiver)
         .payloads()
         .filter(|&p| p != spec.payload)
         .count() as u64;
-    let fec = (0..n).fold((0, 0), |(c, r), i| {
-        let (ci, ri) = engine.protocol(i).fec_stats();
+    let fec = engine.protocols().iter().fold((0, 0), |(c, r), p| {
+        let (ci, ri) = p.fec_stats();
         (c + ci, r + ri)
     });
     let encoder = encoder.borrow();
     finish(
         spec,
-        &engine,
+        engine,
         &encoder,
         steps_to_delivery,
         corrupt,
@@ -1070,7 +1044,7 @@ fn run_hardened(spec: &SessionSpec) -> RunReport {
     let receiver = spec.cohort - 1;
     let (delivered, error) = match session.send(0, receiver, &spec.payload) {
         Ok(_) => (true, None),
-        Err(stigmergy::CoreError::Timeout { .. }) => (false, None),
+        Err(CoreError::Timeout { .. }) => (false, None),
         Err(e) => (false, Some(e.to_string())),
     };
     let stats = session.stats();
@@ -1141,8 +1115,9 @@ fn run_algo_session(spec: &SessionSpec, algorithm: AlgorithmSpec) -> RunReport {
         );
     }
     let scheme = NamingScheme::BySec;
-    let (mut engine, encoder, mut error) =
+    let (mut net, encoder, mut error) =
         start(spec, Some(scheme), || AsyncSwarm::with_scheme(scheme));
+    let engine = net.engine_mut();
     let mut algo = AlgoOutcome {
         rounds: 0,
         bits: 0,
@@ -1234,7 +1209,7 @@ fn run_algo_session(spec: &SessionSpec, algorithm: AlgorithmSpec) -> RunReport {
         }
         for i in 0..n {
             let out = stacks[i].start();
-            algo.bits += enqueue_frames(&mut engine, i, &labels[i], out);
+            algo.bits += enqueue_frames(engine, i, &labels[i], out);
         }
 
         // The pump loop: step, strike newly-crashed robots, route fresh
@@ -1270,7 +1245,7 @@ fn run_algo_session(spec: &SessionSpec, algorithm: AlgorithmSpec) -> RunReport {
                         continue;
                     }
                     let out = stacks[i].on_crash(home[i][robot]);
-                    algo.bits += enqueue_frames(&mut engine, i, &labels[i], out);
+                    algo.bits += enqueue_frames(engine, i, &labels[i], out);
                 }
             }
             for i in 0..n {
@@ -1285,7 +1260,7 @@ fn run_algo_session(spec: &SessionSpec, algorithm: AlgorithmSpec) -> RunReport {
                 routed = true;
                 for (sender, payload) in fresh {
                     let out = stacks[i].on_frame(sender, &payload);
-                    algo.bits += enqueue_frames(&mut engine, i, &labels[i], out);
+                    algo.bits += enqueue_frames(engine, i, &labels[i], out);
                 }
             }
             if std::mem::take(&mut routed)
@@ -1352,7 +1327,7 @@ fn run_algo_session(spec: &SessionSpec, algorithm: AlgorithmSpec) -> RunReport {
     let encoder = encoder.borrow();
     let mut report = finish(
         spec,
-        &engine,
+        engine,
         &encoder,
         steps_to_delivery,
         corrupt,
@@ -1533,35 +1508,34 @@ mod tests {
         drained: impl Fn(&P) -> bool,
         horizon: u64,
     ) -> bool {
-        let (mut engine, _, error) = start_chat(spec, naming, make);
+        let (mut net, _, error) = start(spec, naming, make);
         assert_eq!(error, None, "{spec:?}");
-        let receiver = engine.cohort() - 1;
-        let inbox = |e: &Engine<P>| -> Vec<Vec<u8>> {
-            e.protocol(receiver)
+        let receiver = net.cohort() - 1;
+        net.send(0, receiver, &spec.payload).unwrap();
+        match net.run_until_delivered(spec.budget()) {
+            Ok(_) => return true,
+            Err(CoreError::Timeout { .. }) => {}
+            Err(e) => panic!("{spec:?}: {e}"),
+        }
+        let inbox = |net: &Network<P>| -> Vec<Vec<u8>> {
+            net.engine()
+                .protocol(receiver)
                 .payloads()
                 .map(<[u8]>::to_vec)
                 .collect()
         };
-        let out = engine
-            .run_until(spec.budget(), |e| {
-                e.protocol(receiver).payloads().any(|p| p == spec.payload)
-            })
-            .unwrap();
-        if out.satisfied {
-            return true;
-        }
         let seed = spec.seed;
         let protocol = spec.protocol.name();
         assert!(
-            drained(engine.protocol(0)),
+            drained(net.engine().protocol(0)),
             "{protocol} seed {seed}: sender still sending at {}",
             spec.budget()
         );
-        let fixed = inbox(&engine);
+        let fixed = inbox(&net);
         for t in spec.budget()..horizon {
-            engine.step().unwrap();
+            net.run(1).unwrap();
             assert_eq!(
-                inbox(&engine),
+                inbox(&net),
                 fixed,
                 "{protocol} seed {seed}: inbox changed {} instants past the budget",
                 t + 1 - spec.budget()
@@ -1830,6 +1804,37 @@ mod tests {
         assert!(paced.error.is_none());
         assert_eq!(paced.corrupt, 0, "detect-or-reject holds under coding");
         assert_eq!(paced.delivered_bits, 24, "3 payload bytes delivered");
+    }
+
+    #[test]
+    fn oversized_payloads_report_the_typed_error() {
+        // Before the send was checked against the protocol's own limit,
+        // these panicked in `encode_frame` and came back poisoned. A
+        // paced frame carries its CRC byte, so its limit is one lower.
+        let fec = CodingSpec::Fec {
+            levels: 8,
+            dwell: 10,
+        };
+        for (protocol, coding, len) in [
+            (ProtocolKind::Sync2, CodingSpec::Binary, 65_536),
+            (ProtocolKind::Sync2, fec, 65_535),
+            (ProtocolKind::SyncSwarmRouted, fec, 65_535),
+        ] {
+            let spec = SessionSpec {
+                protocol,
+                payload: vec![0x5A; len],
+                ..paced_spec(coding)
+            };
+            let report = run_session_contained(&spec);
+            let error = report.error.as_deref().expect("oversized payload errors");
+            let max = len - 1;
+            assert_eq!(
+                error,
+                format!("payload of {len} bytes exceeds the {max}-byte frame maximum"),
+                "{protocol:?} {coding:?}"
+            );
+            assert!(!report.delivered);
+        }
     }
 
     #[test]

@@ -46,7 +46,7 @@ pub use angle::Angle;
 pub use approx::{approx_eq, approx_zero, Tolerance};
 pub use circle::Circle;
 pub use granular::SlicedGranular;
-pub use line::{HalfPlane, Line, Segment};
+pub use line::{HalfPlane, Line};
 pub use point::{Point, Rotation, Vec2};
 pub use sec::smallest_enclosing_circle;
 

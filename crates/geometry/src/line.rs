@@ -1,4 +1,4 @@
-//! Lines, segments, and half-planes.
+//! Lines and half-planes.
 //!
 //! Half-planes are the workhorse of the Voronoi construction: the Voronoi
 //! cell of a site is the intersection of the half-planes bounded by the
@@ -138,41 +138,6 @@ impl fmt::Display for Line {
     }
 }
 
-/// A closed segment between two points.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Segment {
-    /// First endpoint.
-    pub a: Point,
-    /// Second endpoint.
-    pub b: Point,
-}
-
-impl Segment {
-    /// Creates a segment between two points.
-    #[must_use]
-    pub const fn new(a: Point, b: Point) -> Self {
-        Self { a, b }
-    }
-
-    /// Segment length.
-    #[must_use]
-    pub fn length(&self) -> f64 {
-        self.a.distance(self.b)
-    }
-
-    /// The point at parameter `t ∈ [0, 1]` along the segment.
-    #[must_use]
-    pub fn at(&self, t: f64) -> Point {
-        self.a.lerp(self.b, t)
-    }
-}
-
-impl fmt::Display for Segment {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "segment {} — {}", self.a, self.b)
-    }
-}
-
 /// A closed half-plane: the set of points on or left of a directed line.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HalfPlane {
@@ -303,19 +268,10 @@ mod tests {
     }
 
     #[test]
-    fn segment_geometry() {
-        let s = Segment::new(Point::new(0.0, 0.0), Point::new(4.0, 0.0));
-        assert_eq!(s.length(), 4.0);
-        assert_eq!(s.at(0.5), Point::new(2.0, 0.0));
-    }
-
-    #[test]
     fn display_forms() {
         let l = Line::through(Point::ORIGIN, Point::new(1.0, 0.0)).unwrap();
         assert!(format!("{l}").contains("line"));
         assert!(format!("{}", Side::Left).contains("left"));
         assert!(format!("{}", HalfPlane::left_of(l)).contains("half-plane"));
-        let s = Segment::new(Point::ORIGIN, Point::new(1.0, 0.0));
-        assert!(format!("{s}").contains("segment"));
     }
 }

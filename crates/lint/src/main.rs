@@ -9,7 +9,7 @@
 //! `--workspace` applies the configured policy; the file form runs
 //! every pass on the given files with panic budget 0 (fixture mode).
 //! `--graph-stats` prints call-graph resolution counters as JSON and
-//! exits 1 if the union-edge fraction exceeds the committed ceiling.
+//! exits 1 if the union-edge count exceeds the committed ceiling.
 //! `--deny` exits 1 when violations exist (CI wants this); without it
 //! the report prints but the exit code stays 0. Usage errors exit 2.
 
@@ -130,7 +130,7 @@ fn resolve_root(root: Option<PathBuf>) -> Option<PathBuf> {
 }
 
 /// `--graph-stats`: print resolution-quality counters as JSON and fail
-/// (exit 1) if the union-edge fraction regresses above the committed
+/// (exit 1) if the union-edge count regresses above the committed
 /// ceiling — call-graph precision is ratcheted like any other budget.
 fn run_graph_stats(root: Option<PathBuf>) -> ExitCode {
     let Some(root) = resolve_root(root) else {
@@ -146,14 +146,14 @@ fn run_graph_stats(root: Option<PathBuf>) -> ExitCode {
     let stats = idx.graph.stats;
     print!(
         "{}",
-        lint::report::graph_stats_json(&stats, lint::config::MAX_UNION_FRACTION)
+        lint::report::graph_stats_json(&stats, lint::config::MAX_UNION_EDGES)
     );
-    if stats.union_fraction() > lint::config::MAX_UNION_FRACTION {
+    if stats.union_edges > lint::config::MAX_UNION_EDGES {
         eprintln!(
-            "stiglint: union-edge fraction {:.4} exceeds the committed ceiling {:.4}; \
-             improve receiver inference or justify raising MAX_UNION_FRACTION",
-            stats.union_fraction(),
-            lint::config::MAX_UNION_FRACTION
+            "stiglint: {} union edges exceed the committed ceiling {}; \
+             improve receiver inference or justify raising MAX_UNION_EDGES",
+            stats.union_edges,
+            lint::config::MAX_UNION_EDGES
         );
         return ExitCode::FAILURE;
     }

@@ -73,16 +73,16 @@ pub fn json(violations: &[Violation]) -> String {
 /// fraction at fixed precision (stable across platforms), and the
 /// configured ceiling. One object, keys in fixed order, diffable.
 #[must_use]
-pub fn graph_stats_json(stats: &crate::callgraph::GraphStats, max_union_fraction: f64) -> String {
+pub fn graph_stats_json(stats: &crate::callgraph::GraphStats, max_union_edges: usize) -> String {
     format!(
         "{{\"fns\":{},\"resolved\":{},\"union\":{},\"extern\":{},\
-         \"union_fraction\":{:.4},\"max_union_fraction\":{:.4}}}\n",
+         \"union_fraction\":{:.4},\"max_union_edges\":{}}}\n",
         stats.fns,
         stats.resolved,
         stats.union_edges,
         stats.extern_edges,
         stats.union_fraction(),
-        max_union_fraction,
+        max_union_edges,
     )
 }
 

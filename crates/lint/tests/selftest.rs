@@ -376,13 +376,14 @@ fn graph_stats_ratchet_holds_at_head() {
         .expect("spawn");
     assert!(
         out.status.success(),
-        "union-edge fraction exceeds the committed ceiling:\n{}{}",
+        "union-edge count exceeds the committed ceiling:\n{}{}",
         String::from_utf8_lossy(&out.stdout),
         String::from_utf8_lossy(&out.stderr)
     );
     let text = String::from_utf8(out.stdout).expect("utf8");
     assert!(text.contains("\"union_fraction\":"), "{text}");
-    assert!(text.contains("\"max_union_fraction\":0.1390"), "{text}");
+    let ceiling = format!("\"max_union_edges\":{}", lint::config::MAX_UNION_EDGES);
+    assert!(text.contains(&ceiling), "{text}");
 }
 
 #[test]

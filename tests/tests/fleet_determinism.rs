@@ -53,8 +53,8 @@ fn workers_1_and_8_produce_byte_identical_traces_per_seed() {
 fn determinism_matrix_workers_1_2_4_8() {
     // The pool's acceptance gate: every worker count in
     // the matrix produces the same trace fingerprint and byte-identical
-    // merged-metrics JSON — including the crash cells, which route
-    // through `CrashFiltered` schedule wrappers.
+    // merged-metrics JSON — including the crash cells, whose crash-stop
+    // plans the engine applies once the session arms them.
     let spec = capped_spec(vec![0, 1]);
     let reference = run_batch(&spec, 1);
     let reference_json = reference.metrics.to_json();
@@ -68,7 +68,7 @@ fn determinism_matrix_workers_1_2_4_8() {
     };
     assert!(
         !crash_hashes(&reference).is_empty(),
-        "matrix must exercise CrashFiltered plans"
+        "matrix must exercise crash plans"
     );
     for workers in [2, 4, 8] {
         let other = run_batch(&spec, workers);
@@ -85,7 +85,7 @@ fn determinism_matrix_workers_1_2_4_8() {
         assert_eq!(
             crash_hashes(&reference),
             crash_hashes(&other),
-            "CrashFiltered cells diverged at workers={workers}"
+            "crash cells diverged at workers={workers}"
         );
     }
 }
