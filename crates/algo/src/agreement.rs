@@ -101,7 +101,7 @@ impl FloodSet {
     ///
     /// Panics if `cohort < 2` or `max_rounds == 0`.
     #[must_use]
-    pub fn new(input: bool, cohort: usize, max_rounds: u64) -> Self {
+    fn new(input: bool, cohort: usize, max_rounds: u64) -> Self {
         assert!(
             cohort >= 2,
             "agreement needs at least two robots, cohort={cohort}"
@@ -236,7 +236,13 @@ pub struct AgreementSession {
 }
 
 impl AgreementSession {
-    /// See [`FloodSet::new`].
+    /// A robot proposing `input` to [`FloodSet`] agreement, in a cohort
+    /// of `cohort` robots, under a crash budget of `f = max_rounds - 1`.
+    /// Every robot in the run must use the same `max_rounds`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cohort < 2` or `max_rounds == 0`.
     #[must_use]
     pub fn new(input: bool, cohort: usize, max_rounds: u64) -> Self {
         Self {

@@ -84,16 +84,6 @@ impl FloodSession {
         }
     }
 
-    /// The flooded payload: the initiator's own, or what a follower has
-    /// received so far.
-    #[must_use]
-    pub fn payload(&self) -> Option<&[u8]> {
-        match &self.role {
-            Role::Initiator { payload, .. } => Some(payload),
-            Role::Follower { .. } => None,
-        }
-    }
-
     fn check_coverage(&mut self) {
         if let Role::Initiator { pending, .. } = &self.role {
             if pending.is_empty() {
@@ -190,7 +180,6 @@ mod tests {
                 body: b"\x01adv".to_vec()
             }]
         );
-        assert_eq!(init.payload(), Some(&b"adv"[..]));
 
         // Followers (at their own robots) receive DATA from their local
         // view of the initiator and ack.
@@ -283,8 +272,6 @@ mod tests {
         init.on_message(1, b"\x09", &mut out);
         init.on_message(1, b"", &mut out);
         assert_eq!(init.status(), Status::Active);
-        assert!(init.payload().is_some());
-        assert!(FloodSession::follower(1).payload().is_none());
     }
 
     #[test]

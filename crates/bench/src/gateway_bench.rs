@@ -12,7 +12,7 @@ use crate::table::Table;
 
 /// The capped conformance spec [`e17`] serves.
 #[must_use]
-pub fn gateway_spec(seeds: Vec<u64>) -> BatchSpec {
+fn gateway_spec(seeds: Vec<u64>) -> BatchSpec {
     BatchSpec {
         budget_cap: Some(2_000),
         ..BatchSpec::conformance_matrix(seeds)
@@ -25,7 +25,7 @@ pub fn gateway_spec(seeds: Vec<u64>) -> BatchSpec {
 /// # Errors
 ///
 /// Propagates any client-side [`GatewayError`].
-pub fn run_via_gateway(
+fn run_via_gateway(
     spec: &BatchSpec,
     workers: u64,
 ) -> Result<(stigmergy_gateway::JobResult, u64), GatewayError> {

@@ -56,12 +56,6 @@ impl Table {
         self.rows.is_empty()
     }
 
-    /// The table title.
-    #[must_use]
-    pub fn title(&self) -> &str {
-        &self.title
-    }
-
     fn widths(&self) -> Vec<usize> {
         let mut widths: Vec<usize> = self.headers.iter().map(|h| h.chars().count()).collect();
         for row in &self.rows {
@@ -126,7 +120,6 @@ mod tests {
         assert!(s.lines().count() == 4 + 1); // title + header + sep + 2 rows
         assert_eq!(t.len(), 2);
         assert!(!t.is_empty());
-        assert_eq!(t.title(), "demo");
     }
 
     #[test]

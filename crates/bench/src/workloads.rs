@@ -44,22 +44,6 @@ pub fn uniform(n: usize, extent: f64, min_sep: f64, seed: u64) -> Vec<Point> {
     pts
 }
 
-/// A `w × h` grid with the given spacing, lightly jittered to avoid
-/// symmetric degeneracies (a robot exactly at the SEC centre).
-#[must_use]
-pub fn grid(w: usize, h: usize, spacing: f64, seed: u64) -> Vec<Point> {
-    let mut rng = SplitMix64::new(seed);
-    let mut pts = Vec::with_capacity(w * h);
-    for y in 0..h {
-        for x in 0..w {
-            let jx = (rng.next_f64() - 0.5) * spacing * 0.05;
-            let jy = (rng.next_f64() - 0.5) * spacing * 0.05;
-            pts.push(Point::new(x as f64 * spacing + jx, y as f64 * spacing + jy));
-        }
-    }
-    pts
-}
-
 /// The twelve-robot layout in the spirit of the paper's Fig. 2.
 #[must_use]
 pub fn fig2_layout() -> Vec<Point> {
@@ -135,15 +119,6 @@ mod tests {
     fn uniform_is_seed_deterministic() {
         assert_eq!(uniform(10, 50.0, 2.0, 7), uniform(10, 50.0, 2.0, 7));
         assert_ne!(uniform(10, 50.0, 2.0, 7), uniform(10, 50.0, 2.0, 8));
-    }
-
-    #[test]
-    fn grid_dimensions() {
-        let pts = grid(4, 3, 10.0, 1);
-        assert_eq!(pts.len(), 12);
-        // Jitter is small relative to spacing.
-        assert!(pts[0].distance(Point::new(0.0, 0.0)) < 1.0);
-        assert!(pts[11].distance(Point::new(30.0, 20.0)) < 1.0);
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! paper proposes using only `k + 1` segments: one for the message bits and
 //! `k` for transmitting the *index* of the addressee as base-`k` digits —
 //! `⌈log_k n⌉` symbols per message instead of an `n`-way slice choice. This
-//! module provides the digit codecs and the step-count model behind
-//! experiment E4.
+//! module provides the digit codecs and the digit count behind experiment
+//! E4: an addressed message costs [`digits_for`] moves for the address,
+//! then one move per payload bit.
 
 use crate::CodingError;
 
@@ -81,44 +82,6 @@ pub fn digits_for(n: usize, radix: usize) -> usize {
         d += 1;
     }
     d
-}
-
-/// The §5 step-count model: moves needed to send one addressed message of
-/// `payload_bits` bits when the keyboard has `k` addressing segments
-/// (radix `k`) instead of `n` slices.
-///
-/// Each move carries one symbol; the address costs `⌈log_k n⌉` moves, then
-/// the payload costs one move per bit. With the full `2n`-slice keyboard
-/// the address is free (it is the slice choice), which is the `k = n` row
-/// of experiment E4.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AddressedCost {
-    /// Moves spent on the address digits.
-    pub address_moves: usize,
-    /// Moves spent on the payload bits.
-    pub payload_moves: usize,
-}
-
-impl AddressedCost {
-    /// Computes the cost of addressing one of `n` robots with radix `k`
-    /// and then sending `payload_bits` bits.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k < 2`.
-    #[must_use]
-    pub fn compute(n: usize, k: usize, payload_bits: usize) -> Self {
-        Self {
-            address_moves: digits_for(n, k),
-            payload_moves: payload_bits,
-        }
-    }
-
-    /// Total moves.
-    #[must_use]
-    pub fn total(&self) -> usize {
-        self.address_moves + self.payload_moves
-    }
 }
 
 #[cfg(test)]
@@ -199,13 +162,8 @@ mod tests {
     fn cost_model_shrinks_with_k() {
         // §5: bigger k ⇒ fewer addressing steps.
         let n = 1024;
-        let payload = 64;
-        let c2 = AddressedCost::compute(n, 2, payload);
-        let c32 = AddressedCost::compute(n, 32, payload);
-        assert_eq!(c2.address_moves, 10);
-        assert_eq!(c32.address_moves, 2);
-        assert!(c2.total() > c32.total());
-        assert_eq!(c2.payload_moves, payload);
+        assert_eq!(digits_for(n, 2), 10);
+        assert_eq!(digits_for(n, 32), 2);
     }
 
     #[test]
@@ -214,7 +172,6 @@ mod tests {
         // O(log n / log log n) in addressing steps versus k = n.
         let n = 1_usize << 16;
         let k = 16; // log2(n)
-        let c = AddressedCost::compute(n, k, 0);
-        assert_eq!(c.address_moves, 4); // log_16(65536) = 4 = log n / log log n
+        assert_eq!(digits_for(n, k), 4); // log_16(65536) = 4 = log n / log log n
     }
 }

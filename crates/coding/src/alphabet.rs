@@ -171,7 +171,7 @@ impl LevelAlphabet {
 ///
 /// Quantization is deterministic: fractions are snapped by rounding
 /// `fraction · levels` to the nearest integer, and anything below half
-/// the lowest level ([`MagnitudeAlphabet::silence_threshold`]) is
+/// the lowest level (`MagnitudeAlphabet::silence_threshold`) is
 /// *silence*, never a symbol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MagnitudeAlphabet {
@@ -226,12 +226,12 @@ impl MagnitudeAlphabet {
     /// Below this fraction an observation is *silence*, not a symbol:
     /// half the lowest level, `0.5 / levels`.
     #[must_use]
-    pub fn silence_threshold(&self) -> f64 {
+    fn silence_threshold(&self) -> f64 {
         0.5 / self.levels as f64
     }
 
     /// Deterministically quantizes an observed fraction: `None` for
-    /// silence (below [`MagnitudeAlphabet::silence_threshold`], NaN, or
+    /// silence (below `MagnitudeAlphabet::silence_threshold`, NaN, or
     /// negative), otherwise the nearest level, clamped.
     #[must_use]
     pub fn classify(&self, fraction: f64) -> Option<usize> {

@@ -103,7 +103,7 @@ impl BitString {
 
     /// Encodes a byte most-significant-bit first.
     #[must_use]
-    pub fn from_byte(b: u8) -> Self {
+    fn from_byte(b: u8) -> Self {
         (0..8)
             .rev()
             .map(|i| Bit::from_bool(b & (1 << i) != 0))
@@ -268,12 +268,6 @@ impl BitQueue {
         self.queue.pop_front()
     }
 
-    /// Peeks at the next bit without removing it.
-    #[must_use]
-    pub fn peek(&self) -> Option<Bit> {
-        self.queue.front().copied()
-    }
-
     /// Number of queued bits.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -384,7 +378,6 @@ mod tests {
         q.enqueue(&BitString::parse("011").unwrap());
         q.enqueue(&BitString::parse("0").unwrap());
         assert_eq!(q.len(), 4);
-        assert_eq!(q.peek(), Some(Bit::Zero));
         assert_eq!(q.dequeue(), Some(Bit::Zero));
         assert_eq!(q.dequeue(), Some(Bit::One));
         assert_eq!(q.dequeue(), Some(Bit::One));

@@ -66,12 +66,6 @@ impl SymbolFec {
         Self { width }
     }
 
-    /// Bits per symbol.
-    #[must_use]
-    pub fn width(&self) -> u32 {
-        self.width
-    }
-
     /// The mask of admissible symbol bits.
     fn mask(&self) -> u32 {
         (1u32 << self.width) - 1
@@ -79,7 +73,7 @@ impl SymbolFec {
 
     /// Encodes one block of data symbols into its 7-symbol codeword.
     #[must_use]
-    pub fn encode_block(&self, data: [u16; BLOCK_DATA]) -> [u16; BLOCK_LEN] {
+    fn encode_block(&self, data: [u16; BLOCK_DATA]) -> [u16; BLOCK_LEN] {
         let [d0, d1, d2, d3] = data;
         [
             d0,

@@ -100,7 +100,6 @@ pub struct FrameDecoder {
     /// (`HEADER_BITS + 8 × payload`), or 0 while the header is partial.
     /// Derived from `buffer`, so derived equality stays consistent.
     frame_bits: usize,
-    delivered: Vec<Vec<u8>>,
 }
 
 impl FrameDecoder {
@@ -131,16 +130,9 @@ impl FrameDecoder {
                 .collect();
             self.buffer.clear();
             self.frame_bits = 0;
-            self.delivered.push(msg.clone());
             return Some(msg);
         }
         None
-    }
-
-    /// All messages completed so far, in arrival order.
-    #[must_use]
-    pub fn delivered(&self) -> &[Vec<u8>] {
-        &self.delivered
     }
 
     /// Bits of the currently incomplete frame.
@@ -207,7 +199,6 @@ mod tests {
             }
         }
         assert_eq!(completed, vec![b"one".to_vec(), b"two!".to_vec()]);
-        assert_eq!(dec.delivered(), &completed[..]);
         assert_eq!(dec.pending_bits(), 0);
     }
 

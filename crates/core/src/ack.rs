@@ -170,7 +170,7 @@ impl RetransmitPolicy {
 
     /// The step budget of attempt `attempt` (0-based), saturating.
     #[must_use]
-    pub fn budget_for(&self, attempt: u32) -> u64 {
+    fn budget_for(&self, attempt: u32) -> u64 {
         let factor = u64::from(self.backoff_factor).saturating_pow(attempt);
         self.initial_budget.saturating_mul(factor)
     }

@@ -147,12 +147,6 @@ impl AsyncSwarm {
         self.mailbox.geometry()
     }
 
-    /// A degenerate-configuration failure, if preprocessing failed.
-    #[must_use]
-    pub fn init_error(&self) -> Option<&crate::CoreError> {
-        self.mailbox.init_error()
-    }
-
     /// Whether all queued traffic has been sent and acknowledged.
     #[must_use]
     pub fn is_drained(&self) -> bool {
@@ -186,13 +180,6 @@ impl AsyncSwarm {
             self.excluded.push(home);
             self.excluded.sort_unstable();
         }
-    }
-
-    /// The home indices currently excluded from acknowledgements
-    /// (always contains `0`, the robot itself).
-    #[must_use]
-    pub fn suspected(&self) -> &[usize] {
-        &self.excluded
     }
 
     /// Everyone (but me and the suspected crashed peers) has changed at
@@ -411,7 +398,7 @@ impl Chat for AsyncSwarm {
         self.geometry()
     }
     fn failure(&self) -> Option<&crate::CoreError> {
-        self.init_error()
+        self.mailbox.init_error()
     }
 }
 
@@ -722,7 +709,7 @@ mod tests {
         e.protocol_mut(0).send_broadcast(b"x");
         e.run(when).unwrap();
         for i in 0..2 {
-            assert_eq!(e.protocol(i).suspected(), &[0], "robot {i} accused early");
+            assert_eq!(e.protocol(i).excluded, [0], "robot {i} accused early");
         }
         let out = e
             .run_until(120_000, |e| {
@@ -733,19 +720,19 @@ mod tests {
         assert!(out.satisfied, "a detected crash still wedges the channel");
         for i in 0..2 {
             let home = home_of(&e, i, 2);
-            assert_eq!(e.protocol(i).suspected(), &[0, home], "robot {i}");
+            assert_eq!(e.protocol(i).excluded, [0, home], "robot {i}");
         }
     }
 
     #[test]
     fn suspect_dedups_and_ignores_self() {
         let mut p = AsyncSwarm::anonymous();
-        assert_eq!(p.suspected(), &[0]);
+        assert_eq!(p.excluded, [0]);
         p.suspect(0); // self: no-op
         p.suspect(2);
         p.suspect(2); // duplicate: no-op
         p.suspect(1);
-        assert_eq!(p.suspected(), &[0, 1, 2]);
+        assert_eq!(p.excluded, [0, 1, 2]);
     }
 
     /// The half-slice of the excursion robot 0 has in flight, if any.

@@ -241,13 +241,6 @@ impl BackupChannel {
         self.stats
     }
 
-    /// The movement network used for fallbacks (inboxes hold the messages
-    /// recovered through it).
-    #[must_use]
-    pub fn movement(&self) -> &SyncNetwork {
-        &self.movement
-    }
-
     /// The wireless device.
     #[must_use]
     pub fn wireless(&self) -> &Wireless {
@@ -289,7 +282,7 @@ mod tests {
         assert_eq!(route, Route::MovementAfterLoss);
         assert_eq!(ch.stats().fallbacks(), 1);
         assert!(ch.stats().movement_steps > 0);
-        assert!(ch.movement().inbox(3).contains(&(1, b"rescued".to_vec())));
+        assert!(ch.movement.inbox(3).contains(&(1, b"rescued".to_vec())));
     }
 
     #[test]
@@ -300,7 +293,7 @@ mod tests {
             BackupChannel::new(Wireless::new(3, 0.0, 1.0, None), square(), 3, 50_000).unwrap();
         let route = ch.send(0, 1, b"integrity").unwrap();
         assert_eq!(route, Route::MovementAfterCorruption);
-        assert!(ch.movement().inbox(1).contains(&(0, b"integrity".to_vec())));
+        assert!(ch.movement.inbox(1).contains(&(0, b"integrity".to_vec())));
     }
 
     #[test]

@@ -64,12 +64,6 @@ pub struct MessageStreams {
 }
 
 impl MessageStreams {
-    /// Creates an empty stream set.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Feeds one decoded signal: `sender` pressed `(slice, side)` on its
     /// keyboard. A bit that completes a message files it in
     /// [`MessageStreams::overheard`] and, if it is for this observer, in
@@ -139,12 +133,6 @@ impl MessageStreams {
     pub fn overheard(&self) -> &[OverheardEntry] {
         &self.overheard
     }
-
-    /// Bits pending (incomplete frames) across all streams.
-    #[must_use]
-    pub fn pending_bits(&self) -> usize {
-        self.decoders.values().map(FrameDecoder::pending_bits).sum()
-    }
 }
 
 /// The home index `sender` addresses by signalling on `slice`, or `None`
@@ -193,7 +181,7 @@ impl SwarmMailbox {
             init_error: None,
             pending: VecDeque::new(),
             current: None,
-            streams: MessageStreams::new(),
+            streams: MessageStreams::default(),
             memo: ClassifyMemo::default(),
         }
     }
@@ -394,12 +382,6 @@ impl ZoneTracker {
             }
             _ => None,
         }
-    }
-
-    /// The last zone observed for `home`.
-    #[must_use]
-    pub fn last_zone(&self, home: usize) -> Option<ZoneKey> {
-        self.last.get(home).copied().flatten()
     }
 }
 
@@ -620,7 +602,7 @@ pub(crate) mod tests {
     #[test]
     fn signals_accumulate_into_messages() {
         let g = geometry(false);
-        let mut streams = MessageStreams::new();
+        let mut streams = MessageStreams::default();
         // Sender: home 1; addressee: home 0 (me). Label of home 0:
         let label_me = g.label_for(1, 0);
         let slice = g.slice_for_label(label_me);
@@ -644,13 +626,13 @@ pub(crate) mod tests {
                 payload: b"ok".to_vec()
             }]
         );
-        assert_eq!(streams.pending_bits(), 0);
+        assert!(streams.decoders.values().all(|d| d.pending_bits() == 0));
     }
 
     #[test]
     fn messages_for_others_are_overheard_only() {
         let g = geometry(false);
-        let mut streams = MessageStreams::new();
+        let mut streams = MessageStreams::default();
         // Sender home 1 → dest home 2.
         let slice = g.slice_for_label(g.label_for(1, 2));
         for bit in encode_frame(b"x").iter() {
@@ -664,7 +646,7 @@ pub(crate) mod tests {
     #[test]
     fn interleaved_senders_keep_separate_streams() {
         let g = geometry(false);
-        let mut streams = MessageStreams::new();
+        let mut streams = MessageStreams::default();
         let s1 = g.slice_for_label(g.label_for(1, 0));
         let s2 = g.slice_for_label(g.label_for(2, 0));
         let b1 = encode_frame(b"from1");
@@ -686,10 +668,10 @@ pub(crate) mod tests {
     #[test]
     fn kappa_signals_are_ignored() {
         let g = geometry(true);
-        let mut streams = MessageStreams::new();
+        let mut streams = MessageStreams::default();
         streams.on_signal(&g, 1, 0, SliceSide::Zero);
         assert!(streams.overheard().is_empty());
-        assert_eq!(streams.pending_bits(), 0);
+        assert!(streams.decoders.values().all(|d| d.pending_bits() == 0));
     }
 
     #[test]
@@ -701,7 +683,7 @@ pub(crate) mod tests {
 
         // First observation at home: no event, zone Center.
         assert_eq!(tracker.observe(&g, 1, home), None);
-        assert_eq!(tracker.last_zone(1), Some(ZoneKey::Center));
+        assert_eq!(tracker.last[1], Some(ZoneKey::Center));
 
         // Move out on addressing slice 2, zero side: event.
         let out = kb.target(2, SliceSide::Zero, 0.5).unwrap();

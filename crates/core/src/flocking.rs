@@ -52,18 +52,6 @@ impl<P> Flocking<P> {
     pub fn inner_mut(&mut self) -> &mut P {
         &mut self.inner
     }
-
-    /// The flocking velocity (local units per instant).
-    #[must_use]
-    pub fn velocity(&self) -> Vec2 {
-        self.velocity
-    }
-
-    /// Instants elapsed so far.
-    #[must_use]
-    pub fn instants(&self) -> u64 {
-        self.instants
-    }
 }
 
 impl<P: MovementProtocol> MovementProtocol for Flocking<P> {
@@ -273,8 +261,8 @@ mod tests {
     #[test]
     fn accessors() {
         let f = Flocking::new(Sync2::new(), Vec2::new(1.0, 0.0));
-        assert_eq!(f.velocity(), Vec2::new(1.0, 0.0));
-        assert_eq!(f.instants(), 0);
+        assert_eq!(f.velocity, Vec2::new(1.0, 0.0));
+        assert_eq!(f.instants, 0);
         assert!(f.inner().inbox().is_empty());
     }
 }

@@ -60,8 +60,8 @@ pub mod sync2;
 pub mod sync_swarm;
 
 pub use naming::{
-    election_signature, election_signatures, label_by_id, label_by_lex, label_by_sec,
-    rotational_symmetries, Labeling, NamingError,
+    election_signature, label_by_id, label_by_lex, label_by_sec, rotational_symmetries, Labeling,
+    NamingError,
 };
 pub use preprocess::{NamingScheme, SwarmGeometry};
 

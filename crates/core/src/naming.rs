@@ -369,17 +369,6 @@ pub fn election_signature(positions: &[Point], robot: usize) -> Result<u64, Nami
     Ok(hash)
 }
 
-/// The [`election_signature`] of every robot, in input order.
-///
-/// # Errors
-///
-/// Same conditions as [`election_signature`].
-pub fn election_signatures(positions: &[Point]) -> Result<Vec<u64>, NamingError> {
-    (0..positions.len())
-        .map(|i| election_signature(positions, i))
-        .collect()
-}
-
 /// Whether rotating every point clockwise by `theta` about `center` maps
 /// the set onto itself.
 fn is_symmetry(positions: &[Point], center: Point, theta: f64, tol: f64) -> bool {
@@ -394,6 +383,13 @@ mod tests {
     use super::*;
     use std::f64::consts::{PI, TAU};
     use stigmergy_geometry::Vec2;
+
+    /// The [`election_signature`] of every robot, in input order.
+    fn election_signatures(positions: &[Point]) -> Result<Vec<u64>, NamingError> {
+        (0..positions.len())
+            .map(|i| election_signature(positions, i))
+            .collect()
+    }
 
     #[test]
     fn id_order_ranks_by_id() {

@@ -109,24 +109,6 @@ impl PacedConfig {
         })
     }
 
-    /// The magnitude alphabet in use.
-    #[must_use]
-    pub fn alphabet(&self) -> MagnitudeAlphabet {
-        self.alphabet
-    }
-
-    /// Own-activations spent holding each symbol.
-    #[must_use]
-    pub fn dwell(&self) -> u32 {
-        self.dwell
-    }
-
-    /// Whether the symbol stream is FEC-protected.
-    #[must_use]
-    pub fn has_fec(&self) -> bool {
-        self.fec
-    }
-
     fn fec_codec(&self) -> Option<SymbolFec> {
         self.fec
             .then(|| SymbolFec::new(self.alphabet.bits_per_symbol() as u32))
@@ -494,12 +476,6 @@ impl Paced2 {
         }
     }
 
-    /// The channel parameters.
-    #[must_use]
-    pub fn config(&self) -> PacedConfig {
-        self.config
-    }
-
     /// Queues a message for the peer.
     pub fn send(&mut self, payload: &[u8]) {
         self.queue.push_back(self.config.symbols_for(payload));
@@ -521,19 +497,6 @@ impl Paced2 {
     #[must_use]
     pub fn signals_sent(&self) -> u64 {
         self.signals_sent
-    }
-
-    /// FEC blocks repaired while receiving.
-    #[must_use]
-    pub fn fec_corrected(&self) -> u64 {
-        self.sink.corrected
-    }
-
-    /// Frames lost to uncorrectable blocks, erasures without FEC, or
-    /// checksum failures.
-    #[must_use]
-    pub fn fec_rejected(&self) -> u64 {
-        self.sink.rejected
     }
 
     fn decode_peer(&mut self, frame: &PairFrame, peer_pos: Point) {
@@ -595,7 +558,7 @@ impl Chat for Paced2 {
         self.inbox().iter().map(Vec::as_slice)
     }
     fn fec_stats(&self) -> (u64, u64) {
-        (self.fec_corrected(), self.fec_rejected())
+        (self.sink.corrected, self.sink.rejected)
     }
 }
 
@@ -698,25 +661,6 @@ impl PacedSwarm {
         self.signals_sent
     }
 
-    /// A preprocessing failure, if the initial configuration was
-    /// degenerate. Such a robot stays put forever.
-    #[must_use]
-    pub fn init_error(&self) -> Option<&crate::CoreError> {
-        self.mailbox.init_error()
-    }
-
-    /// FEC blocks repaired across all observed senders.
-    #[must_use]
-    pub fn fec_corrected(&self) -> u64 {
-        self.senders.values().map(|s| s.sink.corrected).sum()
-    }
-
-    /// Frames lost across all observed senders.
-    #[must_use]
-    pub fn fec_rejected(&self) -> u64 {
-        self.senders.values().map(|s| s.sink.rejected).sum()
-    }
-
     fn decode_snapshot(&mut self, view: &View) {
         let Some((g, streams, peers)) = self.mailbox.decoding_view(view) else {
             return;
@@ -817,10 +761,11 @@ impl Chat for PacedSwarm {
         self.geometry()
     }
     fn failure(&self) -> Option<&crate::CoreError> {
-        self.init_error()
+        self.mailbox.init_error()
     }
     fn fec_stats(&self) -> (u64, u64) {
-        (self.fec_corrected(), self.fec_rejected())
+        let sinks = self.senders.values().map(|s| &s.sink);
+        sinks.fold((0, 0), |(c, r), s| (c + s.corrected, r + s.rejected))
     }
 }
 
@@ -855,7 +800,7 @@ mod tests {
                     .unwrap();
                 assert!(out.satisfied, "levels={levels} fec={fec}");
                 assert_eq!(e.protocol(1).inbox()[0], b"paced!".to_vec());
-                assert_eq!(e.protocol(1).fec_rejected(), 0);
+                assert_eq!(e.protocol(1).fec_stats().1, 0);
             }
         }
     }
@@ -1103,7 +1048,7 @@ mod tests {
                 "robot {observer} missed the traffic"
             );
         }
-        assert_eq!(e.protocol(3).fec_rejected(), 0);
+        assert_eq!(e.protocol(3).fec_stats().1, 0);
     }
 
     #[test]
@@ -1263,9 +1208,9 @@ mod tests {
         assert!(PacedConfig::new(0, 10, false).is_err());
         assert!(PacedConfig::new(8, 0, false).is_err());
         let c = PacedConfig::new(8, 10, true).unwrap();
-        assert_eq!(c.alphabet().bits_per_symbol(), 3);
-        assert_eq!(c.dwell(), 10);
-        assert!(c.has_fec());
+        assert_eq!(c.alphabet.bits_per_symbol(), 3);
+        assert_eq!(c.dwell, 10);
+        assert!(c.fec);
     }
 
     #[test]

@@ -178,12 +178,6 @@ impl SwarmGeometry {
         self.homes.len()
     }
 
-    /// The naming scheme in force.
-    #[must_use]
-    pub fn scheme(&self) -> NamingScheme {
-        self.scheme
-    }
-
     /// Whether keyboards carry the extra κ slice.
     #[must_use]
     pub fn has_kappa(&self) -> bool {
@@ -311,7 +305,7 @@ mod tests {
         let view = view_of(&square(), false);
         let g = SwarmGeometry::build(&view, NamingScheme::ByLex, false).unwrap();
         assert_eq!(g.cohort(), 4);
-        assert_eq!(g.scheme(), NamingScheme::ByLex);
+        assert_eq!(g.scheme, NamingScheme::ByLex);
         assert!(!g.has_kappa());
         assert_eq!(g.kappa_slice(), None);
         // Same labelling from every perspective.

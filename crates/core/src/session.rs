@@ -404,7 +404,7 @@ impl<P: Chat> Network<P> {
     /// inbox entries in place, with no copies, so it is safe to call
     /// every instant of a long run.
     #[must_use]
-    pub fn all_delivered(&self) -> bool {
+    fn all_delivered(&self) -> bool {
         self.expectations
             .iter()
             .all(|((from, to, payload), &need)| self.delivered_count(*from, *to, payload) >= need)
@@ -566,7 +566,7 @@ impl HardenedSession {
     /// # Errors
     ///
     /// Fails on configurations the movement network rejects.
-    pub fn new(
+    fn new(
         positions: Vec<Point>,
         seed: u64,
         policy: RetransmitPolicy,
@@ -581,12 +581,12 @@ impl HardenedSession {
         })
     }
 
-    /// As [`HardenedSession::new`], with a fault plan injected into the
-    /// movement engine.
+    /// Builds a hardened session over the robots at `positions`, with
+    /// `plan` injected into the movement engine.
     ///
     /// # Errors
     ///
-    /// As [`HardenedSession::new`].
+    /// Fails on configurations the movement network rejects.
     pub fn with_faults(
         positions: Vec<Point>,
         seed: u64,
@@ -751,20 +751,6 @@ impl HardenedSession {
     #[must_use]
     pub fn network(&self) -> &SyncNetwork {
         &self.net
-    }
-
-    /// The configured (pre-adaptation) retransmission policy.
-    #[must_use]
-    pub fn policy(&self) -> RetransmitPolicy {
-        self.adaptive.policy()
-    }
-
-    /// The adaptive controller's current pressure level — 0 when the
-    /// secondary channel has been clean, up to
-    /// [`crate::ack::MAX_PRESSURE`] after uncorrectable noise.
-    #[must_use]
-    pub fn pressure(&self) -> u32 {
-        self.adaptive.pressure()
     }
 }
 
@@ -1127,7 +1113,7 @@ mod tests {
         let stats = s.stats();
         assert!(stats.fec_corrected >= 1, "the flip was corrected");
         assert_eq!(stats.fec_rejected, 0);
-        assert_eq!(s.pressure(), 1, "one correction event");
+        assert_eq!(s.adaptive.pressure(), 1, "one correction event");
     }
 
     #[test]
@@ -1145,7 +1131,7 @@ mod tests {
         .unwrap();
         s.send(0, 1, b"first").unwrap();
         assert_eq!(s.stats().movement_steps, 12);
-        assert_eq!(s.pressure(), 1);
+        assert_eq!(s.adaptive.pressure(), 1);
         s.send(0, 1, b"second").unwrap();
         assert_eq!(s.stats().movement_steps, 12 + 6, "budgets halved");
         assert_eq!(s.stats().secondary_ok, 2);
@@ -1170,7 +1156,7 @@ mod tests {
         assert!(matches!(err, CoreError::Timeout { .. }), "got {err:?}");
         assert_eq!(s.stats().movement_steps, 4 + 8 + 16);
         assert_eq!(s.stats().fec_rejected, 3, "every retry was jammed");
-        assert_eq!(s.pressure(), crate::ack::MAX_PRESSURE);
+        assert_eq!(s.adaptive.pressure(), crate::ack::MAX_PRESSURE);
         let err = s.send(0, 1, b"jam").unwrap_err();
         assert!(matches!(err, CoreError::Timeout { .. }), "got {err:?}");
         assert_eq!(

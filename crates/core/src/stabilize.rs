@@ -90,22 +90,10 @@ impl StabilizingSync {
         &self.inbox
     }
 
-    /// Epochs this instance has (re)initialized — diagnostics.
-    #[must_use]
-    pub fn epochs_started(&self) -> u64 {
-        self.epochs_started
-    }
-
     /// Whether all queued traffic has been transmitted.
     #[must_use]
     pub fn is_drained(&self) -> bool {
         self.queue.is_empty() && self.current.is_none()
-    }
-
-    /// The epoch length.
-    #[must_use]
-    pub fn period(&self) -> u64 {
-        self.period
     }
 
     /// Moves newly decoded inner-inbox entries into the cross-epoch inbox,
@@ -268,7 +256,7 @@ mod tests {
             })
             .unwrap();
         assert!(out.satisfied, "stabilization failed to recover");
-        assert!(e.protocol(2).epochs_started() >= 1);
+        assert!(e.protocol(2).epochs_started >= 1);
     }
 
     #[test]
@@ -377,7 +365,7 @@ mod tests {
         for i in 0..3 {
             assert_eq!(e.trace().move_count(i), 0);
         }
-        assert_eq!(e.protocol(0).epochs_started(), 0);
+        assert_eq!(e.protocol(0).epochs_started, 0);
     }
 
     #[test]
@@ -399,7 +387,7 @@ mod tests {
             assert_eq!(payload, &vec![k as u8]);
         }
         // The run definitely crossed epoch boundaries.
-        assert!(e.protocol(0).epochs_started() >= 2);
+        assert!(e.protocol(0).epochs_started >= 2);
     }
 
     #[test]

@@ -135,12 +135,6 @@ impl Sync2 {
         }
     }
 
-    /// The alphabet in use.
-    #[must_use]
-    pub fn alphabet(&self) -> LevelAlphabet {
-        self.alphabet
-    }
-
     /// Queues a message for the peer. The framed bit stream is packed
     /// into symbols; the tail is padded to a whole symbol.
     pub fn send(&mut self, payload: &[u8]) {
@@ -448,7 +442,7 @@ mod tests {
             .unwrap();
         assert!(out.satisfied);
         assert_eq!(e.protocol(1).inbox()[0], b"plain".to_vec());
-        assert_eq!(e.protocol(0).alphabet(), LevelAlphabet::binary());
+        assert_eq!(e.protocol(0).alphabet, LevelAlphabet::binary());
     }
 
     #[test]
@@ -523,6 +517,6 @@ mod tests {
         e.run(50).unwrap();
         assert_eq!(e.trace().path_length(0), 0.0);
         assert!(e.protocol(0).is_drained());
-        assert_eq!(e.protocol(0).alphabet().size(), 16);
+        assert_eq!(e.protocol(0).alphabet.size(), 16);
     }
 }

@@ -137,14 +137,6 @@ impl SyncSwarm {
         self.signals_sent
     }
 
-    /// A preprocessing failure, if the initial configuration was degenerate
-    /// (e.g. a robot at the SEC centre under [`SyncSwarm::anonymous`]).
-    /// Such a robot stays put forever; sessions surface this error.
-    #[must_use]
-    pub fn init_error(&self) -> Option<&crate::CoreError> {
-        self.mailbox.init_error()
-    }
-
     fn decode_snapshot(&mut self, view: &View) {
         let Some((g, streams, peers)) = self.mailbox.decoding_view(view) else {
             return;
@@ -215,7 +207,7 @@ impl Chat for SyncSwarm {
         self.geometry()
     }
     fn failure(&self) -> Option<&crate::CoreError> {
-        self.init_error()
+        self.mailbox.init_error()
     }
 }
 
@@ -458,7 +450,7 @@ mod tests {
             .build()
             .unwrap();
         e.step().unwrap();
-        assert!(e.protocol(2).init_error().is_some());
+        assert!(e.protocol(2).failure().is_some());
         assert!(e.protocol(2).geometry().is_none());
     }
 

@@ -177,7 +177,7 @@ impl ProtocolKind {
 
     /// The default step budget, matching the adversarial suite's.
     #[must_use]
-    pub fn default_budget(self) -> u64 {
+    fn default_budget(self) -> u64 {
         self.row().budget
     }
 
@@ -190,7 +190,7 @@ impl ProtocolKind {
 
     /// Decodes a [`ProtocolKind::wire_code`] tag.
     #[must_use]
-    pub fn from_wire_code(code: u8) -> Option<Self> {
+    fn from_wire_code(code: u8) -> Option<Self> {
         Self::ALL.into_iter().find(|kind| kind.wire_code() == code)
     }
 }

@@ -130,12 +130,6 @@ impl HistogramSnapshot {
         self.sum += other.sum;
     }
 
-    /// Mean sample value, or `None` before any sample.
-    #[must_use]
-    pub fn mean(&self) -> Option<f64> {
-        (self.count > 0).then(|| self.sum as f64 / self.count as f64)
-    }
-
     /// Serializes the snapshot as a JSON object with a stable key order —
     /// shared by [`MetricsSnapshot::to_json`] and the gateway's latency
     /// metrics.
@@ -339,15 +333,6 @@ impl MetricsSnapshot {
         out
     }
 
-    /// Engine instants spent per payload bit delivered end to end —
-    /// the channel's inverse effective bitrate, rounded down. Zero when
-    /// nothing was delivered (so the ratio is monotone-comparable in
-    /// baselines: lower is better once bits flow).
-    #[must_use]
-    pub fn steps_per_delivered_bit(&self) -> u64 {
-        self.steps.checked_div(self.delivered_bits).unwrap_or(0)
-    }
-
     /// Serializes the snapshot as a JSON object with a stable key order,
     /// so equal snapshots produce byte-equal JSON (the property the CI
     /// smoke job diffs on).
@@ -404,7 +389,6 @@ mod tests {
         assert_eq!(s.bins, vec![2, 2, 1]);
         assert_eq!(s.count, 5);
         assert_eq!(s.sum, 222);
-        assert_eq!(s.mean(), Some(44.4));
     }
 
     #[test]
@@ -513,19 +497,6 @@ mod tests {
         assert_eq!(s.delivered_bits, s.delivered * 24);
         assert_eq!(s.fec_corrected, (0..50).map(|i| i % 5).sum::<u64>());
         assert_eq!(s.fec_rejected, (0..50).map(|i| i % 2).sum::<u64>());
-        assert_eq!(s.steps_per_delivered_bit(), s.steps / s.delivered_bits);
-    }
-
-    #[test]
-    fn derived_rates_are_zero_before_any_delivery() {
-        let empty = MetricsSnapshot::empty();
-        assert_eq!(empty, MetricsSnapshot::of(&[]));
-        assert_eq!(empty.steps_per_delivered_bit(), 0);
-        let s = MetricsSnapshot::of(&[RunReport {
-            steps: 500,
-            ..blank()
-        }]);
-        assert_eq!(s.steps_per_delivered_bit(), 0, "no bits, no ratio");
     }
 
     #[test]

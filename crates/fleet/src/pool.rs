@@ -53,7 +53,7 @@ impl CancelToken {
 
     /// Whether cancellation has been requested.
     #[must_use]
-    pub fn is_cancelled(&self) -> bool {
+    fn is_cancelled(&self) -> bool {
         self.flag.load(Ordering::Acquire)
     }
 }

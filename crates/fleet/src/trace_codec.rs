@@ -64,21 +64,14 @@ fn put_point(out: &mut Vec<u8>, p: Point) {
     put_u64(out, p.y.to_bits());
 }
 
-/// Encodes a trace to its canonical byte form: what a [`TraceEncoder`]
-/// fed the trace's steps and faults assembles.
+/// The one writer of the canonical layout: an incremental encoder that
+/// never materializes a [`Trace`] ([`TraceEncoder::from_trace`] replays
+/// a recorded one through it).
 ///
 /// Layout (all integers little endian):
 /// `"STRC" | version u8 | n u32 | n initial points | step count u32 |`
 /// per step `{ time u64 | activation bitmap (n bits, LSB-first bytes) |`
 /// `position count u32 | points } | fault count u32 | tagged faults`.
-#[must_use]
-pub fn encode(trace: &Trace) -> Vec<u8> {
-    TraceEncoder::from_trace(trace).to_bytes()
-}
-
-/// The one writer of the canonical layout: an incremental encoder that
-/// never materializes a [`Trace`] ([`TraceEncoder::from_trace`] replays
-/// a recorded one through it).
 ///
 /// Feed it the engine's [`TraceEvent`] stream (via
 /// [`stigmergy_robots::Engine::observe_trace`]) and it appends each step
@@ -145,7 +138,7 @@ impl TraceEncoder {
     }
 
     /// Appends one instant's record.
-    pub fn record_step(&mut self, time: u64, active: &ActivationSet, positions: &[Point]) {
+    fn record_step(&mut self, time: u64, active: &ActivationSet, positions: &[Point]) {
         put_u64(&mut self.steps, time);
         let start = self.steps.len();
         self.steps.resize(start + self.n.div_ceil(8), 0);
@@ -177,12 +170,6 @@ impl TraceEncoder {
         }
     }
 
-    /// Number of recorded instants.
-    #[must_use]
-    pub fn step_count(&self) -> u32 {
-        self.step_count
-    }
-
     /// Length of the assembled encoding, in bytes.
     #[must_use]
     pub fn encoded_len(&self) -> usize {
@@ -202,8 +189,7 @@ impl TraceEncoder {
         hash.finish()
     }
 
-    /// Assembles the canonical byte string — equal to [`encode`] of the
-    /// equivalent recorded trace.
+    /// Assembles the canonical byte string.
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.encoded_len());
@@ -214,13 +200,6 @@ impl TraceEncoder {
         out.extend_from_slice(&self.faults);
         out
     }
-}
-
-/// Encodes a trace as lowercase hex, wrapped at 64 characters per line —
-/// the on-disk form of golden traces (diffable, no binary files in git).
-#[must_use]
-pub fn encode_hex(trace: &Trace) -> String {
-    to_hex(&encode(trace))
 }
 
 /// Hex-formats already-encoded trace bytes in the golden-file layout
@@ -257,7 +236,7 @@ const STRIPE: usize = 32;
 /// of `a ++ b`, which is what lets [`TraceEncoder::fingerprint`] hash
 /// its segments without concatenating them.
 #[derive(Debug, Clone)]
-pub struct Fingerprint {
+struct Fingerprint {
     lanes: [u64; 4],
     total_len: u64,
     /// Bytes not yet folded into the lanes; only the first `tail_len`
@@ -266,16 +245,10 @@ pub struct Fingerprint {
     tail_len: usize,
 }
 
-impl Default for Fingerprint {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl Fingerprint {
     /// The hasher of the empty string.
     #[must_use]
-    pub fn new() -> Self {
+    fn new() -> Self {
         Self {
             lanes: [
                 PRIME64_1.wrapping_add(PRIME64_2),
@@ -290,7 +263,7 @@ impl Fingerprint {
     }
 
     /// Appends `bytes` to the hashed string.
-    pub fn write(&mut self, bytes: &[u8]) {
+    fn write(&mut self, bytes: &[u8]) {
         self.total_len = self.total_len.wrapping_add(bytes.len() as u64);
         let (head, bytes) = bytes.split_at(bytes.len().min(STRIPE - self.tail_len));
         if let Some(free) = self.tail.get_mut(self.tail_len..self.tail_len + head.len()) {
@@ -314,7 +287,7 @@ impl Fingerprint {
 
     /// The XXH64 of everything written so far.
     #[must_use]
-    pub fn finish(&self) -> u64 {
+    fn finish(&self) -> u64 {
         let mut hash = if self.total_len >= STRIPE as u64 {
             let [v1, v2, v3, v4] = self.lanes;
             let hash = v1
@@ -419,6 +392,10 @@ mod tests {
     use stigmergy_robots::{Engine, MovementProtocol, View};
     use stigmergy_scheduler::{FaultPlan, RoundRobin};
 
+    fn encode(trace: &Trace) -> Vec<u8> {
+        TraceEncoder::from_trace(trace).to_bytes()
+    }
+
     struct Walker;
     impl MovementProtocol for Walker {
         fn on_activate(&mut self, view: &View) -> Point {
@@ -465,7 +442,7 @@ mod tests {
     #[test]
     fn hex_roundtrips_bytes() {
         let trace = sample_trace(9);
-        let hex = encode_hex(&trace);
+        let hex = to_hex(&encode(&trace));
         assert!(hex.ends_with('\n'));
         let joined: String = hex.split_whitespace().collect();
         let decoded: Vec<u8> = (0..joined.len())
@@ -498,7 +475,6 @@ mod tests {
         assert_eq!(enc.to_bytes(), expected, "streaming bytes differ");
         assert_eq!(enc.encoded_len(), expected.len());
         assert_eq!(enc.fingerprint(), fingerprint(&expected));
-        assert_eq!(enc.step_count() as usize, trace.steps().len());
     }
 
     #[test]

@@ -30,7 +30,7 @@ pub mod wire;
 
 pub use client::{Client, JobResult, Ticket};
 pub use metrics::{GatewayMetrics, GatewayMetricsSnapshot, LATENCY_MS_BOUNDS};
-pub use server::{termination_flag, validate_request, Gateway, GatewayConfig};
+pub use server::{termination_flag, Gateway, GatewayConfig};
 pub use wire::{
     CancelState, FailReason, FrameBuffer, JobRequest, Message, RejectReason, MAX_FRAME,
     WIRE_VERSION,

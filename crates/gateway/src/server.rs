@@ -39,7 +39,7 @@
 //!
 //! # Graceful shutdown
 //!
-//! [`Gateway::begin_shutdown`] (or a client `Shutdown` frame, or
+//! [`Gateway::shutdown_and_join`] (or a client `Shutdown` frame, or
 //! SIGTERM via [`termination_flag`]) stops the listener, flips
 //! admission to reject-with-`ShuttingDown`, and lets the runner drain
 //! every already-accepted job — each still streams progress and gets
@@ -109,7 +109,7 @@ const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 /// # Errors
 ///
 /// A human-readable description of the first violated limit.
-pub fn validate_request(req: &JobRequest, config: &GatewayConfig) -> Result<(), String> {
+fn validate_request(req: &JobRequest, config: &GatewayConfig) -> Result<(), String> {
     if req.workers == 0 {
         return Err("workers must be at least 1".into());
     }
@@ -688,11 +688,6 @@ impl Gateway {
     #[must_use]
     pub fn metrics(&self) -> GatewayMetricsSnapshot {
         self.shared.metrics.snapshot()
-    }
-
-    /// Stops admission and accepting, lets accepted jobs drain.
-    pub fn begin_shutdown(&self) {
-        self.shared.begin_shutdown();
     }
 
     /// Whether the drain has completed (every accepted job finished).

@@ -56,13 +56,6 @@ impl Tolerance {
         self.eq(v, 0.0)
     }
 
-    /// Returns `true` when `a` is strictly less than `b` beyond the
-    /// tolerance (i.e. they are not "equal" and `a < b`).
-    #[must_use]
-    pub fn lt(&self, a: f64, b: f64) -> bool {
-        a < b && !self.eq(a, b)
-    }
-
     /// Returns `true` when `a <= b` or the two are equal within tolerance.
     #[must_use]
     pub fn le(&self, a: f64, b: f64) -> bool {
@@ -130,8 +123,6 @@ mod tests {
     #[test]
     fn strict_ordering_respects_tolerance() {
         let tol = Tolerance::absolute(1e-6);
-        assert!(tol.lt(0.0, 1.0));
-        assert!(!tol.lt(0.0, 1e-9));
         assert!(tol.le(0.0, 1e-9));
         assert!(tol.le(1e-9, 0.0));
         assert!(!tol.le(1.0, 0.0));

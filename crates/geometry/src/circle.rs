@@ -15,20 +15,6 @@ pub struct Circle {
 }
 
 impl Circle {
-    /// Creates a circle from centre and radius.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GeometryError::NonPositiveRadius`] for a negative or NaN
-    /// radius. A zero radius is allowed (a degenerate point circle); the
-    /// smallest enclosing circle of one point is exactly that.
-    pub fn new(center: Point, radius: f64) -> Result<Self, GeometryError> {
-        if radius.is_nan() || radius < 0.0 {
-            return Err(GeometryError::NonPositiveRadius);
-        }
-        Ok(Self { center, radius })
-    }
-
     /// The degenerate circle consisting of a single point.
     #[must_use]
     pub fn point(center: Point) -> Self {
@@ -98,20 +84,6 @@ mod tests {
     }
 
     #[test]
-    fn construction_validation() {
-        assert!(Circle::new(Point::ORIGIN, 1.0).is_ok());
-        assert!(Circle::new(Point::ORIGIN, 0.0).is_ok());
-        assert_eq!(
-            Circle::new(Point::ORIGIN, -1.0),
-            Err(GeometryError::NonPositiveRadius)
-        );
-        assert_eq!(
-            Circle::new(Point::ORIGIN, f64::NAN),
-            Err(GeometryError::NonPositiveRadius)
-        );
-    }
-
-    #[test]
     fn diameter_circle() {
         let c = Circle::with_diameter(Point::new(-1.0, 0.0), Point::new(1.0, 0.0));
         assert_eq!(c.center, Point::ORIGIN);
@@ -143,7 +115,10 @@ mod tests {
 
     #[test]
     fn containment_predicates() {
-        let c = Circle::new(Point::ORIGIN, 2.0).unwrap();
+        let c = Circle {
+            center: Point::ORIGIN,
+            radius: 2.0,
+        };
         assert!(c.contains(Point::new(1.0, 1.0), tol()));
         assert!(c.contains(Point::new(2.0, 0.0), tol()));
         assert!(!c.contains(Point::new(2.1, 0.0), tol()));
@@ -161,7 +136,10 @@ mod tests {
 
     #[test]
     fn display_form() {
-        let c = Circle::new(Point::ORIGIN, 1.0).unwrap();
+        let c = Circle {
+            center: Point::ORIGIN,
+            radius: 1.0,
+        };
         assert!(format!("{c}").contains("circle"));
     }
 }

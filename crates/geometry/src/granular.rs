@@ -51,15 +51,6 @@ impl SliceSide {
             SliceSide::Zero
         }
     }
-
-    /// The opposite side.
-    #[must_use]
-    pub fn opposite(self) -> Self {
-        match self {
-            SliceSide::Zero => SliceSide::One,
-            SliceSide::One => SliceSide::Zero,
-        }
-    }
 }
 
 impl fmt::Display for SliceSide {
@@ -603,8 +594,6 @@ mod tests {
         assert!(SliceSide::One.bit());
         assert_eq!(SliceSide::from_bit(false), SliceSide::Zero);
         assert_eq!(SliceSide::from_bit(true), SliceSide::One);
-        assert_eq!(SliceSide::Zero.opposite(), SliceSide::One);
-        assert_eq!(SliceSide::One.opposite(), SliceSide::Zero);
     }
 
     #[test]

@@ -47,45 +47,23 @@ impl Line {
     ///
     /// Returns [`GeometryError::ZeroDirection`] if `dir` has (near-)zero
     /// length.
-    pub fn new(origin: Point, dir: Vec2) -> Result<Self, GeometryError> {
+    fn new(origin: Point, dir: Vec2) -> Result<Self, GeometryError> {
         Ok(Self {
             origin,
             dir: dir.normalized()?,
         })
     }
 
-    /// Creates the line through two distinct points, directed from `a` to
-    /// `b`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GeometryError::ZeroDirection`] if the points coincide.
-    pub fn through(a: Point, b: Point) -> Result<Self, GeometryError> {
-        Line::new(a, b - a)
-    }
-
-    /// A point on the line.
-    #[must_use]
-    pub fn origin(&self) -> Point {
-        self.origin
-    }
-
-    /// The unit direction of the line.
-    #[must_use]
-    pub fn dir(&self) -> Vec2 {
-        self.dir
-    }
-
     /// Signed distance from the line: positive on the left of the direction,
     /// negative on the right.
     #[must_use]
-    pub fn signed_distance(&self, p: Point) -> f64 {
+    fn signed_distance(&self, p: Point) -> f64 {
         self.dir.cross(p - self.origin)
     }
 
     /// Classifies which side of the line `p` lies on.
     #[must_use]
-    pub fn side(&self, p: Point, tol: Tolerance) -> Side {
+    fn side(&self, p: Point, tol: Tolerance) -> Side {
         let d = self.signed_distance(p);
         if tol.zero(d) {
             Side::On
@@ -94,26 +72,6 @@ impl Line {
         } else {
             Side::Right
         }
-    }
-
-    /// Orthogonal projection of `p` onto the line.
-    #[must_use]
-    pub fn project(&self, p: Point) -> Point {
-        let t = (p - self.origin).dot(self.dir);
-        self.origin + self.dir * t
-    }
-
-    /// Intersection point with another line.
-    ///
-    /// Returns `None` when the lines are parallel (within tolerance).
-    #[must_use]
-    pub fn intersect(&self, other: &Line, tol: Tolerance) -> Option<Point> {
-        let denom = self.dir.cross(other.dir);
-        if tol.zero(denom) {
-            return None;
-        }
-        let t = (other.origin - self.origin).cross(other.dir) / denom;
-        Some(self.origin + self.dir * t)
     }
 
     /// The perpendicular bisector of segment `ab`, directed 90°
@@ -126,7 +84,7 @@ impl Line {
     /// # Errors
     ///
     /// Returns [`GeometryError::ZeroDirection`] if the points coincide.
-    pub fn bisector(a: Point, b: Point) -> Result<Line, GeometryError> {
+    fn bisector(a: Point, b: Point) -> Result<Line, GeometryError> {
         let dir = (b - a).perp_ccw();
         Line::new(a.midpoint(b), dir)
     }
@@ -147,7 +105,7 @@ pub struct HalfPlane {
 impl HalfPlane {
     /// Creates the half-plane of points on or to the *left* of `boundary`.
     #[must_use]
-    pub const fn left_of(boundary: Line) -> Self {
+    const fn left_of(boundary: Line) -> Self {
         Self { boundary }
     }
 
@@ -160,12 +118,6 @@ impl HalfPlane {
     pub fn voronoi(site: Point, other: Point) -> Result<Self, GeometryError> {
         // `Line::bisector` keeps `site` on its left by construction.
         Ok(HalfPlane::left_of(Line::bisector(site, other)?))
-    }
-
-    /// The boundary line.
-    #[must_use]
-    pub fn boundary(&self) -> Line {
-        self.boundary
     }
 
     /// Whether `p` is inside the (closed) half-plane.
@@ -195,9 +147,13 @@ mod tests {
         Tolerance::default()
     }
 
+    fn through(a: Point, b: Point) -> Line {
+        Line::new(a, b - a).unwrap()
+    }
+
     #[test]
     fn side_classification() {
-        let l = Line::through(Point::new(0.0, 0.0), Point::new(1.0, 0.0)).unwrap();
+        let l = through(Point::new(0.0, 0.0), Point::new(1.0, 0.0));
         assert_eq!(l.side(Point::new(0.5, 1.0), tol()), Side::Left);
         assert_eq!(l.side(Point::new(0.5, -1.0), tol()), Side::Right);
         assert_eq!(l.side(Point::new(42.0, 0.0), tol()), Side::On);
@@ -205,7 +161,7 @@ mod tests {
 
     #[test]
     fn signed_distance_matches_geometry() {
-        let l = Line::through(Point::new(0.0, 0.0), Point::new(1.0, 0.0)).unwrap();
+        let l = through(Point::new(0.0, 0.0), Point::new(1.0, 0.0));
         assert!(crate::approx_eq(
             l.signed_distance(Point::new(3.0, 2.0)),
             2.0
@@ -217,31 +173,9 @@ mod tests {
     }
 
     #[test]
-    fn projection() {
-        let l = Line::through(Point::new(0.0, 0.0), Point::new(2.0, 2.0)).unwrap();
-        let p = l.project(Point::new(2.0, 0.0));
-        assert!(p.approx_eq(Point::new(1.0, 1.0)));
-    }
-
-    #[test]
-    fn line_intersection() {
-        let a = Line::through(Point::new(0.0, 0.0), Point::new(1.0, 1.0)).unwrap();
-        let b = Line::through(Point::new(0.0, 2.0), Point::new(1.0, 1.0)).unwrap();
-        let p = a.intersect(&b, tol()).unwrap();
-        assert!(p.approx_eq(Point::new(1.0, 1.0)));
-    }
-
-    #[test]
-    fn parallel_lines_do_not_intersect() {
-        let a = Line::through(Point::new(0.0, 0.0), Point::new(1.0, 0.0)).unwrap();
-        let b = Line::through(Point::new(0.0, 1.0), Point::new(1.0, 1.0)).unwrap();
-        assert_eq!(a.intersect(&b, tol()), None);
-    }
-
-    #[test]
     fn coincident_points_rejected() {
         let p = Point::new(1.0, 1.0);
-        assert!(Line::through(p, p).is_err());
+        assert!(Line::new(p, p - p).is_err());
         assert!(Line::bisector(p, p).is_err());
     }
 
@@ -250,7 +184,7 @@ mod tests {
         let a = Point::new(0.0, 0.0);
         let b = Point::new(4.0, 2.0);
         let bis = Line::bisector(a, b).unwrap();
-        let m = bis.origin();
+        let m = bis.origin;
         assert!(crate::approx_eq(m.distance(a), m.distance(b)));
         assert_eq!(bis.side(a, tol()), Side::Left);
         assert_eq!(bis.side(b, tol()), Side::Right);
@@ -269,7 +203,7 @@ mod tests {
 
     #[test]
     fn display_forms() {
-        let l = Line::through(Point::ORIGIN, Point::new(1.0, 0.0)).unwrap();
+        let l = through(Point::ORIGIN, Point::new(1.0, 0.0));
         assert!(format!("{l}").contains("line"));
         assert!(format!("{}", Side::Left).contains("left"));
         assert!(format!("{}", HalfPlane::left_of(l)).contains("half-plane"));

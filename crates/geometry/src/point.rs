@@ -113,13 +113,6 @@ impl Vec2 {
         Vec2::new(self.y, -self.x)
     }
 
-    /// Angle of the vector in radians, measured counter-clockwise from +x,
-    /// in `(-π, π]`.
-    #[must_use]
-    pub fn atan2(self) -> f64 {
-        self.y.atan2(self.x)
-    }
-
     /// Component-wise approximate equality with the default tolerance.
     #[must_use]
     pub fn approx_eq(self, other: Vec2) -> bool {
@@ -464,12 +457,6 @@ mod tests {
         assert!(orient(a, b, ccw) > 0.0);
         assert!(orient(a, b, cw) < 0.0);
         assert!(crate::approx_zero(orient(a, b, col)));
-    }
-
-    #[test]
-    fn atan2_axes() {
-        assert!(crate::approx_eq(Vec2::EAST.atan2(), 0.0));
-        assert!(crate::approx_eq(Vec2::NORTH.atan2(), FRAC_PI_2));
     }
 
     #[test]

@@ -18,7 +18,6 @@ use crate::GeometryError;
 /// The Voronoi cell of one site, as an intersection of half-planes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct VoronoiCell {
-    site: Point,
     constraints: Vec<HalfPlane>,
 }
 
@@ -47,29 +46,13 @@ impl VoronoiCell {
                 })?;
             constraints.push(hp);
         }
-        Ok(Self { site, constraints })
-    }
-
-    /// The site owning this cell.
-    #[must_use]
-    pub fn site(&self) -> Point {
-        self.site
+        Ok(Self { constraints })
     }
 
     /// Whether `p` lies in the (closed) cell.
     #[must_use]
     pub fn contains(&self, p: Point, tol: Tolerance) -> bool {
         self.constraints.iter().all(|hp| hp.contains(p, tol))
-    }
-
-    /// The minimum signed margin of `p` over all constraints; positive means
-    /// strictly inside, negative means outside.
-    #[must_use]
-    pub fn margin(&self, p: Point) -> f64 {
-        self.constraints
-            .iter()
-            .map(|hp| hp.margin(p))
-            .fold(f64::INFINITY, f64::min)
     }
 }
 
@@ -152,7 +135,6 @@ mod tests {
         assert!(cell.contains(Point::new(1.9, 100.0), tol()));
         assert!(cell.contains(Point::new(2.0, -5.0), tol())); // boundary
         assert!(!cell.contains(Point::new(2.1, 0.0), tol()));
-        assert_eq!(cell.site(), sites[0]);
     }
 
     #[test]
@@ -166,7 +148,6 @@ mod tests {
         for i in 0..sites.len() {
             let cell = VoronoiCell::build(&sites, i).unwrap();
             assert!(cell.contains(sites[i], tol()), "site {i} outside own cell");
-            assert!(cell.margin(sites[i]) > 0.0);
         }
     }
 
@@ -285,15 +266,6 @@ mod tests {
             VoronoiCell::build(&sites, 9),
             Err(GeometryError::IndexOutOfRange { .. })
         ));
-    }
-
-    #[test]
-    fn margin_sign() {
-        let sites = [Point::new(0.0, 0.0), Point::new(4.0, 0.0)];
-        let cell = VoronoiCell::build(&sites, 0).unwrap();
-        assert!(cell.margin(Point::new(0.0, 0.0)) > 0.0);
-        assert!(cell.margin(Point::new(3.0, 0.0)) < 0.0);
-        assert!(crate::approx_zero(cell.margin(Point::new(2.0, 7.0))));
     }
 }
 

@@ -3,20 +3,20 @@
 //! violations.
 
 /// Mentions HashMap, Instant::now(), and thread::spawn in docs only.
-pub fn documented() -> &'static str {
+fn documented() -> &'static str {
     // A line comment saying x.unwrap() and panic!() is not code.
     /* Nested /* block comments hide HashSet and SystemTime */ fully. */
     "strings hide HashMap::new() and thread::spawn(|| {})"
 }
 
-pub fn raw_strings() -> String {
+fn raw_strings() -> String {
     let a = r#"Instant::now() inside a raw string with a " quote"#;
     let b = r##"nested "# terminator then x.unwrap() stays text"##;
     let c = "escaped \" then panic!(\"boom\")";
     format!("{a}{b}{c}")
 }
 
-pub fn raw_idents() {
+fn raw_idents() {
     // r#match is an identifier, not the keyword; chars are not lifetimes.
     let r#match = ('\'', 'a', '\u{41}');
     let _lifetime_not_char: fn(&u8) -> &u8 = |x| x;

@@ -1,6 +1,6 @@
 //! Clean control for float-determinism: `sqrt`, `abs`, `powi`,
 //! `floor` are IEEE-754-exact and allowed everywhere.
 
-pub fn exact(x: f64) -> f64 {
+fn exact(x: f64) -> f64 {
     (x.sqrt() + x.abs()).powi(2).floor()
 }

@@ -5,14 +5,14 @@
 pub struct Engine;
 
 impl Engine {
-    pub fn step_inner(&self) {
+    fn step_inner(&self) {
         walk();
     }
 }
 
 fn walk() {}
 
-pub fn cold_report() -> String {
+fn cold_report() -> String {
     let mut out = String::new();
     out.push('x');
     out

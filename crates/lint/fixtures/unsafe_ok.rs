@@ -5,7 +5,7 @@
 /// # Safety
 ///
 /// The caller guarantees `p` is valid for reads.
-pub unsafe fn read_contract(p: *const u8) -> u8 {
+unsafe fn read_contract(p: *const u8) -> u8 {
     // SAFETY: the fn-level contract above passes pointer validity down.
     unsafe { *p }
 }

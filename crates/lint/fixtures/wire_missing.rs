@@ -9,7 +9,7 @@ pub enum Frame {
 }
 
 impl Frame {
-    pub fn encode(&self) -> u8 {
+    fn encode(&self) -> u8 {
         match self {
             Frame::Ping => 0,
             Frame::Pong => 1,
@@ -17,7 +17,7 @@ impl Frame {
         }
     }
 
-    pub fn decode(code: u8) -> Frame {
+    fn decode(code: u8) -> Frame {
         match code {
             0 => Frame::Ping,
             _ => Frame::Pong,

@@ -7,14 +7,14 @@ pub enum Frame {
 }
 
 impl Frame {
-    pub fn encode(&self) -> u8 {
+    fn encode(&self) -> u8 {
         match self {
             Frame::Ping => 0,
             Frame::Pong => 1,
         }
     }
 
-    pub fn decode(code: u8) -> Option<Frame> {
+    fn decode(code: u8) -> Option<Frame> {
         match code {
             0 => Some(Frame::Ping),
             1 => Some(Frame::Pong),

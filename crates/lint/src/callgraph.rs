@@ -25,6 +25,7 @@
 //! edges and panic sites inside them are `protected` and reachability
 //! does not cross them.
 
+use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use crate::lexer::TokKind;
@@ -97,13 +98,30 @@ impl GraphStats {
 pub struct CallGraph {
     /// Every call occurrence.
     pub edges: Vec<Edge>,
+    /// Every fn named as a value without a call (`run: claims::e1`,
+    /// `.map(Point::norm)`), resolved like a call. Kept apart from
+    /// `edges`: naming a fn does not run it, so neither reachability
+    /// nor the resolution counters see these.
+    pub value_refs: Vec<Edge>,
     /// Per-file `catch_unwind(...)` token spans (inclusive).
     pub protected_spans: Vec<Vec<(usize, usize)>>,
-    /// Resolution counters.
-    pub stats: GraphStats,
     /// caller fn id → indices into `edges`.
     pub out_edges: BTreeMap<usize, Vec<usize>>,
 }
+
+/// Std methods whose result a receiver typing carries over: the
+/// receiver is typed by its payload (`Result<Engine, E>` types as
+/// `Engine`), and these unwrap, copy or borrow that payload.
+const PASS_THROUGH: &[&str] = &[
+    "unwrap",
+    "expect",
+    "unwrap_or_default",
+    "clone",
+    "borrow",
+    "borrow_mut",
+    "as_ref",
+    "as_mut",
+];
 
 const KEYWORDS: &[&str] = &[
     "if", "while", "match", "for", "loop", "return", "fn", "let", "else", "move", "in", "as",
@@ -123,13 +141,13 @@ impl CallGraph {
             let Some((open, close)) = f.body else {
                 continue;
             };
-            graph.stats.fns += 1;
             let ft = &files[f.file_idx];
             let b = Walker {
                 table,
                 ft,
                 file_idx: f.file_idx,
                 caller: id,
+                typing_depth: Cell::new(0),
             };
             b.walk(open, close, &mut graph);
         }
@@ -137,6 +155,29 @@ impl CallGraph {
             graph.out_edges.entry(e.caller).or_default().push(i);
         }
         graph
+    }
+
+    /// Resolution counters over the fns and call sites in the files
+    /// whose path `counted` accepts.
+    #[must_use]
+    pub fn stats(&self, table: &SymbolTable, counted: impl Fn(&str) -> bool) -> GraphStats {
+        let counted_file: Vec<bool> = table.file_paths.iter().map(|p| counted(p)).collect();
+        let mut stats = GraphStats {
+            fns: table
+                .fns
+                .iter()
+                .filter(|f| f.body.is_some() && counted_file[f.file_idx])
+                .count(),
+            ..GraphStats::default()
+        };
+        for e in self.edges.iter().filter(|e| counted_file[e.file_idx]) {
+            match e.callee {
+                Callee::Fn(_) => stats.resolved += 1,
+                Callee::Union(_) => stats.union_edges += 1,
+                Callee::Extern(_) => stats.extern_edges += 1,
+            }
+        }
+        stats
     }
 
     /// Whether token `tok_idx` of file `file_idx` sits inside a
@@ -268,7 +309,14 @@ struct Walker<'a> {
     ft: &'a FileTokens,
     file_idx: usize,
     caller: usize,
+    /// Nesting of [`Walker::var_type`]: typing one binding may type
+    /// others through its initializer, and a shadowing
+    /// `let x = x.trim();` would otherwise recurse forever.
+    typing_depth: Cell<u32>,
 }
+
+/// How deep [`Walker::var_type`] may nest before giving up (`Unknown`).
+const MAX_TYPING_DEPTH: u32 = 8;
 
 impl Walker<'_> {
     /// Walks the body token span `[open, close]`, emitting edges.
@@ -323,41 +371,56 @@ impl Walker<'_> {
                 p = g + 1;
             }
             if !self.at(&code, p).is_some_and(|t| t.is_punct('(')) {
+                self.value_ref(&code, c, graph);
                 c += 1;
                 continue;
             }
             let name = t.text.clone();
             let tok_idx = code[c];
             let line = t.line;
-            let callee = if c > 0 && self.ft.toks[code[c - 1]].is_punct('.') {
-                self.resolve_method(&code, c, &name)
-            } else if c > 1
-                && self.ft.toks[code[c - 1]].is_punct(':')
-                && self.ft.toks[code[c - 2]].is_punct(':')
-            {
-                let segs = self.path_segments(&code, c);
-                self.resolve_path(&segs, &name)
-            } else {
-                self.resolve_plain(&name)
-            };
-            match &callee {
-                Callee::Fn(_) => graph.stats.resolved += 1,
-                Callee::Union(_) => graph.stats.union_edges += 1,
-                Callee::Extern(_) => graph.stats.extern_edges += 1,
-            }
-            graph.edges.push(Edge {
-                caller: self.caller,
-                callee,
-                name,
-                file_idx: self.file_idx,
-                line,
-                tok_idx,
-                protected: graph
-                    .protected_spans
-                    .get(self.file_idx)
-                    .is_some_and(|s| s.iter().any(|&(lo, hi)| lo <= tok_idx && tok_idx <= hi)),
-            });
+            let callee = self.resolve_at(&code, c, &name);
+            let edge = self.edge(graph, callee, name, line, tok_idx);
+            graph.edges.push(edge);
             c = p + 1;
+        }
+    }
+
+    fn edge(
+        &self,
+        graph: &CallGraph,
+        callee: Callee,
+        name: String,
+        line: u32,
+        tok_idx: usize,
+    ) -> Edge {
+        Edge {
+            caller: self.caller,
+            callee,
+            name,
+            file_idx: self.file_idx,
+            line,
+            tok_idx,
+            protected: graph.is_protected(self.file_idx, tok_idx),
+        }
+    }
+
+    /// Records the ident at `c`, which no `(` follows, as a value
+    /// reference when it names a workspace fn (`claims::e1`,
+    /// `Point::norm`), resolved like a call. A field (`x.name`), a label
+    /// or binding (`name: …`) and a path prefix (`name::…`) are not.
+    fn value_ref(&self, code: &[usize], c: usize, graph: &mut CallGraph) {
+        let t = &self.ft.toks[code[c]];
+        let name = t.text.as_str();
+        let named = self.table.free_by_name.contains_key(name)
+            || self.table.methods_by_name.contains_key(name);
+        let field = c > 0 && self.ft.toks[code[c - 1]].is_punct('.');
+        if !named || field || self.at(code, c + 1).is_some_and(|n| n.is_punct(':')) {
+            return;
+        }
+        let callee = self.resolve_at(code, c, name);
+        if !matches!(callee, Callee::Extern(_)) {
+            let edge = self.edge(graph, callee, name.to_string(), t.line, code[c]);
+            graph.value_refs.push(edge);
         }
     }
 
@@ -465,49 +528,94 @@ impl Walker<'_> {
         i >= 1 && dot(i - 1) && !(i >= 2 && dot(i - 2))
     }
 
-    /// Types the value produced by the call whose closing paren sits
-    /// at `close` — resolve the called name, then classify its return
-    /// annotation.
-    fn call_result_type(&self, code: &[usize], close: usize) -> Recv {
+    /// Resolves the name at `c` as a callee: a method after `.`, a path
+    /// after `::`, else a bare name.
+    fn resolve_at(&self, code: &[usize], c: usize, name: &str) -> Callee {
+        if c > 0 && self.ft.toks[code[c - 1]].is_punct('.') {
+            self.resolve_method(code, c, name)
+        } else if c > 1
+            && self.ft.toks[code[c - 1]].is_punct(':')
+            && self.ft.toks[code[c - 2]].is_punct(':')
+        {
+            self.resolve_path(&self.path_segments(code, c), name)
+        } else {
+            self.resolve_plain(name)
+        }
+    }
+
+    /// The index of the name called by the call whose argument list
+    /// closes at `close`, when a non-keyword ident names it.
+    fn call_name(&self, code: &[usize], close: usize) -> Option<usize> {
         let mut depth = 0usize;
         let mut p = close;
-        let open = loop {
+        loop {
             let t = &self.ft.toks[code[p]];
             if t.is_punct(')') {
                 depth += 1;
             } else if t.is_punct('(') {
                 depth -= 1;
                 if depth == 0 {
-                    break p;
+                    break;
                 }
             }
-            if p == 0 {
-                return Recv::Unknown;
+            p = p.checked_sub(1)?;
+        }
+        let mut c = p.checked_sub(1)?;
+        if self.ft.toks[code[c]].is_punct('>') {
+            // `name::<…>(`: step back over the turbofish and its `::`.
+            let mut angle = 0usize;
+            loop {
+                let t = &self.ft.toks[code[c]];
+                if t.is_punct('>') && !(c > 0 && self.ft.toks[code[c - 1]].is_punct('-')) {
+                    angle += 1;
+                } else if t.is_punct('<') {
+                    angle -= 1;
+                    if angle == 0 {
+                        break;
+                    }
+                }
+                c = c.checked_sub(1)?;
             }
-            p -= 1;
-        };
-        if open == 0 {
-            return Recv::Unknown;
+            c = c.checked_sub(3)?;
         }
-        let name_tok = &self.ft.toks[code[open - 1]];
-        if name_tok.kind != TokKind::Ident || KEYWORDS.contains(&name_tok.text.as_str()) {
+        let t = &self.ft.toks[code[c]];
+        (t.kind == TokKind::Ident && !KEYWORDS.contains(&t.text.as_str())).then_some(c)
+    }
+
+    /// Types the value produced by the call whose closing paren sits
+    /// at `close` — resolve the called name, then classify its return
+    /// annotation.
+    fn call_result_type(&self, code: &[usize], close: usize) -> Recv {
+        let Some(c) = self.call_name(code, close) else {
             return Recv::Unknown;
-        }
-        let name = name_tok.text.clone();
-        let callee = if open >= 2 && self.ft.toks[code[open - 2]].is_punct('.') {
-            self.resolve_method(code, open - 1, &name)
-        } else if open >= 3
-            && self.ft.toks[code[open - 2]].is_punct(':')
-            && self.ft.toks[code[open - 3]].is_punct(':')
-        {
-            let segs = self.path_segments(code, open - 1);
-            self.resolve_path(&segs, &name)
-        } else {
-            self.resolve_plain(&name)
         };
+        let name = &self.ft.toks[code[c]].text;
+        let method = c > 0 && self.ft.toks[code[c - 1]].is_punct('.');
+        let callee = self.resolve_at(code, c, name);
+        if !method && !matches!(callee, Callee::Fn(_)) {
+            // `Type::Variant(…)`, a derived `Type::default()`, a ctor
+            // defined once per alias: the value has the type named.
+            let segs = self.path_segments(code, c);
+            if let Some(ty) = segs.into_iter().find(|s| self.table.is_type(s)) {
+                return Recv::Ws(ty);
+            }
+        }
         match callee {
             Callee::Fn(id) => self.classify(&self.table.fns[id].ret),
             Callee::Union(_) => Recv::Unknown,
+            // A std method: `x.unwrap()` holds what `x` holds, as far
+            // as typing goes. What other std methods return on a
+            // workspace value (`Vec<Point>`'s `first`, through Deref)
+            // is unknown, and so is an external wrapper's payload
+            // (`Rc<RefCell<Engine>>`'s `borrow`).
+            Callee::Extern(_) if method => {
+                let through = PASS_THROUGH.contains(&name.as_str());
+                match self.recv_of(code, c) {
+                    Recv::Ws(ty) if through => Recv::Ws(ty),
+                    Recv::Ext if !through => Recv::Ext,
+                    _ => Recv::Unknown,
+                }
+            }
             Callee::Extern(_) => Recv::Ext,
         }
     }
@@ -517,6 +625,7 @@ impl Walker<'_> {
     /// names a trait — that method on every implementing type, so
     /// `&dyn Trait`/`impl Trait` receivers keep their dispatch edges.
     fn methods_on(&self, ty: &str, name: &str) -> Option<Vec<usize>> {
+        let ty = self.table.unalias(ty);
         let mut ids: Vec<usize> = self
             .table
             .methods
@@ -552,7 +661,7 @@ impl Walker<'_> {
         let Some(idents) = self
             .table
             .struct_fields
-            .get(ty)
+            .get(self.table.unalias(ty))
             .and_then(|fields| fields.get(field))
         else {
             return Recv::Unknown;
@@ -588,6 +697,17 @@ impl Walker<'_> {
     /// `let var = <init>` / `let (…, var, …) = <init>` initializer in
     /// the body.
     fn var_type(&self, code: &[usize], var: &str) -> Recv {
+        let depth = self.typing_depth.get();
+        if depth >= MAX_TYPING_DEPTH {
+            return Recv::Unknown;
+        }
+        self.typing_depth.set(depth + 1);
+        let ty = self.binding_type(code, var);
+        self.typing_depth.set(depth);
+        ty
+    }
+
+    fn binding_type(&self, code: &[usize], var: &str) -> Recv {
         let f = &self.table.fns[self.caller];
         for (pname, idents) in &f.params {
             if pname == var {
@@ -623,26 +743,75 @@ impl Walker<'_> {
             if self.at(code, n + 1).is_some_and(|t| t.is_punct(':'))
                 && !self.at(code, n + 2).is_some_and(|t| t.is_punct(':'))
             {
-                // `let var: Type` — idents up to the `=` or `;`.
-                let mut idents = Vec::new();
-                let mut e = n + 2;
-                while let Some(t) = self.at(code, e) {
-                    if t.is_punct('=') || t.is_punct(';') {
-                        break;
-                    }
-                    if t.kind == TokKind::Ident {
-                        idents.push(t.text.clone());
-                    }
-                    e += 1;
-                }
-                return self.classify(&idents);
+                return self.classify(&self.annotation(code, n + 2));
             }
             if self.at(code, n + 1).is_some_and(|t| t.is_punct('=')) {
                 return self.init_type(code, n + 2);
             }
             k += 1;
         }
-        Recv::Unknown
+        self.closure_param(code, var).unwrap_or(Recv::Unknown)
+    }
+
+    /// Types `var` from an annotated closure param in the body:
+    /// `|var: Type|` or `|a: A, var: Type|`.
+    fn closure_param(&self, code: &[usize], var: &str) -> Option<Recv> {
+        let k = (1..code.len()).find(|&k| {
+            self.ft.toks[code[k]].is_ident(var)
+                && self.at(code, k + 1).is_some_and(|t| t.is_punct(':'))
+                && !self.at(code, k + 2).is_some_and(|t| t.is_punct(':'))
+                && self.opens_closure_param(code, k)
+        })?;
+        Some(self.classify(&self.annotation(code, k + 2)))
+    }
+
+    /// The type idents (minus `mut`/`dyn`/`impl`) of the annotation
+    /// starting at `from`, up to the `=`, `;`, `,` or `|` that ends it
+    /// at bracket depth 0.
+    fn annotation(&self, code: &[usize], from: usize) -> Vec<String> {
+        let mut idents = Vec::new();
+        let mut depth = 0usize;
+        for e in from.. {
+            let Some(t) = self.at(code, e) else { break };
+            if t.is_punct('<') || t.is_punct('(') || t.is_punct('[') {
+                depth += 1;
+            } else if t.is_punct(')')
+                || t.is_punct(']')
+                || (t.is_punct('>') && !self.ft.toks[code[e - 1]].is_punct('-'))
+            {
+                depth = depth.saturating_sub(1);
+            } else if depth == 0 && ['=', ';', ',', '|'].into_iter().any(|ch| t.is_punct(ch)) {
+                break;
+            } else if t.kind == TokKind::Ident && !matches!(t.text.as_str(), "mut" | "dyn" | "impl")
+            {
+                idents.push(t.text.clone());
+            }
+        }
+        idents
+    }
+
+    /// Whether the binding at `k` sits in a closure's `|…|` param list:
+    /// walking back over earlier `name: Type,` params at bracket depth
+    /// 0 reaches the opening `|` before any `{`, `(`, `;` or `=`.
+    fn opens_closure_param(&self, code: &[usize], k: usize) -> bool {
+        let mut depth = 0usize;
+        for j in (0..k).rev() {
+            let t = &self.ft.toks[code[j]];
+            if t.is_punct('>') || t.is_punct(')') || t.is_punct(']') {
+                depth += 1;
+            } else if (t.is_punct('<') || t.is_punct('(') || t.is_punct('[')) && depth > 0 {
+                depth -= 1;
+            } else if depth == 0 && t.is_punct('|') {
+                return true;
+            } else if depth == 0
+                && ['{', '(', '[', ';', '=']
+                    .into_iter()
+                    .any(|ch| t.is_punct(ch))
+            {
+                return false;
+            }
+        }
+        false
     }
 
     /// Handles `let ( … var … ) = <init>`: returns `Some(verdict)`
@@ -651,7 +820,9 @@ impl Walker<'_> {
     fn destructure_init(&self, code: &[usize], open: usize, var: &str) -> Option<Recv> {
         let mut depth = 0usize;
         let mut p = open;
-        let mut found = false;
+        let mut elem = 0usize;
+        // (element index, bound directly at the top level)
+        let mut found = None;
         loop {
             let t = self.at(code, p)?;
             if t.is_punct('(') {
@@ -661,78 +832,108 @@ impl Walker<'_> {
                 if depth == 0 {
                     break;
                 }
+            } else if depth == 1 && t.is_punct(',') {
+                elem += 1;
             } else if t.is_ident(var) {
-                found = true;
+                found.get_or_insert((elem, depth == 1));
             }
             p += 1;
         }
-        if !found || !self.at(code, p + 1).is_some_and(|t| t.is_punct('=')) {
+        let (pos, top) = found?;
+        if !self.at(code, p + 1).is_some_and(|t| t.is_punct('=')) {
             return None;
         }
+        // A call chain ending in a workspace fn with a tuple return
+        // types each top-level binding by its element.
+        let last = self.init_call_end(code, p + 2);
+        let callee = last.and_then(|close| self.call_name(code, close));
+        if let Some(c) = callee.filter(|_| top) {
+            if let Callee::Fn(id) = self.resolve_at(code, c, &self.ft.toks[code[c]].text) {
+                let elems = &self.table.fns[id].ret_tuple;
+                if elems.len() == elem + 1 {
+                    return Some(self.classify(&elems[pos]));
+                }
+            }
+        }
         Some(match self.init_type(code, p + 2) {
-            // An initializer involving workspace types can't say which
-            // tuple element `var` is — stay over-approximate.
+            // Otherwise an initializer involving workspace types can't
+            // say which tuple element `var` is — stay over-approximate.
             Recv::Ws(_) => Recv::Unknown,
             other => other,
         })
     }
 
-    /// Classifies a `let` initializer whose head token is at `n`:
-    /// `Type::ctor(…)`, `path::to::fn(…)`, `local_fn(…)`,
-    /// `Type { … }`. Anything else (literals, method chains, `self`,
-    /// operators) stays `Unknown`.
+    /// Classifies a `let` initializer whose head token is at `n`: a
+    /// call chain by its last call (`Type::ctor(…)`, `f(…)?`,
+    /// `Builder::new().knob(1).build()`), else `Type { … }`,
+    /// `Type::Variant { … }` or `Type::CONST` by the workspace type it
+    /// names. Anything else (literals, fields, `self`, operators) stays
+    /// `Unknown`.
     fn init_type(&self, code: &[usize], n: usize) -> Recv {
-        let Some(head) = self.at(code, n).filter(|t| t.kind == TokKind::Ident) else {
-            return Recv::Unknown;
-        };
-        let head = head.text.clone();
-        if head == "self" {
-            return Recv::Unknown;
-        }
-        // `head :: …` — walk the path segments.
-        if self.at(code, n + 1).is_some_and(|t| t.is_punct(':'))
-            && self.at(code, n + 2).is_some_and(|t| t.is_punct(':'))
+        if !self
+            .at(code, n)
+            .is_some_and(|t| t.kind == TokKind::Ident && !t.is_ident("self"))
         {
-            let mut segs = vec![head];
-            let mut p = n + 1;
-            while self.at(code, p).is_some_and(|t| t.is_punct(':'))
-                && self.at(code, p + 1).is_some_and(|t| t.is_punct(':'))
-                && self
-                    .at(code, p + 2)
-                    .is_some_and(|t| t.kind == TokKind::Ident)
-            {
-                segs.push(self.ft.toks[code[p + 2]].text.clone());
-                p += 3;
-            }
-            if let Some(ws) = segs
-                .iter()
-                .find(|s| self.table.is_type(s) || self.table.traits.contains(s.as_str()))
-            {
-                return Recv::Ws(ws.clone());
-            }
-            // `mod::free_fn(…)` — type by the fn's return annotation
-            // when the final segment names exactly one workspace fn.
-            if let Some(last) = segs.last() {
-                if let Some([only]) = self.table.free_by_name.get(last).map(Vec::as_slice) {
-                    return self.classify(&self.table.fns[*only].ret);
+            return Recv::Unknown;
+        }
+        if let Some(close) = self.init_call_end(code, n) {
+            return self.call_result_type(code, close);
+        }
+        let mut p = n;
+        while self.at(code, p + 1).is_some_and(|t| t.is_punct(':'))
+            && self.at(code, p + 2).is_some_and(|t| t.is_punct(':'))
+            && self
+                .at(code, p + 3)
+                .is_some_and(|t| t.kind == TokKind::Ident)
+        {
+            p += 3;
+        }
+        if !self
+            .at(code, p + 1)
+            .is_some_and(|t| t.is_punct('{') || t.is_punct(';'))
+        {
+            return Recv::Unknown;
+        }
+        (n..=p)
+            .step_by(3)
+            .map(|k| &self.ft.toks[code[k]].text)
+            .find(|s| self.table.is_type(s))
+            .map_or(Recv::Unknown, |ty| Recv::Ws(ty.clone()))
+    }
+
+    /// The closing paren of the call that ends the `let` initializer
+    /// at `n`, when the initializer is a call chain running to its
+    /// `;`: nothing but names, paths, `.`, `?` and bracketed groups at
+    /// the top level, a `(…)` last.
+    fn init_call_end(&self, code: &[usize], n: usize) -> Option<usize> {
+        let mut depth = 0usize;
+        // Angle depth of a turbofish (`::<…>`), skipped as a group.
+        let mut angle = 0usize;
+        let mut last = None;
+        for p in n.. {
+            let t = self.at(code, p)?;
+            let prev = |ch: char| self.ft.toks[code[p - 1]].is_punct(ch);
+            if t.is_punct('<') && (angle > 0 || prev(':')) {
+                angle += 1;
+            } else if angle > 0 {
+                angle -= usize::from(t.is_punct('>') && !prev('-'));
+            } else if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') {
+                depth += 1;
+            } else if t.is_punct(')') || t.is_punct(']') || t.is_punct('}') {
+                depth = depth.checked_sub(1)?;
+                if depth == 0 {
+                    last = t.is_punct(')').then_some(p);
                 }
+            } else if depth == 0 && t.is_punct(';') {
+                return last;
+            } else if depth == 0 && t.kind == TokKind::Ident && !KEYWORDS.contains(&t.text.as_str())
+            {
+                last = None;
+            } else if depth == 0 && !(t.is_punct('.') || t.is_punct(':') || t.is_punct('?')) {
+                return None;
             }
-            return Recv::Ext;
         }
-        // `head(…)` — a plain call: type by the callee's return
-        // annotation when it resolves to exactly one workspace fn.
-        if self.at(code, n + 1).is_some_and(|t| t.is_punct('(')) {
-            return match self.resolve_plain(&head) {
-                Callee::Fn(id) => self.classify(&self.table.fns[id].ret),
-                Callee::Union(_) => Recv::Unknown,
-                Callee::Extern(_) => Recv::Ext,
-            };
-        }
-        // `Type { … }` — struct literal.
-        if self.at(code, n + 1).is_some_and(|t| t.is_punct('{')) && self.table.is_type(&head) {
-            return Recv::Ws(head);
-        }
-        Recv::Unknown
+        None
     }
 
     /// Resolves `seg::…::name(`.
@@ -787,19 +988,33 @@ impl Walker<'_> {
     }
 
     /// Resolves a bare `name(` call: same module first, then the
-    /// file's `use` aliases, then a workspace-wide name union.
+    /// file's `use` aliases, then the modules enclosing an inline one
+    /// in the same file (what `use super::*` brings in), then a
+    /// workspace-wide name union.
     fn resolve_plain(&self, name: &str) -> Callee {
-        let module = self.table.fns[self.caller].module.clone();
-        if let Some(ids) = self.table.free_by_module.get(&(module, name.to_string())) {
+        let module = self.table.fns[self.caller].module.as_str();
+        let free = |module: &str| {
+            self.table
+                .free_by_module
+                .get(&(module.to_string(), name.to_string()))
+        };
+        if let Some(ids) = free(module) {
             return single_or_union(ids);
         }
         if let Some(path) = self.table.uses[self.file_idx].get(name) {
-            if path.len() >= 2 {
-                let module = path[..path.len() - 1].join("::");
-                let last = &path[path.len() - 1];
-                if let Some(ids) = self.table.free_by_module.get(&(module, last.clone())) {
+            if let Some((last, module)) = path.split_last().filter(|(_, m)| !m.is_empty()) {
+                let key = (module.join("::"), last.clone());
+                if let Some(ids) = self.table.free_by_module.get(&key) {
                     return single_or_union(ids);
                 }
+            }
+        }
+        let file_module = self.table.file_modules[self.file_idx].as_str();
+        let mut outer = module;
+        while outer.len() > file_module.len() {
+            outer = outer.rsplit_once("::").map_or("", |(parent, _)| parent);
+            if let Some(ids) = free(outer) {
+                return single_or_union(ids);
             }
         }
         // Tuple-struct / variant constructors are calls syntactically;
@@ -906,7 +1121,7 @@ mod tests {
             names.contains(&"union:a::X::go|a::Y::go".to_string()),
             "{names:?}"
         );
-        assert_eq!(g.stats.union_edges, 1);
+        assert_eq!(g.stats(&t, |_| true).union_edges, 1);
     }
 
     #[test]
@@ -918,7 +1133,28 @@ mod tests {
         )]);
         let names = edge_names(&t, &g, "a::run");
         assert!(names.contains(&"fn:a::X::go".to_string()), "{names:?}");
-        assert_eq!(g.stats.union_edges, 0);
+        assert_eq!(g.stats(&t, |_| true).union_edges, 0);
+    }
+
+    #[test]
+    fn tuple_returns_closure_params_aliases_and_self_chains_type_receivers() {
+        let (t, g, _) = build(&[(
+            "crates/a/src/lib.rs",
+            "pub struct X;\npub struct Y;\npub type Z = Y;\n\
+             impl X { pub fn go(&self) {} pub fn knob(self) -> Self { self } }\n\
+             impl Y { pub fn go(&self) {} pub fn me(&self) {} }\n\
+             fn pair() -> (X, Z) { (X, Y) }\n\
+             pub fn run() { let (x, z) = pair(); x.go(); z.go(); X.knob().go();\n\
+             let f = |v: &Y, w: Z| { v.go(); w.me() }; let k = X.knob(); k.go(); }",
+        )]);
+        let names = edge_names(&t, &g, "a::run");
+        let count = |n: &str| names.iter().filter(|x| *x == n).count();
+        assert_eq!(
+            (count("fn:a::X::go"), count("fn:a::Y::go")),
+            (3, 2),
+            "{names:?}"
+        );
+        assert_eq!(g.stats(&t, |_| true).union_edges, 0, "{names:?}");
     }
 
     #[test]
@@ -933,7 +1169,7 @@ mod tests {
         )]);
         let names = edge_names(&t, &g, "a::run");
         assert!(names.iter().all(|n| !n.starts_with("union:")), "{names:?}");
-        assert_eq!(g.stats.union_edges, 0);
+        assert_eq!(g.stats(&t, |_| true).union_edges, 0);
         let _ = t;
     }
 
@@ -956,7 +1192,7 @@ mod tests {
             2,
             "{names:?}"
         );
-        assert_eq!(g.stats.union_edges, 0);
+        assert_eq!(g.stats(&t, |_| true).union_edges, 0);
     }
 
     #[test]
@@ -993,13 +1229,13 @@ mod tests {
 
     #[test]
     fn std_calls_are_extern_and_excluded_from_fraction() {
-        let (_, g, _) = build(&[(
+        let (t, g, _) = build(&[(
             "crates/a/src/lib.rs",
             "pub fn f() { let v: Vec<u32> = Vec::new(); drop(v); g(); }\npub fn g() {}",
         )]);
-        assert_eq!(g.stats.extern_edges, 2); // Vec::new, drop
-        assert_eq!(g.stats.resolved, 1); // g()
-        assert!(g.stats.union_fraction() < f64::EPSILON);
+        assert_eq!(g.stats(&t, |_| true).extern_edges, 2); // Vec::new, drop
+        assert_eq!(g.stats(&t, |_| true).resolved, 1); // g()
+        assert!(g.stats(&t, |_| true).union_fraction() < f64::EPSILON);
     }
 
     #[test]

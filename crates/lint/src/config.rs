@@ -175,8 +175,13 @@ pub const FLOAT_EXEMPT_CRATE: &str = "geometry";
 /// deleting code takes resolved edges with it and raised that share
 /// with no new union edge, while one added union edge still fails here.
 /// Lowered to the measured count whenever it falls; the share stays in
-/// the `--graph-stats` report.
-pub const MAX_UNION_EDGES: usize = 1_293;
+/// the `--graph-stats` report. Only call sites under `crates/` count.
+pub const MAX_UNION_EDGES: usize = 1_151;
+
+/// Ceiling on the dead `pub` fns in crates' `src/` (the `dead-pub`
+/// pass), reported by `stiglint --graph-stats`. It pins the measured
+/// count and may only fall.
+pub const MAX_DEAD_PUB: usize = 4;
 
 /// The enum↔codec pairings inference cannot see. Every other codec —
 /// inherent or `impl Wire for E` — is paired with its enum by
@@ -203,12 +208,28 @@ pub fn panic_budget(rel: &str) -> usize {
         .map_or(0, |(_, b)| *b)
 }
 
+/// Whether a file's call sites count toward the `--graph-stats`
+/// counters; the root `tests/` and `examples/` only feed dead-pub.
+#[must_use]
+pub fn counts_in_graph_stats(rel: &str) -> bool {
+    rel.starts_with("crates/")
+}
+
+/// Whether dead-pub counts the `pub` fns a file defines: only crates'
+/// `src/` trees hold the public surface.
+#[must_use]
+pub fn defines_pub(rel: &str) -> bool {
+    rel.starts_with("crates/") && rel.contains("/src/")
+}
+
 /// Every `.rs` file the workspace index covers: all crates' `src/`
-/// and `tests/` trees, sorted. (Fixture files under
-/// `crates/lint/fixtures/` are seeded violations and live outside
-/// both trees on purpose.)
+/// and `tests/` trees plus the root `tests/` and `examples/`
+/// packages, sorted. (Fixture files under `crates/lint/fixtures/` are
+/// seeded violations and live outside these trees on purpose.)
 pub fn workspace_files(root: &Path) -> io::Result<Vec<String>> {
     let mut out = Vec::new();
+    collect_rs(&root.join("tests"), root, &mut out)?;
+    collect_rs(&root.join("examples"), root, &mut out)?;
     let crates_dir = root.join("crates");
     if crates_dir.is_dir() {
         let mut entries: Vec<PathBuf> = fs::read_dir(&crates_dir)?
@@ -287,7 +308,7 @@ pub fn collect_rs(dir: &Path, root: &Path, out: &mut Vec<String>) -> io::Result<
 
 /// Renders `path` relative to `root` with forward slashes.
 #[must_use]
-pub fn rel_to(path: &Path, root: &Path) -> String {
+fn rel_to(path: &Path, root: &Path) -> String {
     let rel = path.strip_prefix(root).unwrap_or(path);
     rel.to_string_lossy().replace('\\', "/")
 }

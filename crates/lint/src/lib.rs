@@ -1,13 +1,13 @@
 //! `stiglint` — a zero-dependency static analyzer for this workspace.
 //!
-//! Nine rule passes (no rustc, no syn). Five walk single files'
-//! token streams: `determinism`, `panic-safety`, `wire-completeness`,
-//! `lock-discipline`, `lock-free`, `float-determinism` (six, counting
-//! the float pass). Three reason over the whole workspace through a
-//! [`WorkspaceIndex`] — a symbol table ([`symbols`]) plus a
-//! conservative call graph ([`callgraph`]): `panic-reach`,
-//! `unsafe-audit`, and `hot-alloc`; wire-completeness also uses the
-//! index to pair enums with codecs across files. See DESIGN.md §11
+//! Ten rule passes (no rustc, no syn). Six walk single files' token
+//! streams: `determinism`, `panic-safety`, `wire-completeness`,
+//! `lock-discipline`, `lock-free`, `float-determinism`. Four reason
+//! over the whole workspace through a [`WorkspaceIndex`] — a symbol
+//! table ([`symbols`]) plus a conservative call graph ([`callgraph`]):
+//! `panic-reach`, `unsafe-audit`, `hot-alloc`, and `dead-pub`;
+//! wire-completeness also uses the index to pair enums with codecs
+//! across files. See DESIGN.md §11
 //! for the rule catalogue, resolution rules, suppression grammar, and
 //! false-positive policy.
 //!
@@ -51,7 +51,7 @@ pub struct Violation {
 
 /// The lexed workspace plus its symbol table and call graph — the
 /// input the semantic passes share. Building it once and handing it
-/// to every pass keeps the whole nine-pass run at one read and one
+/// to every pass keeps the whole ten-pass run at one read and one
 /// lex per file.
 #[derive(Debug)]
 pub struct WorkspaceIndex {
@@ -66,7 +66,7 @@ pub struct WorkspaceIndex {
 impl WorkspaceIndex {
     /// Builds the index from already-lexed files.
     #[must_use]
-    pub fn new(files: Vec<FileTokens>) -> Self {
+    fn new(files: Vec<FileTokens>) -> Self {
         let paths: Vec<String> = files.iter().map(|f| f.path.clone()).collect();
         let table = SymbolTable::build(&paths, &files);
         let graph = CallGraph::build(&table, &files);
@@ -86,7 +86,7 @@ impl WorkspaceIndex {
 
     /// The index of the file reported as `path`.
     #[must_use]
-    pub fn file_idx(&self, path: &str) -> Option<usize> {
+    fn file_idx(&self, path: &str) -> Option<usize> {
         self.files.iter().position(|f| f.path == path)
     }
 }
@@ -200,12 +200,19 @@ pub fn run_workspace(root: &Path) -> io::Result<Vec<Violation>> {
         },
     ));
 
+    // Pass 10: dead-pub over every crate's `src/`, under its ceiling.
+    out.extend(rules::dead_pub::check(
+        &idx,
+        config::defines_pub,
+        config::MAX_DEAD_PUB,
+    ));
+
     report::finalize(&mut out);
     Ok(out)
 }
 
-/// Builds the [`WorkspaceIndex`] for the workspace at `root` — every
-/// crate's `src/` and `tests/` tree, loaded and lexed once.
+/// Builds the [`WorkspaceIndex`] for the workspace at `root` — the
+/// files [`config::workspace_files`] lists, loaded and lexed once.
 pub fn build_workspace_index(root: &Path) -> io::Result<WorkspaceIndex> {
     let mut files = Vec::new();
     for rel in config::workspace_files(root)? {
@@ -215,10 +222,10 @@ pub fn build_workspace_index(root: &Path) -> io::Result<WorkspaceIndex> {
 }
 
 /// Runs every pass over explicit files: panic budget 0, no per-symbol
-/// budgets, inference-driven wire pairing, lock discipline, and the
+/// budgets, inference-driven wire pairing, lock discipline, the
 /// graph passes rooted at the same configured root suffixes (so a
-/// fixture tree can stage a `Shared::listener` of its own) — the mode
-/// fixtures and spot checks use.
+/// fixture tree can stage a `Shared::listener` of its own), and
+/// dead-pub with ceiling 0 — the mode fixtures and spot checks use.
 pub fn run_paths(paths: &[String]) -> io::Result<Vec<Violation>> {
     let mut files = Vec::new();
     for p in paths {
@@ -252,6 +259,7 @@ pub fn run_paths(paths: &[String]) -> io::Result<Vec<Violation>> {
             require_roots: false,
         },
     ));
+    out.extend(rules::dead_pub::check(&idx, |_| true, 0));
     report::finalize(&mut out);
     Ok(out)
 }

@@ -8,8 +8,9 @@
 //!
 //! `--workspace` applies the configured policy; the file form runs
 //! every pass on the given files with panic budget 0 (fixture mode).
-//! `--graph-stats` prints call-graph resolution counters as JSON and
-//! exits 1 if the union-edge count exceeds the committed ceiling.
+//! `--graph-stats` prints call-graph resolution counters and the dead
+//! `pub` count as JSON and exits 1 if either exceeds its committed
+//! ceiling.
 //! `--deny` exits 1 when violations exist (CI wants this); without it
 //! the report prints but the exit code stays 0. Usage errors exit 2.
 
@@ -129,9 +130,10 @@ fn resolve_root(root: Option<PathBuf>) -> Option<PathBuf> {
     found
 }
 
-/// `--graph-stats`: print resolution-quality counters as JSON and fail
-/// (exit 1) if the union-edge count regresses above the committed
-/// ceiling — call-graph precision is ratcheted like any other budget.
+/// `--graph-stats`: print resolution-quality counters and the dead
+/// `pub` count as JSON and fail (exit 1) if either regresses above its
+/// committed ceiling — call-graph precision and the public surface are
+/// ratcheted like any other budget.
 fn run_graph_stats(root: Option<PathBuf>) -> ExitCode {
     let Some(root) = resolve_root(root) else {
         return ExitCode::from(2);
@@ -143,21 +145,33 @@ fn run_graph_stats(root: Option<PathBuf>) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let stats = idx.graph.stats;
-    print!(
-        "{}",
-        lint::report::graph_stats_json(&stats, lint::config::MAX_UNION_EDGES)
-    );
-    if stats.union_edges > lint::config::MAX_UNION_EDGES {
+    let stats = idx
+        .graph
+        .stats(&idx.table, lint::config::counts_in_graph_stats);
+    let dead_pub = lint::rules::dead_pub::dead(&idx, lint::config::defines_pub).len();
+    print!("{}", lint::report::graph_stats_json(&stats, dead_pub));
+    let over_union = stats.union_edges > lint::config::MAX_UNION_EDGES;
+    let over_dead = dead_pub > lint::config::MAX_DEAD_PUB;
+    if over_union {
         eprintln!(
             "stiglint: {} union edges exceed the committed ceiling {}; \
              improve receiver inference or justify raising MAX_UNION_EDGES",
             stats.union_edges,
             lint::config::MAX_UNION_EDGES
         );
-        return ExitCode::FAILURE;
     }
-    ExitCode::SUCCESS
+    if over_dead {
+        eprintln!(
+            "stiglint: {dead_pub} dead `pub` fns exceed the committed ceiling {}; \
+             `stiglint --workspace` lists them",
+            lint::config::MAX_DEAD_PUB
+        );
+    }
+    if over_union || over_dead {
+        ExitCode::FAILURE
+    } else {
+        ExitCode::SUCCESS
+    }
 }
 
 #[cfg(test)]

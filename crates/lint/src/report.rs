@@ -70,19 +70,22 @@ pub fn json(violations: &[Violation]) -> String {
 }
 
 /// Renders the `--graph-stats` JSON: resolution counters, the union
-/// fraction at fixed precision (stable across platforms), and the
-/// configured ceiling. One object, keys in fixed order, diffable.
+/// fraction at fixed precision (stable across platforms), the dead
+/// `pub` count, and both configured ceilings. One object, keys in
+/// fixed order, diffable.
 #[must_use]
-pub fn graph_stats_json(stats: &crate::callgraph::GraphStats, max_union_edges: usize) -> String {
+pub fn graph_stats_json(stats: &crate::callgraph::GraphStats, dead_pub: usize) -> String {
     format!(
         "{{\"fns\":{},\"resolved\":{},\"union\":{},\"extern\":{},\
-         \"union_fraction\":{:.4},\"max_union_edges\":{}}}\n",
+         \"union_fraction\":{:.4},\"max_union_edges\":{},\
+         \"dead_pub\":{dead_pub},\"max_dead_pub\":{}}}\n",
         stats.fns,
         stats.resolved,
         stats.union_edges,
         stats.extern_edges,
         stats.union_fraction(),
-        max_union_edges,
+        crate::config::MAX_UNION_EDGES,
+        crate::config::MAX_DEAD_PUB,
     )
 }
 

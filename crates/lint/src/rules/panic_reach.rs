@@ -117,7 +117,7 @@ fn budgeted(policy: &ReachPolicy, path: &str) -> bool {
 /// Panic sites in the body token span `(open, close)`:
 /// `(line, tok_idx, description)`.
 #[must_use]
-pub fn panic_sites(
+fn panic_sites(
     ft: &crate::scan::FileTokens,
     open: usize,
     close: usize,

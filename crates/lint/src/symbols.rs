@@ -41,10 +41,19 @@ pub struct FnSym {
     pub params: Vec<(String, Vec<String>)>,
     /// Idents in the return-type annotation (empty for `()` or when
     /// the signature has none). Used to type `let x = some_fn(...)`
-    /// receivers.
+    /// receivers. `Self` is written as the impl's type (the trait's
+    /// name in a trait body), so `-> Self` and `-> Result<Self, E>`
+    /// type a chained call like any named return.
     pub ret: Vec<String>,
+    /// The elements of a tuple return annotation, one ident list
+    /// each (empty unless the annotation is a tuple). Used to type
+    /// `let (a, b) = some_fn(...)` bindings element by element.
+    pub ret_tuple: Vec<Vec<String>>,
     /// Whether the definition sits under `#[cfg(test)]`/`#[test]`.
     pub is_test: bool,
+    /// Whether the definition is plain `pub` (`pub(crate)` and
+    /// narrower are not).
+    pub is_pub: bool,
 }
 
 impl FnSym {
@@ -118,6 +127,9 @@ pub struct SymbolTable {
     /// Names declared with `trait` — receivers typed by one of these
     /// dispatch to every implementing type.
     pub traits: BTreeSet<String>,
+    /// Module-level `type Alias = Base<…>;` declarations: alias → the
+    /// base type's name.
+    pub aliases: BTreeMap<String, String>,
     /// Per-file `use` alias maps.
     pub uses: Vec<UseMap>,
 }
@@ -127,7 +139,7 @@ pub struct SymbolTable {
 /// `crates/core/src/lib.rs` → `core`; `crates/core/tests/x.rs` →
 /// `core::tests::x`; anything else → its file stem.
 #[must_use]
-pub fn module_path_of(path: &str) -> String {
+fn module_path_of(path: &str) -> String {
     let norm = path.replace('\\', "/");
     let parts: Vec<&str> = norm.split('/').collect();
     if let Some(ci) = parts.iter().position(|p| *p == "crates") {
@@ -196,6 +208,23 @@ impl SymbolTable {
     }
 
     fn index(&mut self) {
+        // Names are global here, so an alias that shares its name with
+        // a struct or enum elsewhere (a test's `type Counters = Vec<…>`)
+        // stands for neither.
+        let enums: BTreeSet<&str> = self.enums.iter().map(|e| e.name.as_str()).collect();
+        let fields = &self.struct_fields;
+        self.aliases
+            .retain(|name, _| !fields.contains_key(name) && !enums.contains(name.as_str()));
+        // An impl on an alias (`impl SyncNetwork`) is an impl on its
+        // base type; file order is arbitrary, so resolve once all
+        // aliases are known.
+        for i in 0..self.impls.len() {
+            let base = self.unalias(&self.impls[i].type_name).to_string();
+            for &id in &self.impls[i].fn_ids {
+                self.fns[id].self_type = Some(base.clone());
+            }
+            self.impls[i].type_name = base;
+        }
         for (id, f) in self.fns.iter().enumerate() {
             match &f.self_type {
                 Some(t) => {
@@ -259,12 +288,27 @@ impl SymbolTable {
     }
 
     /// Whether `name` is a known type (has a struct def, enum def, or
-    /// any impl block).
+    /// any impl block), directly or through an alias.
     #[must_use]
     pub fn is_type(&self, name: &str) -> bool {
+        let name = self.unalias(name);
         self.struct_fields.contains_key(name)
             || self.enums.iter().any(|e| e.name == name)
             || self.impls.iter().any(|i| i.type_name == name)
+    }
+
+    /// The type `name` names once aliases are followed
+    /// (`SyncNetwork` → `Network`); `name` itself if it is no alias.
+    #[must_use]
+    pub fn unalias<'a>(&'a self, mut name: &'a str) -> &'a str {
+        // Bounded: an alias cycle does not compile, but must not hang.
+        for _ in 0..8 {
+            match self.aliases.get(name) {
+                Some(base) => name = base,
+                None => break,
+            }
+        }
+        name
     }
 }
 
@@ -344,6 +388,10 @@ impl Parser<'_> {
                 c = self.parse_use(c);
                 continue;
             }
+            if t.is_ident("type") && self_type.is_none() {
+                c = self.parse_alias(c);
+                continue;
+            }
             // Skip block bodies of items we don't model (const fns
             // initializers, statics) conservatively token by token.
             c += 1;
@@ -406,6 +454,7 @@ impl Parser<'_> {
         let name = name_tok.text.clone();
         let line = name_tok.line;
         let is_test = self.is_test_at(c + 1);
+        let is_pub = self.is_pub_before(c);
         let mut i = c + 2;
         if self.tok(i).is_some_and(|t| t.is_punct('<')) {
             i = self.skip_generics(i);
@@ -414,36 +463,45 @@ impl Parser<'_> {
             return c + 1;
         }
         let params_close = self.find_close(i, '(', ')');
-        let params = self.parse_params(i + 1, params_close);
+        let mut params = self.parse_params(i + 1, params_close);
         // Signature tail: scan to the body `{` or the `;` of a trait
-        // declaration, collecting return-type idents (the `where`
-        // keyword ends the return type). Neither return types nor
-        // where clauses contain braces.
+        // declaration (a `;` inside an array type `[T; N]` is neither);
+        // the return type runs from `->` to the `where` keyword or that
+        // end. Neither return types nor where clauses contain braces.
         let mut b = params_close + 1;
-        let mut body = None;
-        let mut ret = Vec::new();
-        let mut in_ret = true;
+        let mut ret_hi = None;
+        let mut brackets = 0usize;
         while let Some(t) = self.tok(b) {
-            if t.is_punct('{') {
-                let close = self.find_close(b, '{', '}');
-                body = Some((self.code[b], self.code[close]));
-                b = close;
+            if t.is_punct('{') || (t.is_punct(';') && brackets == 0) {
                 break;
             }
-            if t.is_punct(';') {
-                break;
-            }
-            if t.is_ident("where") {
-                in_ret = false;
-            } else if in_ret
-                && t.kind == TokKind::Ident
-                && t.text != "mut"
-                && t.text != "dyn"
-                && t.text != "impl"
-            {
-                ret.push(t.text.clone());
+            if t.is_punct('[') {
+                brackets += 1;
+            } else if t.is_punct(']') {
+                brackets = brackets.saturating_sub(1);
+            } else if t.is_ident("where") {
+                ret_hi.get_or_insert(b);
             }
             b += 1;
+        }
+        let ret_hi = ret_hi.unwrap_or(b);
+        let mut body = None;
+        if self.tok(b).is_some_and(|t| t.is_punct('{')) {
+            let close = self.find_close(b, '{', '}');
+            body = Some((self.code[b], self.code[close]));
+            b = close;
+        }
+        let mut ret = self.type_idents(params_close + 1, ret_hi);
+        let mut ret_tuple = self.tuple_elems(params_close + 3, ret_hi);
+        if let Some(ty) = self_type {
+            let own = |idents: &mut Vec<String>| {
+                for id in idents.iter_mut().filter(|id| *id == "Self") {
+                    *id = ty.to_string();
+                }
+            };
+            own(&mut ret);
+            ret_tuple.iter_mut().for_each(own);
+            params.iter_mut().for_each(|(_, idents)| own(idents));
         }
         self.table.fns.push(FnSym {
             name,
@@ -454,41 +512,84 @@ impl Parser<'_> {
             body,
             params,
             ret,
+            ret_tuple,
             is_test,
+            is_pub,
         });
         b + 1
+    }
+
+    /// Whether the `fn` at `c` is declared plain `pub`: the qualifiers
+    /// `const`/`async`/`unsafe`/`extern "abi"` may sit between, a
+    /// restriction like `pub(crate)` may not.
+    fn is_pub_before(&self, c: usize) -> bool {
+        let qualifier = |t: &&crate::lexer::Tok| {
+            t.kind == TokKind::Str
+                || ["const", "async", "unsafe", "extern"].contains(&t.text.as_str())
+        };
+        (0..c)
+            .rev()
+            .map(|k| self.tok(k))
+            .find(|t| !t.is_some_and(|t| qualifier(&t)))
+            .flatten()
+            .is_some_and(|t| t.is_ident("pub"))
+    }
+
+    /// The type idents in `[lo, hi)`, minus `mut`/`dyn`/`impl`:
+    /// `&Arc<ConnWriter>` yields `["Arc", "ConnWriter"]`.
+    fn type_idents(&self, lo: usize, hi: usize) -> Vec<String> {
+        (lo..hi)
+            .filter_map(|k| self.tok(k))
+            .filter(|t| {
+                t.kind == TokKind::Ident && t.text != "mut" && t.text != "dyn" && t.text != "impl"
+            })
+            .map(|t| t.text.clone())
+            .collect()
+    }
+
+    /// The element type idents of a tuple type opening at `lo` and
+    /// ending before `hi`; empty unless a `(` opens there.
+    fn tuple_elems(&self, lo: usize, hi: usize) -> Vec<Vec<String>> {
+        if lo >= hi || !self.tok(lo).is_some_and(|t| t.is_punct('(')) {
+            return Vec::new();
+        }
+        let close = self.find_close(lo, '(', ')');
+        let segments = self.segments(lo + 1, close).into_iter();
+        segments.map(|(a, b)| self.type_idents(a, b)).collect()
+    }
+
+    /// Splits `[lo, hi)` at its top-level commas (brackets, parens and
+    /// angle brackets nest; the `>` of `->` does not close one).
+    fn segments(&self, lo: usize, hi: usize) -> Vec<(usize, usize)> {
+        let mut out = Vec::new();
+        let mut depth = 0usize;
+        let mut seg_start = lo;
+        for c in lo..hi {
+            let Some(t) = self.tok(c) else { break };
+            if t.is_punct('(') || t.is_punct('[') || t.is_punct('<') {
+                depth += 1;
+            } else if t.is_punct(')')
+                || t.is_punct(']')
+                || (t.is_punct('>') && !(c > 0 && self.tok(c - 1).is_some_and(|p| p.is_punct('-'))))
+            {
+                depth = depth.saturating_sub(1);
+            } else if depth == 0 && t.is_punct(',') {
+                out.push((seg_start, c));
+                seg_start = c + 1;
+            }
+        }
+        out.push((seg_start, hi));
+        out
     }
 
     /// Parses a param list between `lo` and `hi` (exclusive): for each
     /// top-level `pat: Type` segment with a simple ident pattern,
     /// records the pattern name and every ident in the annotation.
     fn parse_params(&self, lo: usize, hi: usize) -> Vec<(String, Vec<String>)> {
-        let mut out = Vec::new();
-        let mut depth = 0usize;
-        let mut seg_start = lo;
-        let mut c = lo;
-        while c <= hi {
-            let end_of_seg =
-                c == hi || (depth == 0 && self.tok(c).is_some_and(|t| t.is_punct(',')));
-            if end_of_seg {
-                if let Some(p) = self.parse_one_param(seg_start, c) {
-                    out.push(p);
-                }
-                seg_start = c + 1;
-            } else if let Some(t) = self.tok(c) {
-                if t.is_punct('(') || t.is_punct('[') || t.is_punct('<') {
-                    depth += 1;
-                } else if t.is_punct(')')
-                    || t.is_punct(']')
-                    || (t.is_punct('>')
-                        && !(c > 0 && self.tok(c - 1).is_some_and(|p| p.is_punct('-'))))
-                {
-                    depth = depth.saturating_sub(1);
-                }
-            }
-            c += 1;
-        }
-        out
+        self.segments(lo, hi)
+            .into_iter()
+            .filter_map(|(a, b)| self.parse_one_param(a, b))
+            .collect()
     }
 
     fn parse_one_param(&self, lo: usize, hi: usize) -> Option<(String, Vec<String>)> {
@@ -508,20 +609,7 @@ impl Parser<'_> {
         if !self.tok(c + 1).is_some_and(|t| t.is_punct(':')) {
             return None;
         }
-        let name = name_tok.text.clone();
-        let mut idents = Vec::new();
-        for k in (c + 2)..hi {
-            if let Some(t) = self.tok(k) {
-                if t.kind == TokKind::Ident
-                    && t.text != "mut"
-                    && t.text != "dyn"
-                    && t.text != "impl"
-                {
-                    idents.push(t.text.clone());
-                }
-            }
-        }
-        Some((name, idents))
+        Some((name_tok.text.clone(), self.type_idents(c + 2, hi)))
     }
 
     /// Parses `impl …` at `c`: registers the block and its fns.
@@ -694,6 +782,26 @@ impl Parser<'_> {
         close + 1
     }
 
+    /// Parses `type Alias<…> = Base<…>;` at `c` (the `type`).
+    fn parse_alias(&mut self, c: usize) -> usize {
+        let Some(name_tok) = self.tok(c + 1).filter(|t| t.kind == TokKind::Ident) else {
+            return c + 1;
+        };
+        let name = name_tok.text.clone();
+        let mut i = c + 2;
+        if self.tok(i).is_some_and(|t| t.is_punct('<')) {
+            i = self.skip_generics(i);
+        }
+        if !self.tok(i).is_some_and(|t| t.is_punct('=')) {
+            return i;
+        }
+        let (base, end) = self.parse_type_path(i + 1);
+        if let Some(base) = base.filter(|b| *b != name) {
+            self.table.aliases.insert(name, base);
+        }
+        end
+    }
+
     fn parse_enum(&mut self, c: usize, module: &str) -> usize {
         let Some(name_tok) = self.tok(c + 1).filter(|t| t.kind == TokKind::Ident) else {
             return c + 1;
@@ -753,7 +861,10 @@ impl Parser<'_> {
                 return;
             }
             if t.kind == TokKind::Ident {
-                let norm = if segs.is_empty() {
+                let norm = if segs.is_empty() && t.text == "crate" {
+                    let module = &self.table.file_modules[self.file_idx];
+                    module.split("::").next().unwrap_or_default().to_string()
+                } else if segs.is_empty() {
                     normalize_crate(&t.text)
                 } else {
                     t.text.clone()

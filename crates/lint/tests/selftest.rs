@@ -340,6 +340,45 @@ fn fixture_hot_alloc_in_tests_and_cold_fns_is_clean() {
 }
 
 #[test]
+fn fixture_dead_pub_is_caught() {
+    let v = lint_fixture("dead_pub.rs");
+    assert_eq!(count_rule(&v, "dead-pub"), 1, "{v:?}");
+    assert!(v.iter().any(|x| x.message.contains("orphan")), "{v:?}");
+}
+
+#[test]
+fn fixture_dead_pub_callers_through_chains_pointers_and_tests_are_clean() {
+    // Each `pub fn` in `dead_pub_ok.rs` is used from the test file
+    // alone: at the end of a `-> Self` chain, as a fn pointer, or by a
+    // test.
+    let v = lint::run_paths(&[fixture("dead_pub_ok.rs"), fixture("tests/dead_pub_ok.rs")])
+        .expect("fixtures readable");
+    assert!(v.is_empty(), "{v:?}");
+    // Alone, nothing outside the file uses them.
+    assert_eq!(count_rule(&lint_fixture("dead_pub_ok.rs"), "dead-pub"), 5);
+}
+
+#[test]
+fn calls_chained_after_a_self_method_reach_their_panics() {
+    // `knob` returns `Self`, so `boom` resolves on `B` and its `panic!`
+    // is reachable from the entry loop, not lost to an extern edge.
+    let idx = lint::WorkspaceIndex::from_sources(&[(
+        "crates/gateway/src/server.rs",
+        "pub struct Shared;\npub struct B;\nimpl B { pub fn new() -> Self { B }\n\
+         pub fn knob(self, _k: u8) -> Self { self }\npub fn boom(&self) { panic!(\"boom\") } }\n\
+         impl Shared { pub fn listener(&self) { B::new().knob(1).boom(); } }",
+    )]);
+    let policy = lint::rules::panic_reach::ReachPolicy {
+        roots: &["Shared::listener"],
+        budget: &[],
+        require_roots: true,
+    };
+    let v = lint::rules::panic_reach::check(&idx, &policy);
+    let path = "Shared::listener -> gateway::server::B::boom";
+    assert!(v.iter().any(|x| x.message.contains(path)), "{v:?}");
+}
+
+#[test]
 fn reach_and_alloc_roots_resolve_at_head() {
     // `require_roots` fails the workspace run if a root suffix stops
     // resolving; this pins the same invariant (plus the budget
@@ -384,6 +423,11 @@ fn graph_stats_ratchet_holds_at_head() {
     assert!(text.contains("\"union_fraction\":"), "{text}");
     let ceiling = format!("\"max_union_edges\":{}", lint::config::MAX_UNION_EDGES);
     assert!(text.contains(&ceiling), "{text}");
+    let dead = format!(
+        "\"dead_pub\":{0},\"max_dead_pub\":{0}}}",
+        lint::config::MAX_DEAD_PUB
+    );
+    assert!(text.contains(&dead), "{text}");
 }
 
 #[test]

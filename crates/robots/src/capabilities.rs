@@ -3,7 +3,7 @@
 //! The paper's contribution is a *capability map*: which communication
 //! protocols are possible under which combinations of observable IDs,
 //! sense of direction, and chirality. Chirality (shared handedness) is
-//! assumed throughout the paper's model, so it is always on here; the other
+//! assumed throughout the paper's model, so it is no flag here; the other
 //! two vary per protocol.
 
 use std::fmt;
@@ -67,12 +67,6 @@ impl Capabilities {
     pub const fn sense_of_direction(&self) -> bool {
         self.sense_of_direction
     }
-
-    /// Whether robots share handedness. Always `true` in this model.
-    #[must_use]
-    pub const fn chirality(&self) -> bool {
-        true
-    }
 }
 
 impl Default for Capabilities {
@@ -115,18 +109,6 @@ mod tests {
         assert!(Capabilities::identified_with_direction().sense_of_direction());
         assert!(Capabilities::identified().observable_ids());
         assert!(!Capabilities::identified().sense_of_direction());
-    }
-
-    #[test]
-    fn chirality_always_on() {
-        for c in [
-            Capabilities::anonymous(),
-            Capabilities::anonymous_with_direction(),
-            Capabilities::identified(),
-            Capabilities::identified_with_direction(),
-        ] {
-            assert!(c.chirality());
-        }
     }
 
     #[test]

@@ -87,7 +87,7 @@ impl<P: MovementProtocol> CordaEngine<P> {
         seed: u64,
     ) -> Result<Self, ModelError> {
         if speed.is_nan() || speed <= 0.0 {
-            return Err(ModelError::NonPositiveSigma { robot: 0 });
+            return Err(ModelError::NonPositiveSigma);
         }
         if protocols.len() != positions.len() {
             return Err(ModelError::CardinalityMismatch {

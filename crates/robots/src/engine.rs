@@ -79,7 +79,7 @@ pub struct EngineStats {
 /// The SSM simulation engine over a homogeneous cohort of protocol `P`.
 ///
 /// Robot state is kept structure-of-arrays (`positions` / `frames` /
-/// `protocols` / `sigmas`), and the per-instant hot path reuses
+/// `protocols`), and the per-instant hot path reuses
 /// preallocated scratch buffers — the observation snapshot, the active
 /// set, the dropout list, and the observation view — so a steady-state
 /// instant performs no heap allocation at all. Derived geometry (the
@@ -89,12 +89,12 @@ pub struct Engine<P> {
     positions: Vec<Point>,
     frames: Vec<LocalFrame>,
     protocols: Vec<P>,
-    sigmas: Vec<f64>,
+    /// The motion cap `σ` every robot shares (world units).
+    sigma: f64,
     ids: Option<Vec<VisibleId>>,
     schedule: Box<dyn Schedule>,
     trace: Trace,
     time: u64,
-    collision_eps: f64,
     global_clock: bool,
     visibility: Option<f64>,
     record: bool,
@@ -130,7 +130,7 @@ impl Engine<()> {
     /// Starts building an engine.
     #[must_use]
     pub fn builder<P>() -> EngineBuilder<P> {
-        EngineBuilder::new()
+        EngineBuilder::default()
     }
 }
 
@@ -216,7 +216,7 @@ impl<P: MovementProtocol> Engine<P> {
                     id: ids.map(|d| d[i]),
                 };
                 self.view
-                    .reset(own, frame.len_to_local(self.sigmas[i]), view_time);
+                    .reset(own, frame.len_to_local(self.sigma), view_time);
                 for (j, &p) in self.snapshot.iter().enumerate() {
                     if j != i
                         && !dropped.contains(&j)
@@ -254,7 +254,7 @@ impl<P: MovementProtocol> Engine<P> {
                 self.snapshot[i]
             } else {
                 let world_target = self.frames[i].to_world(local_target);
-                cap_move(self.snapshot[i], world_target, self.sigmas[i])
+                cap_move(self.snapshot[i], world_target, self.sigma)
             };
             // Non-rigid motion: the adversary interrupts the move after a
             // fraction in [δ, 1) of the σ-capped distance.
@@ -328,13 +328,13 @@ impl<P: MovementProtocol> Engine<P> {
                 let (p, q) = (self.positions[i], self.positions[j]);
                 // A pair clearly farther than both the margin and the
                 // collision radius changes neither.
-                let reach = self.min_pairwise.max(self.collision_eps);
+                let reach = self.min_pairwise.max(DEFAULT_COLLISION_EPS);
                 if p.distance_cmp(q, reach) == Some(Ordering::Greater) {
                     continue;
                 }
                 let d = p.distance(q);
                 self.min_pairwise = self.min_pairwise.min(d);
-                if collision.is_none() && d < self.collision_eps {
+                if collision.is_none() && d < DEFAULT_COLLISION_EPS {
                     collision = Some((i, j, d));
                 }
             }
@@ -398,7 +398,7 @@ impl<P: MovementProtocol> Engine<P> {
         for i in 0..self.positions.len() {
             for j in (i + 1)..self.positions.len() {
                 let d = self.positions[i].distance(self.positions[j]);
-                if d < self.collision_eps {
+                if d < DEFAULT_COLLISION_EPS {
                     return Err(ModelError::Collision {
                         time,
                         first: i,
@@ -495,12 +495,6 @@ impl<P: MovementProtocol> Engine<P> {
         self.ids.as_deref()
     }
 
-    /// The engine's fault plan (benign unless one was installed).
-    #[must_use]
-    pub fn fault_plan(&self) -> &FaultPlan {
-        &self.faults
-    }
-
     /// Installs a fault plan, replacing the benign one an engine is built
     /// with: crash-stops, non-rigid motion, and observation dropouts
     /// injected during execution, all decided deterministically from the
@@ -574,8 +568,6 @@ pub struct EngineBuilder<P> {
     frame_seed: u64,
     unit_frames: bool,
     sigma: f64,
-    sigmas: Option<Vec<f64>>,
-    collision_eps: f64,
     global_clock: bool,
     visibility: Option<f64>,
     record: bool,
@@ -583,14 +575,6 @@ pub struct EngineBuilder<P> {
 
 impl<P> Default for EngineBuilder<P> {
     fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<P> EngineBuilder<P> {
-    /// Creates an empty builder.
-    #[must_use]
-    pub fn new() -> Self {
         Self {
             positions: None,
             protocols: None,
@@ -599,14 +583,14 @@ impl<P> EngineBuilder<P> {
             frame_seed: 0xC0FF_EE00,
             unit_frames: false,
             sigma: 1.0e6,
-            sigmas: None,
-            collision_eps: DEFAULT_COLLISION_EPS,
             global_clock: false,
             visibility: None,
             record: true,
         }
     }
+}
 
+impl<P> EngineBuilder<P> {
     /// Sets the initial world positions `P(t0)`.
     #[must_use]
     pub fn positions<I: IntoIterator<Item = Point>>(mut self, positions: I) -> Self {
@@ -657,20 +641,6 @@ impl<P> EngineBuilder<P> {
     #[must_use]
     pub fn sigma(mut self, sigma: f64) -> Self {
         self.sigma = sigma;
-        self
-    }
-
-    /// Per-robot motion caps (world units), overriding [`EngineBuilder::sigma`].
-    #[must_use]
-    pub fn sigmas<I: IntoIterator<Item = f64>>(mut self, sigmas: I) -> Self {
-        self.sigmas = Some(sigmas.into_iter().collect());
-        self
-    }
-
-    /// Collision tolerance (world units).
-    #[must_use]
-    pub fn collision_epsilon(mut self, eps: f64) -> Self {
-        self.collision_eps = eps;
         self
     }
 
@@ -735,25 +705,10 @@ impl<P> EngineBuilder<P> {
                 got: protocols.len(),
             });
         }
-        let sigmas = match self.sigmas {
-            Some(s) => {
-                if s.len() != positions.len() {
-                    return Err(ModelError::CardinalityMismatch {
-                        what: "sigmas",
-                        expected: positions.len(),
-                        got: s.len(),
-                    });
-                }
-                s
-            }
-            None => vec![self.sigma; positions.len()],
-        };
-        for (i, &s) in sigmas.iter().enumerate() {
-            if s.is_nan() || s <= 0.0 {
-                return Err(ModelError::NonPositiveSigma { robot: i });
-            }
+        if self.sigma.is_nan() || self.sigma <= 0.0 {
+            return Err(ModelError::NonPositiveSigma);
         }
-        let tol = Tolerance::absolute(self.collision_eps);
+        let tol = Tolerance::absolute(DEFAULT_COLLISION_EPS);
         let mut min_pairwise = f64::INFINITY;
         for i in 0..positions.len() {
             for j in (i + 1)..positions.len() {
@@ -801,12 +756,11 @@ impl<P> EngineBuilder<P> {
             positions,
             frames,
             protocols,
-            sigmas,
+            sigma: self.sigma,
             ids,
             schedule: self.schedule.unwrap_or_else(|| Box::new(Synchronous)),
             trace,
             time: 0,
-            collision_eps: self.collision_eps,
             global_clock: self.global_clock,
             visibility: self.visibility,
             record: self.record,
@@ -888,10 +842,7 @@ mod tests {
             .protocols([Still, Still])
             .sigma(0.0)
             .build();
-        assert!(matches!(
-            bad_sigma,
-            Err(ModelError::NonPositiveSigma { robot: 0 })
-        ));
+        assert!(matches!(bad_sigma, Err(ModelError::NonPositiveSigma)));
     }
 
     #[test]
@@ -927,27 +878,6 @@ mod tests {
         assert!(e.positions()[1].approx_eq(Point::new(100.0, 0.0)));
         e.step().unwrap();
         assert!(e.positions()[0].approx_eq(Point::new(2.0, 0.0)));
-    }
-
-    #[test]
-    fn per_robot_sigmas() {
-        let mut e = Engine::builder()
-            .positions([Point::ORIGIN, Point::new(10.0, 10.0)])
-            .protocols([
-                Walker {
-                    target: Point::new(5.0, 0.0),
-                },
-                Walker {
-                    target: Point::new(10.0, 0.0),
-                },
-            ])
-            .unit_frames()
-            .sigmas([1.0, 2.0])
-            .build()
-            .unwrap();
-        e.step().unwrap();
-        assert!(e.positions()[0].approx_eq(Point::new(1.0, 0.0)));
-        assert!(e.positions()[1].approx_eq(Point::new(10.0, 8.0)));
     }
 
     #[test]
@@ -1047,7 +977,6 @@ mod tests {
                 },
             ])
             .unit_frames()
-            .collision_epsilon(1e-6)
             .build()
             .unwrap();
         // Both robots head to x=0.5 / x=0.5: robot 1 targets local -0.5
@@ -1069,7 +998,6 @@ mod tests {
                 },
             ])
             .unit_frames()
-            .collision_epsilon(1e-6)
             .build()
             .unwrap();
         let r2 = e2.step();
@@ -1615,29 +1543,33 @@ mod tests {
         // running minimum, then of the collision radius, where the
         // squared-distance filter must defer to the distance itself. The
         // far pairs are skipped by it.
+        let eps = DEFAULT_COLLISION_EPS;
         let dir = Vec2::new(0.6, 0.8);
         let reaches = {
-            let s = 1.0 + 2f64.powi(-34);
+            let s = eps * (1.0 + 2f64.powi(-34));
             [
-                1.0 + 2f64.powi(-33),
-                1.0 + 2f64.powi(-32),
+                eps * (1.0 + 2f64.powi(-33)),
+                eps * (1.0 + 2f64.powi(-32)),
                 s,
                 s.next_up(),
                 s.next_down(),
                 s.next_down().next_down(),
-                1.0 - 2f64.powi(-34),
+                eps * (1.0 - 2f64.powi(-34)),
             ]
         };
         let tour = |stops: Vec<Point>| Tour { stops, next: 0 };
         let mut e = Engine::builder()
-            .positions([Point::ORIGIN, Point::new(3.0, 0.0), Point::new(0.0, 5.0)])
+            .positions([
+                Point::ORIGIN,
+                Point::new(3.0 * eps, 0.0),
+                Point::new(0.0, 5.0 * eps),
+            ])
             .protocols([
                 tour(Vec::new()),
                 tour(Vec::new()),
                 tour(reaches.iter().map(|&r| Point::ORIGIN + dir * r).collect()),
             ])
             .unit_frames()
-            .collision_epsilon(1.0)
             .build()
             .unwrap();
         let same_margins = |e: &Engine<Tour>| {
@@ -1659,7 +1591,7 @@ mod tests {
             }) => {
                 let d = e.positions()[0].distance(e.positions()[2]);
                 assert_eq!(distance.to_bits(), d.to_bits());
-                assert!(d < 1.0);
+                assert!(d < eps);
             }
             other => panic!("expected the collision of robots 0 and 2, got {other:?}"),
         }
@@ -1813,6 +1745,6 @@ mod tests {
         faulted.set_fault_plan(FaultPlan::new(999));
         faulted.run(5).unwrap();
         assert_eq!(plain.trace(), faulted.trace());
-        assert!(faulted.fault_plan().is_benign());
+        assert!(faulted.faults.is_benign());
     }
 }

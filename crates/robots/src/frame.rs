@@ -61,12 +61,6 @@ impl LocalFrame {
         Self::new(Point::ORIGIN, 0.0, 1.0)
     }
 
-    /// The frame's world origin.
-    #[must_use]
-    pub fn origin(&self) -> Point {
-        self.origin
-    }
-
     /// The frame's rotation in radians.
     #[must_use]
     pub fn rotation(&self) -> f64 {
@@ -182,8 +176,8 @@ mod tests {
     fn mappings_uncached(f: &LocalFrame, p: Point) -> [Vec2; 4] {
         let v = p.to_vec();
         [
-            (p - f.origin()).rotated(-f.rotation()) / f.scale(),
-            f.origin().to_vec() + v.rotated(f.rotation()) * f.scale(),
+            (p - f.origin).rotated(-f.rotation()) / f.scale(),
+            f.origin.to_vec() + v.rotated(f.rotation()) * f.scale(),
             v.rotated(-f.rotation()) / f.scale(),
             v.rotated(f.rotation()) * f.scale(),
         ]

@@ -103,10 +103,7 @@ pub enum ModelError {
         distance: f64,
     },
     /// A non-positive motion cap `σ` was supplied.
-    NonPositiveSigma {
-        /// The robot with the bad cap.
-        robot: usize,
-    },
+    NonPositiveSigma,
     /// A geometric construction failed (degenerate configuration).
     Geometry(stigmergy_geometry::GeometryError),
 }
@@ -134,9 +131,7 @@ impl fmt::Display for ModelError {
                 f,
                 "collision at t={time}: robots {first} and {second} at distance {distance:e}"
             ),
-            ModelError::NonPositiveSigma { robot } => {
-                write!(f, "robot {robot} has a non-positive motion cap")
-            }
+            ModelError::NonPositiveSigma => write!(f, "the motion cap is not positive"),
             ModelError::Geometry(e) => write!(f, "geometry error: {e}"),
         }
     }
@@ -182,7 +177,7 @@ mod tests {
                 second: 2,
                 distance: 1e-12,
             },
-            ModelError::NonPositiveSigma { robot: 0 },
+            ModelError::NonPositiveSigma,
             ModelError::Geometry(stigmergy_geometry::GeometryError::ZeroDirection),
         ];
         for e in errors {

@@ -50,12 +50,6 @@ impl LaggingRobot {
             last_victim_active: None,
         }
     }
-
-    /// The starved robot's index.
-    #[must_use]
-    pub fn victim(&self) -> usize {
-        self.victim
-    }
 }
 
 impl Schedule for LaggingRobot {
@@ -198,12 +192,6 @@ impl WorstCaseFair {
             started: false,
         }
     }
-
-    /// The fairness bound every robot is delayed to.
-    #[must_use]
-    pub fn max_gap(&self) -> u64 {
-        self.max_gap
-    }
 }
 
 impl Schedule for WorstCaseFair {
@@ -329,18 +317,6 @@ impl FaultPlan {
         self
     }
 
-    /// The plan's seed.
-    #[must_use]
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// The minimum fraction δ of a move always covered.
-    #[must_use]
-    pub fn delta(&self) -> f64 {
-        self.non_rigid_delta
-    }
-
     /// Whether the plan injects any fault at all.
     #[must_use]
     pub fn is_benign(&self) -> bool {
@@ -400,20 +376,10 @@ impl FaultPlan {
         }
     }
 
-    /// Whether `observer`'s view of `observed` drops out at instant
-    /// `t`. A robot always sees itself.
-    #[must_use]
-    pub fn drops_observation(&self, observer: usize, observed: usize, t: u64) -> bool {
-        if self.dropout_prob == 0.0 || observer == observed {
-            return false;
-        }
-        self.drops_pair(self.dropout_draw(observer, t), observed)
-    }
-
     /// Appends to `dropped`, in increasing order, every robot of `0..n`
-    /// that `observer`'s view drops at instant `t`: the robots `j` for
-    /// which [`FaultPlan::drops_observation`]`(observer, j, t)` holds,
-    /// from one derivation of the observer's stream.
+    /// other than `observer` itself (a robot always sees itself) whose
+    /// observation drops out of `observer`'s view at instant `t`, from
+    /// one derivation of the observer's stream.
     pub fn dropped_observations(
         &self,
         observer: usize,
@@ -514,6 +480,14 @@ mod tests {
     use super::*;
     use crate::fairness::audit_fairness;
     use crate::schedules::Synchronous;
+
+    impl FaultPlan {
+        /// The per-pair reference for [`FaultPlan::dropped_observations`].
+        fn drops_observation(&self, observer: usize, observed: usize, t: u64) -> bool {
+            let draw = || self.dropout_draw(observer, t);
+            observer != observed && self.dropout_prob != 0.0 && self.drops_pair(draw(), observed)
+        }
+    }
 
     #[test]
     fn lagging_robot_starves_exactly_to_the_bound() {

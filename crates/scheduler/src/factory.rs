@@ -504,23 +504,6 @@ impl CodingSpec {
             CodingSpec::Fec { .. } => "fec",
         }
     }
-
-    /// Bits carried per excursion (`log2(levels)`; 1 for binary).
-    #[must_use]
-    pub fn bits_per_symbol(&self) -> u32 {
-        match *self {
-            CodingSpec::Binary => 1,
-            CodingSpec::MultiLevel { levels, .. } | CodingSpec::Fec { levels, .. } => {
-                u32::from(levels).max(2).trailing_zeros()
-            }
-        }
-    }
-
-    /// Whether the symbol stream carries FEC parity.
-    #[must_use]
-    pub fn has_fec(&self) -> bool {
-        matches!(self, CodingSpec::Fec { .. })
-    }
 }
 
 /// Compile-time guarantee that specs can cross threads.
@@ -847,22 +830,16 @@ mod tests {
     fn coding_spec_names_and_widths() {
         assert_eq!(CodingSpec::Binary.name(), "binary");
         assert_eq!(CodingSpec::default(), CodingSpec::Binary);
-        assert_eq!(CodingSpec::Binary.bits_per_symbol(), 1);
-        assert!(!CodingSpec::Binary.has_fec());
         let ml = CodingSpec::MultiLevel {
             levels: 8,
             dwell: 10,
         };
         assert_eq!(ml.name(), "multi-level");
-        assert_eq!(ml.bits_per_symbol(), 3);
-        assert!(!ml.has_fec());
         let fec = CodingSpec::Fec {
             levels: 16,
             dwell: 10,
         };
         assert_eq!(fec.name(), "fec");
-        assert_eq!(fec.bits_per_symbol(), 4);
-        assert!(fec.has_fec());
     }
 
     #[test]
@@ -907,7 +884,7 @@ mod tests {
             prob: 1.0,
         }
         .plan(2);
-        assert!((nr.delta() - 0.3).abs() < 1e-15);
+        assert_eq!(nr, FaultPlan::new(2).non_rigid(0.3, 1.0));
         let crash = FaultSpec::Crash {
             robot: 1,
             time: 35,
@@ -918,7 +895,9 @@ mod tests {
         let plan = crash.plan(3);
         assert_eq!(plan.crash_time(1), Some(35));
         let drop = FaultSpec::Dropout { prob: 1.0 }.plan(4);
-        assert!(drop.drops_observation(0, 1, 0));
+        let mut dropped = Vec::new();
+        drop.dropped_observations(0, 2, 0, &mut dropped);
+        assert_eq!(dropped, [1]);
     }
 
     #[test]

@@ -69,18 +69,6 @@ impl FairAsync {
             started: false,
         }
     }
-
-    /// The per-instant activation probability.
-    #[must_use]
-    pub fn probability(&self) -> f64 {
-        self.p
-    }
-
-    /// The enforced maximum inactivity gap.
-    #[must_use]
-    pub fn max_gap(&self) -> u64 {
-        self.max_gap
-    }
 }
 
 impl Schedule for FairAsync {
@@ -246,12 +234,6 @@ impl Scripted {
         );
         Self { script }
     }
-
-    /// The script length (cycle period).
-    #[must_use]
-    pub fn period(&self) -> usize {
-        self.script.len()
-    }
 }
 
 impl Schedule for Scripted {
@@ -383,7 +365,6 @@ mod tests {
     #[test]
     fn scripted_cycles_and_clips() {
         let mut s = Scripted::new([vec![0, 1], vec![2], vec![0]]);
-        assert_eq!(s.period(), 3);
         let set0 = s.activations(0, 3);
         assert!(set0.contains(0) && set0.contains(1));
         assert!(s.activations(1, 3).contains(2));

@@ -28,7 +28,7 @@ pub const MAX_SEQ: u32 = 1 << 20;
 
 /// Upper bound on nested-spec recursion (e.g. stacked
 /// [`ScheduleSpec::CrashFiltered`] wrappers) accepted by
-/// [`Reader::nested`] — a malicious tag chain must fail, not blow the
+/// `Reader::nested` — a malicious tag chain must fail, not blow the
 /// stack.
 pub const MAX_NEST: u32 = 8;
 
@@ -146,7 +146,7 @@ impl<'a> Reader<'a> {
 
     /// Bytes not yet consumed.
     #[must_use]
-    pub fn remaining(&self) -> usize {
+    fn remaining(&self) -> usize {
         self.buf.len()
     }
 
@@ -172,7 +172,7 @@ impl<'a> Reader<'a> {
     ///
     /// [`WireError::TooDeep`] once [`MAX_NEST`] layers are open, else
     /// whatever `decode` returns.
-    pub fn nested<T>(
+    fn nested<T>(
         &mut self,
         what: &'static str,
         decode: impl FnOnce(&mut Self) -> Result<T, WireError>,
@@ -229,7 +229,7 @@ impl<'a> Reader<'a> {
     ///
     /// [`WireError::Truncated`] at end of buffer, [`WireError::BadValue`]
     /// on NaN or infinity.
-    pub fn f64(&mut self, what: &'static str) -> Result<f64, WireError> {
+    fn f64(&mut self, what: &'static str) -> Result<f64, WireError> {
         let x = f64::from_bits(self.u64()?);
         if x.is_finite() {
             Ok(x)
@@ -255,7 +255,7 @@ impl<'a> Reader<'a> {
     ///
     /// [`WireError::Oversize`] past [`MAX_SEQ`], [`WireError::Truncated`]
     /// at end of buffer.
-    pub fn seq_len(&mut self, what: &'static str) -> Result<usize, WireError> {
+    fn seq_len(&mut self, what: &'static str) -> Result<usize, WireError> {
         let len = self.u32()?;
         if len > MAX_SEQ {
             return Err(WireError::Oversize { what, len });
@@ -280,7 +280,7 @@ pub fn put_u64(out: &mut Vec<u8>, x: u64) {
 }
 
 /// Appends an `f64` as its IEEE-754 bit pattern.
-pub fn put_f64(out: &mut Vec<u8>, x: f64) {
+fn put_f64(out: &mut Vec<u8>, x: f64) {
     put_u64(out, x.to_bits());
 }
 
@@ -290,7 +290,7 @@ pub fn put_f64(out: &mut Vec<u8>, x: f64) {
 /// # Panics
 ///
 /// Panics if `len` does not fit a `u32`.
-pub fn put_len(out: &mut Vec<u8>, len: usize) {
+fn put_len(out: &mut Vec<u8>, len: usize) {
     put_u32(out, u32::try_from(len).expect("sequence fits u32"));
 }
 
@@ -314,7 +314,7 @@ pub fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
 ///
 /// # Panics
 ///
-/// As [`put_len`].
+/// As `put_len`.
 pub fn put_seq<T: Wire>(out: &mut Vec<u8>, items: &[T]) {
     put_len(out, items.len());
     for item in items {
